@@ -1,5 +1,5 @@
-// Ablation ABL-SEARCH — design-choice ablations DESIGN.md calls out for the
-// mapping engine:
+// Ablation ABL-SEARCH — design-choice ablations of the mapping engine (README
+// "Search strategies"):
 //  * greedy initial mapping + pairwise swaps (the paper's Fig 5 algorithm)
 //    vs simulated annealing, on cost and evaluations spent;
 //  * rip-up-and-reroute refinement on vs off for split-across-all-paths

@@ -1,4 +1,5 @@
-// Experiment ABL-FP — floorplanner ablations called out in DESIGN.md:
+// Experiment ABL-FP — floorplanner ablations (README "The floorplanning
+// pipeline"):
 //  * the simplex LP engine vs the longest-path constraint-graph engine
 //    (identical chip extents, very different runtime — why the swap loop
 //    uses the longest-path engine);

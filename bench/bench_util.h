@@ -2,8 +2,8 @@
 
 // Shared helpers for the benchmark harnesses. Each bench binary regenerates
 // one of the paper's tables/figures (printed before the google-benchmark
-// timers run) — see DESIGN.md §3 for the experiment index and EXPERIMENTS.md
-// for paper-vs-measured numbers.
+// timers run); README "CI: perf gating and baseline refresh" lists the perf
+// probes among them.
 
 #include <benchmark/benchmark.h>
 

@@ -10,8 +10,7 @@ namespace sunmap::apps {
 /// Bandwidths are MB/s as annotated in the paper's figures; core areas are
 /// plausible 0.1 µm block sizes chosen so the floorplanned design areas land
 /// in the ranges the paper reports (the paper takes core area/power values
-/// as tool inputs and does not list them). See DESIGN.md §2 for the
-/// substitution notes.
+/// as tool inputs and does not list them). See README "Stand-ins".
 
 /// Video Object Plane Decoder, 12 cores (Fig 3(a)); the motivating example
 /// and the subject of Figs 3(d) and 6. Total traffic ~3.5 GB/s with a

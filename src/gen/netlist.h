@@ -72,7 +72,7 @@ class Netlist {
 /// Renders a Netlist as SystemC-style C++ source, standing in for the
 /// ×pipes soft-macro instantiation of the paper (SystemC itself is not
 /// available offline; the cycle-accurate executable model lives in
-/// src/sim — see DESIGN.md §2).
+/// src/sim — see README "Stand-ins").
 class SystemCWriter {
  public:
   struct Output {

@@ -1,7 +1,9 @@
 #include "route/routing.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace sunmap::route {
@@ -13,6 +15,25 @@ namespace {
 /// congested (Fig 5 steps 3-6 route commodities over edge weights that grow
 /// with already-routed traffic).
 constexpr double kHopCost = 1e9;
+
+/// Reusable per-thread split-all buffers: the mapping search routes
+/// commodities this way over a million times per sweep, each call running
+/// one Dijkstra per chunk, so once warm a call allocates nothing.
+struct SplitAllWorkspace {
+  std::vector<double> extra;  ///< per link: demand this call's chunks put on it
+  std::vector<double> cost;   ///< per link: the next chunk's cost
+  std::vector<double> dist;   ///< per switch, valid once reached
+  std::vector<graph::EdgeId> via;   ///< per switch: link it was reached by
+  std::vector<graph::NodeId> pred;  ///< per switch: tail of that link
+  std::vector<std::uint64_t> reached;  ///< switch bitsets beyond one word
+  std::vector<std::uint64_t> open;
+  std::vector<graph::EdgeId> path;  ///< the chunk path's links, last first
+};
+
+SplitAllWorkspace& split_all_workspace() {
+  thread_local SplitAllWorkspace ws;
+  return ws;
+}
 
 }  // namespace
 
@@ -112,14 +133,25 @@ RoutingEngine::RoutingEngine(const topo::Topology& topology, RoutingKind kind,
   if (options_.capacity_hint_mbps <= 0.0) {
     throw std::invalid_argument("RoutingEngine: capacity hint must be > 0");
   }
+  if (kind_ != RoutingKind::kSplitAll) return;
+  const auto& g = topology_.switch_graph();
+  arc_begin_.reserve(static_cast<std::size_t>(g.num_nodes()) + 1);
+  arcs_.reserve(static_cast<std::size_t>(g.num_edges()));
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    arc_begin_.push_back(static_cast<int>(arcs_.size()));
+    for (graph::EdgeId e : g.out_edges(u)) arcs_.push_back({e, g.edge(e).dst});
+  }
+  arc_begin_.push_back(static_cast<int>(arcs_.size()));
 }
 
 void RoutingEngine::route(topo::SlotId src, topo::SlotId dst, double demand,
                           const LoadMap& loads, RouteSet& out) const {
-  out.paths.clear();
   if (src == dst) {
+    out.paths.clear();
     throw std::invalid_argument("RoutingEngine: src and dst slots coincide");
   }
+  // Split-all rewrites `out` in place; the other kinds append to it.
+  if (kind_ != RoutingKind::kSplitAll) out.paths.clear();
   switch (kind_) {
     case RoutingKind::kDimensionOrdered:
       route_dimension_ordered(src, dst, out);
@@ -131,7 +163,12 @@ void RoutingEngine::route(topo::SlotId src, topo::SlotId dst, double demand,
       route_split_min(src, dst, out);
       return;
     case RoutingKind::kSplitAll:
-      route_split_all(src, dst, demand, loads, out);
+      // One bitset word covers every library topology (<= 64 switches).
+      if (topology_.num_switches() <= 64) {
+        route_split_all<true>(src, dst, demand, loads, out);
+      } else {
+        route_split_all<false>(src, dst, demand, loads, out);
+      }
       return;
   }
   throw std::logic_error("RoutingEngine: unknown routing kind");
@@ -256,59 +293,164 @@ void RoutingEngine::route_split_min(topo::SlotId src, topo::SlotId dst,
   for (auto& wp : out.paths) wp.fraction /= total;
 }
 
+template <bool kOneWord>
 void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
                                     double demand, const LoadMap& loads,
                                     RouteSet& out) const {
   // Split-across-all-paths: divide the commodity into equal chunks and route
   // each chunk with congestion-aware Dijkstra over the full switch graph
   // (non-minimal paths allowed), accounting for the chunks already placed.
-  // A small per-hop bias keeps zero-load routes minimal.
-  const auto& g = topology_.switch_graph();
   const graph::NodeId from = topology_.ingress_switch(src);
   const graph::NodeId to = topology_.egress_switch(dst);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const int num_links = static_cast<int>(arcs_.size());
+  const int num_switches = topology_.num_switches();
+  const int words = kOneWord ? 1 : (num_switches + 63) / 64;
   const int split_chunks = options_.split_chunks;
+  const double fraction = 1.0 / static_cast<double>(split_chunks);
   const double chunk =
       demand > 0.0 ? demand / static_cast<double>(split_chunks) : 0.0;
+  // A small per-hop bias keeps zero-load routes minimal.
   const double hop_bias = std::max(1.0, demand * 0.01);
+
+  SplitAllWorkspace& ws = split_all_workspace();
+  ws.extra.assign(static_cast<std::size_t>(num_links), 0.0);
+  ws.cost.resize(static_cast<std::size_t>(num_links));
+  ws.dist.resize(static_cast<std::size_t>(num_switches));
+  ws.via.resize(static_cast<std::size_t>(num_switches));
+  ws.pred.resize(static_cast<std::size_t>(num_switches));
+  ws.reached.resize(static_cast<std::size_t>(words));
+  ws.open.resize(static_cast<std::size_t>(words));
+  double* const extra = ws.extra.data();
+  double* const cost = ws.cost.data();
+  double* const dist = ws.dist.data();
+  graph::EdgeId* const via = ws.via.data();
+  graph::NodeId* const pred = ws.pred.data();
+  // One word lives in registers; several live in the workspace.
+  std::uint64_t reached_word = 0;
+  std::uint64_t open_word = 0;
+  std::uint64_t* const reached = kOneWord ? &reached_word : ws.reached.data();
+  std::uint64_t* const open = kOneWord ? &open_word : ws.open.data();
+  const auto word_of = [](graph::NodeId v) { return kOneWord ? 0 : v >> 6; };
+  const auto bit_of = [](graph::NodeId v) {
+    return std::uint64_t{1} << (v & 63);
+  };
+  const Arc* const arcs = arcs_.data();
+  const int* const arc_begin = arc_begin_.data();
 
   // Soft capacity: a sub-flow strongly avoids links it would push past the
   // capacity hint, which is what lets the heavy MPEG4 SDRAM flows spread
-  // around already-loaded links instead of stacking onto them.
+  // around already-loaded links instead of stacking onto them. Costs start
+  // from the caller's loads and change only on the links each chunk takes.
   constexpr double kOverloadPenalty = 1e7;
-  std::vector<double> extra(static_cast<std::size_t>(g.num_edges()), 0.0);
+  const auto link_cost = [&](graph::EdgeId e) {
+    const double current = loads.load(e) + extra[e];
+    double c = hop_bias + current + chunk * 0.5;
+    if (current + chunk > options_.capacity_hint_mbps + 1e-9) {
+      c += kOverloadPenalty;
+    }
+    return c;
+  };
+  for (graph::EdgeId e = 0; e < num_links; ++e) cost[e] = link_cost(e);
+
+  std::size_t used = 0;
   for (int c = 0; c < split_chunks; ++c) {
-    auto path = graph::shortest_path_with(
-        g, from, to,
-        [&](graph::EdgeId e) {
-          const double current =
-              loads.load(e) + extra[static_cast<std::size_t>(e)];
-          double cost = hop_bias + current + chunk * 0.5;
-          if (current + chunk > options_.capacity_hint_mbps + 1e-9) {
-            cost += kOverloadPenalty;
+    // Dijkstra that settles the least (distance, switch id) among reached,
+    // unsettled ("open") switches: the settle order, and so the tie-breaks,
+    // of graph::shortest_path_with's lazy heap. A switch is unreached until
+    // its first strict improvement over +inf, so an inf or NaN cost never
+    // reaches one.
+    for (int w = 0; w < words; ++w) reached[w] = open[w] = 0;
+    reached[word_of(from)] |= bit_of(from);
+    open[word_of(from)] |= bit_of(from);
+    dist[from] = 0.0;
+    bool found = false;
+    for (;;) {
+      int u = -1;
+      double du = 0.0;
+      for (int w = 0; w < words; ++w) {
+        for (std::uint64_t bits = open[w]; bits != 0; bits &= bits - 1) {
+          const int v = (w << 6) | std::countr_zero(bits);
+          if (u < 0 || dist[v] < du) {
+            u = v;
+            du = dist[v];
           }
-          return cost;
-        },
-        graph::AdmitAll{});
-    if (!path) {
+        }
+      }
+      if (u < 0) break;
+      open[word_of(u)] &= ~bit_of(u);
+      if (u == to) {
+        found = true;
+        break;
+      }
+      for (int a = arc_begin[u]; a < arc_begin[u + 1]; ++a) {
+        const graph::NodeId v = arcs[a].head;
+        const int w = word_of(v);
+        const std::uint64_t bit = bit_of(v);
+        const bool seen = (reached[w] & bit) != 0;
+        if (seen && (open[w] & bit) == 0) continue;  // settled
+        const double step = cost[arcs[a].link];
+        if (step < 0.0) {
+          out.paths.clear();
+          throw std::invalid_argument("RoutingEngine: negative link cost");
+        }
+        const double nd = du + step;
+        if (nd < (seen ? dist[v] : kInf)) {
+          dist[v] = nd;
+          via[v] = arcs[a].link;
+          pred[v] = u;
+          reached[w] |= bit;
+          open[w] |= bit;
+        }
+      }
+    }
+    if (!found) {
+      out.paths.clear();
       throw std::logic_error("RoutingEngine: topology disconnected");
     }
-    for (graph::EdgeId e : path->edges) {
-      extra[static_cast<std::size_t>(e)] += chunk;
+
+    // The chunk path's links, destination first.
+    ws.path.clear();
+    for (graph::NodeId v = to; v != from; v = pred[v]) {
+      ws.path.push_back(via[v]);
     }
-    // Merge identical consecutive chunk paths to keep the set small.
+    const std::size_t hops = ws.path.size();
+    for (graph::EdgeId e : ws.path) {
+      extra[e] += chunk;
+      cost[e] = link_cost(e);
+    }
+
+    // Merge a chunk that repeats an earlier chunk's link sequence; parallel
+    // links make equal switch sequences distinct paths.
     bool merged = false;
-    for (auto& wp : out.paths) {
-      if (wp.path.nodes == path->nodes) {
-        wp.fraction += 1.0 / static_cast<double>(split_chunks);
+    for (std::size_t i = 0; i < used; ++i) {
+      const auto& links = out.paths[i].path.edges;
+      if (links.size() == hops &&
+          std::equal(links.rbegin(), links.rend(), ws.path.begin())) {
+        out.paths[i].fraction += fraction;
         merged = true;
         break;
       }
     }
-    if (!merged) {
-      out.paths.push_back(
-          WeightedPath{*path, 1.0 / static_cast<double>(split_chunks)});
+    if (merged) continue;
+
+    // Write the new path over a stale entry's buffers when there is one.
+    if (used == out.paths.size()) out.paths.emplace_back();
+    WeightedPath& wp = out.paths[used++];
+    wp.fraction = fraction;
+    wp.path.cost = dist[to];
+    wp.path.edges.assign(ws.path.rbegin(), ws.path.rend());
+    wp.path.nodes.resize(hops + 1);
+    graph::NodeId v = to;
+    for (std::size_t k = hops; k > 0; --k) {
+      wp.path.nodes[k] = v;
+      v = pred[v];
     }
+    wp.path.nodes[0] = from;
   }
+  out.paths.erase(out.paths.begin() + static_cast<std::ptrdiff_t>(used),
+                  out.paths.end());
 }
 
 }  // namespace sunmap::route

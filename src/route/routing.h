@@ -187,10 +187,11 @@ class RoutingEngine {
   }
 
   /// Routes `demand` MB/s from slot src to slot dst given the traffic
-  /// already routed (`loads`), writing the result into `out` (cleared
-  /// first). The out-param keeps the hot path allocation-free once the
-  /// caller's RouteSet capacity has warmed up. Does not modify `loads`; the
-  /// caller accumulates via LoadMap::add_route, matching Fig 5 steps 4-6.
+  /// already routed (`loads`), replacing the contents of `out`. The
+  /// out-param keeps the hot path allocation-free once the caller's
+  /// RouteSet capacity has warmed up (split-all rewrites its paths in place,
+  /// reusing their buffers). Does not modify `loads`; the caller accumulates
+  /// via LoadMap::add_route, matching Fig 5 steps 4-6.
   void route(topo::SlotId src, topo::SlotId dst, double demand,
              const LoadMap& loads, RouteSet& out) const;
 
@@ -201,12 +202,25 @@ class RoutingEngine {
                       const LoadMap& loads, RouteSet& out) const;
   void route_split_min(topo::SlotId src, topo::SlotId dst,
                        RouteSet& out) const;
+  /// Split-all over reached/open switch bitsets of one 64-bit word
+  /// (kOneWord, up to 64 switches) or of several.
+  template <bool kOneWord>
   void route_split_all(topo::SlotId src, topo::SlotId dst, double demand,
                        const LoadMap& loads, RouteSet& out) const;
+
+  /// One out-link of a switch in the flat adjacency split-all walks.
+  struct Arc {
+    graph::EdgeId link;
+    graph::NodeId head;
+  };
 
   const topo::Topology& topology_;
   RoutingKind kind_;
   Options options_;
+  /// Out-links of switch u are arcs_[arc_begin_[u] .. arc_begin_[u + 1]),
+  /// in the switch graph's insertion order (split-all routing only).
+  std::vector<int> arc_begin_;
+  std::vector<Arc> arcs_;
 };
 
 }  // namespace sunmap::route

@@ -29,7 +29,7 @@ enum class SimEngine {
 const char* to_string(SimEngine engine);
 
 /// Simulator configuration. The router model is the cycle-accurate stand-in
-/// for the generated ×pipes SystemC macros (see DESIGN.md §2): wormhole
+/// for the generated ×pipes SystemC macros (see README "Stand-ins"): wormhole
 /// switching, a single virtual channel, credit-based flow control over
 /// point-to-point links, input FIFO buffers, round-robin output allocation
 /// and source routing.

@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <set>
+#include <string>
 #include <tuple>
 
+#include "apps/apps.h"
+#include "mapping/core_graph.h"
 #include "route/routing.h"
+#include "topo/custom.h"
 #include "topo/library.h"
 
 namespace sunmap::route {
@@ -227,6 +237,340 @@ TEST(RoutingEngine, SplitAllZeroLoadPrefersMinimalPath) {
   const auto routes = route(engine, 0, 1, 1.0, loads);
   // Tiny demand on an idle network: all chunks take the 2-switch path.
   EXPECT_DOUBLE_EQ(routes.weighted_switch_hops(), 2.0);
+}
+
+/// The split-all chunk loop the engine's kernel must reproduce: one
+/// graph::shortest_path_with per chunk over costs recomputed at every
+/// relaxation, chunk paths merged by link sequence.
+RouteSet reference_split_all(const topo::Topology& topology, SlotId src,
+                             SlotId dst, double demand, const LoadMap& loads,
+                             const RoutingEngine::Options& options) {
+  const auto& g = topology.switch_graph();
+  const int split_chunks = options.split_chunks;
+  const double chunk =
+      demand > 0.0 ? demand / static_cast<double>(split_chunks) : 0.0;
+  const double hop_bias = std::max(1.0, demand * 0.01);
+  std::vector<double> extra(static_cast<std::size_t>(g.num_edges()), 0.0);
+  RouteSet out;
+  for (int c = 0; c < split_chunks; ++c) {
+    auto path = graph::shortest_path_with(
+        g, topology.ingress_switch(src), topology.egress_switch(dst),
+        [&](graph::EdgeId e) {
+          const double current =
+              loads.load(e) + extra[static_cast<std::size_t>(e)];
+          double cost = hop_bias + current + chunk * 0.5;
+          if (current + chunk > options.capacity_hint_mbps + 1e-9) {
+            cost += 1e7;
+          }
+          return cost;
+        },
+        graph::AdmitAll{});
+    if (!path) throw std::logic_error("reference: topology disconnected");
+    for (graph::EdgeId e : path->edges) {
+      extra[static_cast<std::size_t>(e)] += chunk;
+    }
+    bool merged = false;
+    for (auto& wp : out.paths) {
+      if (wp.path.edges == path->edges) {
+        wp.fraction += 1.0 / static_cast<double>(split_chunks);
+        merged = true;
+        break;
+      }
+    }
+    if (!merged) {
+      out.paths.push_back(
+          WeightedPath{*path, 1.0 / static_cast<double>(split_chunks)});
+    }
+  }
+  return out;
+}
+
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Same paths (switches and links) in the same order, with bit-identical
+/// fractions and costs.
+void expect_bit_identical(const RouteSet& got, const RouteSet& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.paths.size(), want.paths.size()) << where;
+  for (std::size_t i = 0; i < got.paths.size(); ++i) {
+    const auto& a = got.paths[i];
+    const auto& b = want.paths[i];
+    EXPECT_EQ(a.path.nodes, b.path.nodes) << where << " path " << i;
+    EXPECT_EQ(a.path.edges, b.path.edges) << where << " path " << i;
+    EXPECT_EQ(bits(a.fraction), bits(b.fraction)) << where << " path " << i;
+    EXPECT_EQ(bits(a.path.cost), bits(b.path.cost)) << where << " path " << i;
+  }
+}
+
+/// Routes `src -> dst` through the engine into a reused RouteSet and through
+/// the reference, and checks the two agree bit for bit.
+void expect_matches_reference(const RoutingEngine& engine,
+                              const RoutingEngine::Options& options,
+                              SlotId src, SlotId dst, double demand,
+                              const LoadMap& loads, RouteSet& out,
+                              const std::string& where) {
+  engine.route(src, dst, demand, loads, out);
+  expect_bit_identical(out, reference_split_all(engine.topology(), src, dst,
+                                                demand, loads, options),
+                       where);
+}
+
+bool has_parallel_links(const graph::DirectedGraph& g) {
+  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
+    std::set<graph::NodeId> heads;
+    for (graph::EdgeId e : g.out_edges(u)) {
+      if (!heads.insert(g.edge(e).dst).second) return true;
+    }
+  }
+  return false;
+}
+
+TEST(SplitAllKernel, BitIdenticalOnEveryLibraryTopologyOfTheApps) {
+  // The mapper's loop: route every commodity in decreasing order with the
+  // loads accumulating, then one rip-up-and-reroute pass, on the identity
+  // mapping and two seeded shuffles, over every topology the apps select
+  // from (MPEG4's SDRAM flows push links past the 500 MB/s hint).
+  const mapping::CoreGraph apps[] = {apps::vopd(),      apps::mpeg4(),
+                                     apps::dsp_filter(), apps::netproc16(),
+                                     apps::pip(),       apps::mwd()};
+  const auto options = split_options(16, 500.0);
+  std::mt19937 rng(13);
+  RouteSet out;
+  for (const auto& app : apps) {
+    const auto commodities = mapping::commodities_by_value(app);
+    for (const auto& topology :
+         topo::standard_library(app.num_cores(), /*include_extensions=*/true)) {
+      ASSERT_FALSE(has_parallel_links(topology->switch_graph()))
+          << topology->name();
+      RoutingEngine engine(*topology, RoutingKind::kSplitAll, options);
+      std::vector<SlotId> slot(static_cast<std::size_t>(topology->num_slots()));
+      std::iota(slot.begin(), slot.end(), 0);
+      for (int mapping = 0; mapping < 3; ++mapping) {
+        if (mapping > 0) std::shuffle(slot.begin(), slot.end(), rng);
+        LoadMap loads(topology->switch_graph().num_edges());
+        std::vector<RouteSet> routed(commodities.size());
+        for (int pass = 0; pass < 2; ++pass) {
+          for (std::size_t k = 0; k < commodities.size(); ++k) {
+            const auto& d = commodities[k];
+            if (pass > 0) loads.remove_route(routed[k], d.value_mbps);
+            expect_matches_reference(
+                engine, options, slot[static_cast<std::size_t>(d.src_core)],
+                slot[static_cast<std::size_t>(d.dst_core)], d.value_mbps,
+                loads, out,
+                app.name() + " on " + topology->name() + " mapping " +
+                    std::to_string(mapping) + " pass " +
+                    std::to_string(pass) + " commodity " + std::to_string(k));
+            routed[k] = out;
+            loads.add_route(routed[k], d.value_mbps);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SplitAllKernel, BitIdenticalPastOneBitsetWord) {
+  const auto mesh = topo::make_mesh_for(81);  // 9x9: two bitset words
+  ASSERT_GT(mesh->num_switches(), 64);
+  const auto options = split_options(16, 300.0);
+  RoutingEngine engine(*mesh, RoutingKind::kSplitAll, options);
+  LoadMap loads(mesh->switch_graph().num_edges());
+  std::mt19937 rng(5);
+  std::uniform_int_distribution<SlotId> slot(0, mesh->num_slots() - 1);
+  std::uniform_real_distribution<double> demand(10.0, 600.0);
+  RouteSet out;
+  for (int k = 0; k < 60; ++k) {
+    const SlotId a = slot(rng);
+    SlotId b = slot(rng);
+    if (b == a) b = (a + 40) % mesh->num_slots();
+    const double mbps = demand(rng);
+    expect_matches_reference(engine, options, a, b, mbps, loads, out,
+                             "commodity " + std::to_string(k));
+    loads.add_route(out, mbps);
+  }
+}
+
+TEST(SplitAllKernel, BitIdenticalWhenSlotsShareASwitch) {
+  // Clos and butterfly edge switches carry several slots each, and a custom
+  // topology can put both endpoints on one switch: a path with no links.
+  const auto options = split_options(16, 500.0);
+  std::vector<std::unique_ptr<topo::Topology>> topologies;
+  topologies.push_back(topo::make_clos_for(12));
+  topologies.push_back(topo::make_butterfly_for(12));
+  topo::CustomTopology::Builder builder("pair_on_one_switch");
+  const auto s0 = builder.add_switch();
+  const auto s1 = builder.add_switch();
+  builder.add_bidirectional_link(s0, s1);
+  builder.attach_core(s0);
+  builder.attach_core(s0);
+  builder.attach_core(s1);
+  topologies.push_back(builder.build());
+
+  RouteSet out;
+  for (const auto& topology : topologies) {
+    RoutingEngine engine(*topology, RoutingKind::kSplitAll, options);
+    LoadMap loads(topology->switch_graph().num_edges());
+    int shared = 0;
+    for (SlotId a = 0; a < topology->num_slots(); ++a) {
+      for (SlotId b = 0; b < topology->num_slots(); ++b) {
+        if (a == b || (topology->ingress_switch(a) !=
+                           topology->ingress_switch(b) &&
+                       topology->egress_switch(a) !=
+                           topology->egress_switch(b))) {
+          continue;
+        }
+        ++shared;
+        expect_matches_reference(engine, options, a, b, 300.0, loads, out,
+                                 topology->name() + " " + std::to_string(a) +
+                                     "->" + std::to_string(b));
+        loads.add_route(out, 300.0);
+      }
+    }
+    EXPECT_GT(shared, 0) << topology->name();
+  }
+
+  // Both endpoints on switch s0: one single-switch path carries everything.
+  const auto& custom = *topologies.back();
+  RoutingEngine engine(custom, RoutingKind::kSplitAll, options);
+  engine.route(0, 1, 300.0, LoadMap(custom.switch_graph().num_edges()), out);
+  ASSERT_EQ(out.paths.size(), 1u);
+  EXPECT_EQ(out.paths[0].path.nodes, std::vector<graph::NodeId>{s0});
+  EXPECT_TRUE(out.paths[0].path.edges.empty());
+  EXPECT_EQ(out.paths[0].fraction, 1.0);
+}
+
+TEST(SplitAllKernel, BitIdenticalAcrossChunkCountsAndDemands) {
+  const auto mesh = topo::make_mesh_for(16);
+  RouteSet out;
+  for (int split_chunks : {1, 8, 16}) {
+    const auto options = split_options(split_chunks, 400.0);
+    RoutingEngine engine(*mesh, RoutingKind::kSplitAll, options);
+    LoadMap loads(mesh->switch_graph().num_edges());
+    for (double demand : {0.0, 1.0, 250.0, 900.0}) {
+      for (SlotId a : {0, 5, 15}) {
+        for (SlotId b : {3, 10, 12}) {
+          const std::string where = std::to_string(split_chunks) +
+                                    " chunks, " + std::to_string(demand) +
+                                    " MB/s " + std::to_string(a) + "->" +
+                                    std::to_string(b);
+          expect_matches_reference(engine, options, a, b, demand, loads, out,
+                                   where);
+          loads.add_route(out, demand);
+        }
+      }
+    }
+  }
+}
+
+TEST(SplitAllKernel, BitIdenticalOverSeededOverloads) {
+  // Background loads up to twice the hint: most links carry the overload
+  // penalty, so costs tie and split at 1e7 scale.
+  const auto options = split_options(16, 250.0);
+  std::mt19937 rng(29);
+  std::uniform_real_distribution<double> background(0.0, 500.0);
+  RouteSet out;
+  for (const auto& topology : topo::standard_library(12, true)) {
+    RoutingEngine engine(*topology, RoutingKind::kSplitAll, options);
+    LoadMap loads(topology->switch_graph().num_edges());
+    for (int e = 0; e < loads.num_edges(); ++e) loads.add(e, background(rng));
+    for (SlotId a = 0; a < topology->num_slots(); a += 3) {
+      for (SlotId b = 1; b < topology->num_slots(); b += 4) {
+        if (a == b) continue;
+        expect_matches_reference(engine, options, a, b, 480.0, loads, out,
+                                 topology->name() + " " + std::to_string(a) +
+                                     "->" + std::to_string(b));
+      }
+    }
+  }
+}
+
+TEST(SplitAllKernel, BitIdenticalWithInfiniteAndNanLinkCosts) {
+  const auto mesh = topo::make_mesh_for(9);  // 3x3
+  const auto options = split_options(16, 500.0);
+  RoutingEngine engine(*mesh, RoutingKind::kSplitAll, options);
+  LoadMap loads(mesh->switch_graph().num_edges());
+  const graph::EdgeId inf_link = 0;
+  const graph::EdgeId nan_link = 5;
+  loads.add(inf_link, std::numeric_limits<double>::infinity());
+  // LoadMap::add refuses NaN in checked builds; write it into the (non-const)
+  // load vector directly, as a corrupted accumulation would.
+  const_cast<std::vector<double>&>(loads.values())[nan_link] =
+      std::numeric_limits<double>::quiet_NaN();
+  RouteSet out;
+  for (SlotId a = 0; a < mesh->num_slots(); ++a) {
+    for (SlotId b = 0; b < mesh->num_slots(); ++b) {
+      if (a == b) continue;
+      expect_matches_reference(engine, options, a, b, 200.0, loads, out,
+                               std::to_string(a) + "->" + std::to_string(b));
+      // A non-finite cost never reaches a switch, so no path takes one.
+      for (const auto& wp : out.paths) {
+        for (graph::EdgeId e : wp.path.edges) {
+          EXPECT_NE(e, inf_link);
+          EXPECT_NE(e, nan_link);
+        }
+      }
+    }
+  }
+}
+
+TEST(SplitAllKernel, SpreadsOverParallelLinks) {
+  // Two switches joined by two bidirectional links: chunks alternate over
+  // the parallel pair, and merging by link sequence keeps the halves apart
+  // (merging by switch sequence once reported 400/0 MB/s on them).
+  topo::CustomTopology::Builder builder("parallel_pair");
+  const auto s0 = builder.add_switch();
+  const auto s1 = builder.add_switch();
+  builder.add_bidirectional_link(s0, s1);
+  builder.add_bidirectional_link(s0, s1);
+  builder.attach_core(s0);
+  builder.attach_core(s1);
+  const auto pair = builder.build();
+  const auto& g = pair->switch_graph();
+  std::vector<graph::EdgeId> forward;
+  for (graph::EdgeId e : g.out_edges(s0)) forward.push_back(e);
+  ASSERT_EQ(forward.size(), 2u);
+
+  const auto options = split_options(16, 250.0);
+  RoutingEngine engine(*pair, RoutingKind::kSplitAll, options);
+  LoadMap loads(g.num_edges());
+  const auto routes = route(engine, 0, 1, 400.0, loads);
+  ASSERT_EQ(routes.paths.size(), 2u);
+  for (const auto& wp : routes.paths) EXPECT_EQ(wp.fraction, 0.5);
+  expect_bit_identical(
+      routes, reference_split_all(*pair, 0, 1, 400.0, loads, options),
+      "parallel pair");
+  loads.add_route(routes, 400.0);
+  EXPECT_EQ(loads.load(forward[0]), 200.0);
+  EXPECT_EQ(loads.load(forward[1]), 200.0);
+  EXPECT_LE(loads.max_load(), 250.0);
+}
+
+TEST(SplitAllKernel, RewritesAReusedRouteSet) {
+  // The kernel writes into the caller's RouteSet in place: whatever it held
+  // before (more split-all paths, or another routing kind's result) must not
+  // survive into the new route.
+  const auto mesh = topo::make_mesh_for(9);
+  const auto options = split_options(16, 500.0);
+  RoutingEngine split_all(*mesh, RoutingKind::kSplitAll, options);
+  RoutingEngine split_min(*mesh, RoutingKind::kSplitMin);
+  LoadMap loads(mesh->switch_graph().num_edges());
+
+  RouteSet reused;
+  split_all.route(4, 0, 900.0, loads, reused);  // spreads over several paths
+  const std::size_t wide = reused.paths.size();
+  ASSERT_GT(wide, 2u);
+  split_all.route(0, 1, 1.0, loads, reused);  // one path
+  expect_bit_identical(reused, route(split_all, 0, 1, 1.0, loads),
+                       "after a wider split-all route");
+  EXPECT_EQ(reused.paths.size(), 1u);
+  EXPECT_EQ(fraction_sum(reused), 1.0);
+
+  split_min.route(0, 8, 100.0, loads, reused);  // several minimum paths
+  ASSERT_GT(reused.paths.size(), 1u);
+  split_all.route(2, 6, 300.0, loads, reused);
+  expect_bit_identical(reused, route(split_all, 2, 6, 300.0, loads),
+                       "after a split-min route");
+  EXPECT_EQ(fraction_sum(reused), 1.0);
 }
 
 class AllKindsAllTopologies
