@@ -9,6 +9,7 @@
 #include "mapping/core_graph.h"
 #include "model/library.h"
 #include "route/routing.h"
+#include "sim/simulator.h"
 #include "topo/topology.h"
 
 namespace sunmap::mapping {
@@ -182,8 +183,8 @@ struct MapperConfig {
   int sim_finalists = 0;
   /// Simulation engine for the finalist tier and --sim-validate: the
   /// event-driven engine (default) or the cycle-stepped reference. Both are
-  /// bit-identical; the flag exists for A/B checks and perf probes.
-  bool sim_use_event_engine = true;
+  /// bit-identical; the choice exists for A/B checks and perf probes.
+  sim::SimEngine sim_engine = sim::SimEngine::kEventDriven;
   /// MB/s -> flits/cycle conversion for the simulated application trace
   /// (sim::TraceTraffic's scaling knob).
   double sim_flits_per_cycle_per_gbps = 0.05;

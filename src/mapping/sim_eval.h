@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "mapping/core_graph.h"
 #include "mapping/mapper.h"
@@ -75,14 +76,24 @@ struct SimTierOptions {
 /// calls in a bounded LRU (repeated finalist scoring pays route-table
 /// binding only, never network construction; least-recently-scored
 /// topologies are evicted beyond cache_capacity), so one evaluator should
-/// be reused across a whole report. Scoring is deterministic and
-/// assignment-independent: every score() call reseeds the simulator from
-/// the configured seed, so the same (app, topology, result) triple produces
-/// the identical SimScore no matter which evaluator instance computes it or
-/// what was scored before — this is what lets the explorer's parallel
+/// be reused across a whole report.
+///
+/// The evaluator also keeps the sim::InjectionSchedule of the last
+/// application trace it scored, keyed on the flow rates in commodity
+/// order. Every mapping of one app injects the same random stream (the
+/// draws depend on the seed, the rates and the burst shape, never on the
+/// mapping or its routes), so the first score() of an app draws the
+/// schedule and later ones replay it, drawing only cycles no earlier run
+/// reached. Each call maps the flows onto its own mapping's slots.
+///
+/// Scoring is deterministic and assignment-independent: a replay is
+/// bit-identical to a fresh simulator over fresh traffic seeded from the
+/// configured seed, so the same (app, topology, result) triple produces
+/// the identical SimScore no matter which evaluator instance computes it
+/// or what was scored before. This is what lets the explorer's parallel
 /// finalist tier hand cells to per-thread evaluators and still merge
-/// bit-identical reports. A single instance is still not thread-safe; use
-/// one evaluator per thread.
+/// bit-identical reports. A single instance is not thread-safe; use one
+/// evaluator per thread.
 class SimEvaluator {
  public:
   explicit SimEvaluator(SimTierOptions options = SimTierOptions());
@@ -106,9 +117,18 @@ class SimEvaluator {
     std::uint64_t last_used = 0;  ///< Recency tick for LRU eviction.
   };
 
+  /// The last trace scored. Its flows name endpoint labels, not slots (see
+  /// score()), so they depend only on the app and key the schedule.
+  struct Trace {
+    std::vector<sim::TrafficFlow> flows;
+    std::unique_ptr<sim::TrafficModel> traffic;
+    std::unique_ptr<sim::InjectionSchedule> schedule;  ///< Polls traffic.
+  };
+
   SimTierOptions options_;
   std::map<const topo::Topology*, Entry> cache_;
   std::uint64_t use_tick_ = 0;
+  Trace trace_;
 };
 
 }  // namespace sunmap::mapping

@@ -135,8 +135,9 @@ void simulate_finalists(const ExplorationRequest& request,
   if (finalists.empty()) return;
 
   // Deterministic worker pool: each worker owns a SimEvaluator (per-thread
-  // layout/simulator caches — a SimEvaluator instance is not thread-safe)
-  // and pulls cells off a shared cursor. Every score() is reseeded and
+  // layout/simulator caches and injection schedule — a SimEvaluator
+  // instance is not thread-safe) and pulls cells off a shared cursor.
+  // Every score() equals a fresh seeded run, so it is
   // assignment-independent, and every result lands in its own slot, so the
   // merge below — ascending cell order — is bit-identical to the serial
   // tier no matter how cells were interleaved across threads.

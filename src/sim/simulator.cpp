@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "sim/event_queue.h"
 
@@ -91,6 +93,11 @@ namespace {
 
 constexpr std::uint64_t kNeverPopped =
     std::numeric_limits<std::uint64_t>::max();
+
+/// Cycles a run draws ahead when it reaches the end of its schedule: long
+/// enough to amortize the traffic model's virtual call, short enough that a
+/// single-use schedule wastes little past the cycle its run ends on.
+constexpr std::uint64_t kScheduleBlockCycles = 64;
 
 /// A packet in flight, stored in the simulator's pooled packet arena and
 /// referenced by index from flits. Slots are recycled when the tail flit
@@ -206,8 +213,8 @@ struct Simulator::Impl {
   const topo::Topology& topology;
   const RouteTable* routes;
   SimConfig config;
-  util::Prng prng;
   std::shared_ptr<const NetworkLayout> layout;
+  std::vector<int> identity_slots;  // slot_of for schedules drawn in slots
 
   std::vector<RouterState> routers;
 
@@ -225,7 +232,6 @@ struct Simulator::Impl {
   std::vector<int> armed_ids;  // ascending — allocation order must match
                                // the cycle-stepped router sweep
 
-  std::vector<std::pair<int, int>> injections_buf;
   std::vector<std::int32_t> head_out_;  // allocator scratch, see build_state
 
   std::uint64_t now = 0;
@@ -245,12 +251,14 @@ struct Simulator::Impl {
 
   Impl(const topo::Topology& topo, const RouteTable& table, SimConfig cfg,
        std::shared_ptr<const NetworkLayout> net)
-      : topology(topo), routes(&table), config(cfg), prng(cfg.seed) {
+      : topology(topo), routes(&table), config(cfg) {
     if (cfg.flits_per_packet < 1 || cfg.buffer_depth_flits < 1 ||
         cfg.link_latency_cycles < 1) {
       throw std::invalid_argument("SimConfig: invalid parameters");
     }
     layout = net != nullptr ? std::move(net) : make_network_layout(topo);
+    identity_slots.resize(static_cast<std::size_t>(topo.num_slots()));
+    std::iota(identity_slots.begin(), identity_slots.end(), 0);
   }
 
   /// VC a queued flit occupies: its hop index under distance-class VCs.
@@ -300,7 +308,6 @@ struct Simulator::Impl {
   /// and flat array allocated: repeated runs over the same binding pay no
   /// construction and — past each ring's high-water mark — no allocation.
   void reset() {
-    prng = util::Prng(config.seed);
     const int vcs =
         config.distance_class_vcs ? std::max(1, routes->max_path_switches())
                                   : 1;
@@ -346,10 +353,9 @@ struct Simulator::Impl {
                      r);
   }
 
-  /// Samples one weighted path for a new packet.
-  const graph::Path* sample_path(int src, int dst) {
+  /// Picks a new packet's weighted path with its pre-drawn uniform `r`.
+  const graph::Path* sample_path(int src, int dst, double r) const {
     const auto& set = routes->at(src, dst);
-    double r = prng.next_double();
     for (const auto& wp : set.paths) {
       r -= wp.fraction;
       if (r <= 0.0) return &wp.path;
@@ -370,9 +376,9 @@ struct Simulator::Impl {
     return static_cast<std::int32_t>(packets.size() - 1);
   }
 
-  void inject(int src, int dst, bool measured) {
-    const std::int32_t pkt = alloc_packet(src, dst, sample_path(src, dst),
-                                          measured);
+  void inject(int src, int dst, double path_draw, bool measured) {
+    const std::int32_t pkt = alloc_packet(
+        src, dst, sample_path(src, dst, path_draw), measured);
     if (measured) ++measured_generated;
     const int r = topology.ingress_switch(src);
     auto& router = routers[static_cast<std::size_t>(r)];
@@ -567,7 +573,16 @@ struct Simulator::Impl {
     return moved;
   }
 
-  SimStats run(TrafficModel& traffic) {
+  SimStats run(InjectionSchedule& schedule, std::span<const int> slot_of) {
+    if (slot_of.empty()) slot_of = identity_slots;
+    for (const int slot : slot_of) {
+      if (slot < 0 || slot >= topology.num_slots()) {
+        throw std::out_of_range("Simulator: slot_of names slot " +
+                                std::to_string(slot) + " outside the " +
+                                std::to_string(topology.num_slots()) +
+                                "-slot topology");
+      }
+    }
     reset();
     SimStats stats;
     const bool event_driven = config.engine == SimEngine::kEventDriven;
@@ -579,10 +594,9 @@ struct Simulator::Impl {
     // Both engines execute the identical per-cycle phase order — arrivals,
     // injections, allocation — and share all state-mutating code; the event
     // engine differs only in visiting the routers that can act instead of
-    // all of them. Injection sampling runs every cycle regardless (the
-    // traffic models draw from the PRNG per cycle, and the draw sequence is
-    // part of the bit-identity contract), so a quiescent span costs one
-    // traffic poll per cycle and no router work at all.
+    // all of them. Injections come from the schedule, which holds every
+    // random draw of the run, so a quiescent cycle costs one schedule read
+    // and no router work at all.
     while (now < hard_end) {
       const bool measure_window =
           now >= config.warmup_cycles && now < measure_end;
@@ -599,12 +613,20 @@ struct Simulator::Impl {
         }
       }
 
-      // 2. New packets.
-      injections_buf.clear();
-      traffic.injections(now, prng, injections_buf);
-      for (const auto& [src, dst] : injections_buf) {
-        if (src == dst) continue;
-        inject(src, dst, measure_window);
+      // 2. New packets, drawn ahead in blocks but never past hard_end.
+      if (now == schedule.drawn()) {
+        schedule.extend_to(std::min(now + kScheduleBlockCycles, hard_end));
+      }
+      for (const auto& injection : schedule.at(now)) {
+        const auto src = static_cast<std::size_t>(injection.src);
+        const auto dst = static_cast<std::size_t>(injection.dst);
+        if (src >= slot_of.size() || dst >= slot_of.size()) {
+          throw std::out_of_range(
+              "Simulator: injection endpoint has no slot");
+        }
+        if (slot_of[src] == slot_of[dst]) continue;
+        inject(slot_of[src], slot_of[dst], injection.path_draw,
+               measure_window);
       }
 
       // 3. Switch allocation and traversal.
@@ -709,7 +731,15 @@ Simulator::~Simulator() = default;
 
 void Simulator::bind(const RouteTable& routes) { impl_->routes = &routes; }
 
-SimStats Simulator::run(TrafficModel& traffic) { return impl_->run(traffic); }
+SimStats Simulator::run(TrafficModel& traffic) {
+  InjectionSchedule schedule(traffic, impl_->config.seed);
+  return impl_->run(schedule, {});
+}
+
+SimStats Simulator::run(InjectionSchedule& schedule,
+                        std::span<const int> slot_of) {
+  return impl_->run(schedule, slot_of);
+}
 
 SimStats simulate_pattern(const topo::Topology& topology,
                           const RouteTable& routes, Pattern pattern,

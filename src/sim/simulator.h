@@ -2,12 +2,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "sim/injection_schedule.h"
 #include "sim/route_table.h"
 #include "sim/traffic.h"
 #include "topo/topology.h"
-#include "util/prng.h"
 
 namespace sunmap::sim {
 
@@ -18,8 +19,8 @@ namespace sunmap::sim {
 /// reference the event-driven engine is checked against.
 enum class SimEngine {
   /// Event-queue core: routers are scanned only on cycles where they hold
-  /// flits or receive one; quiescent spans cost one traffic poll per cycle
-  /// and nothing else. The default.
+  /// flits or receive one; a quiescent cycle costs one read of the
+  /// injection schedule and nothing else. The default.
   kEventDriven,
   /// Reference implementation: every router, FIFO, and output port is
   /// scanned on every cycle.
@@ -152,11 +153,16 @@ struct NetworkLayout {
 /// F + link_latency*(S-1) cycles from generation (asserted by the zero-load
 /// latency tests).
 ///
-/// A Simulator is reusable: run() resets all dynamic state (including the
-/// PRNG, reseeded from the config) before simulating, so repeated runs with
-/// the same traffic are identical, and bind() rebinds a different route
-/// table over the same network. Pass a cached NetworkLayout to skip port
-/// construction entirely.
+/// Every random draw of a run comes from an InjectionSchedule: the run loop
+/// reads each cycle's injections and their path uniforms from it and owns
+/// no PRNG. run(TrafficModel&) draws a fresh single-use schedule seeded
+/// from SimConfig::seed; run(InjectionSchedule&) replays a caller's
+/// schedule, so runs that share traffic and seed draw it only once.
+///
+/// A Simulator is reusable: run() resets all dynamic state before
+/// simulating, so repeated runs with the same traffic are identical, and
+/// bind() rebinds a different route table over the same network. Pass a
+/// cached NetworkLayout to skip port construction entirely.
 class Simulator {
  public:
   Simulator(const topo::Topology& topology, const RouteTable& routes,
@@ -172,8 +178,21 @@ class Simulator {
   void bind(const RouteTable& routes);
 
   /// Runs warmup + measurement + drain and returns the statistics. Resets
-  /// all dynamic state first; callable repeatedly.
+  /// all dynamic state first; callable repeatedly. Polls `traffic` through
+  /// a single-use schedule seeded from SimConfig::seed.
   [[nodiscard]] SimStats run(TrafficModel& traffic);
+
+  /// Runs over `schedule`'s injections (its own seed, not SimConfig::seed,
+  /// drove the draws). The schedule is extended as the run needs it, in
+  /// blocks and never past the run's last possible cycle, so one schedule
+  /// can serve any number of runs and each pays only for the cycles no
+  /// earlier run drew. `slot_of` relabels the schedule's endpoints:
+  /// injection (a, b) enters at slot slot_of[a] bound for slot slot_of[b].
+  /// Empty means the endpoints are slots already. An injection relabelled
+  /// onto a single slot is skipped; an endpoint that maps to no slot
+  /// throws std::out_of_range.
+  [[nodiscard]] SimStats run(InjectionSchedule& schedule,
+                             std::span<const int> slot_of = {});
 
  private:
   struct Impl;

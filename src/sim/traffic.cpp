@@ -1,7 +1,9 @@
 #include "sim/traffic.h"
 
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
+#include <string>
 
 namespace sunmap::sim {
 
@@ -33,6 +35,27 @@ int bits_for(int n) {
   return bits;
 }
 
+/// Returns `value` when it is finite and `ok`; otherwise throws
+/// std::invalid_argument "<name> must be <rule>, got <value>". Returns the
+/// value so member initializers can check their arguments.
+double checked(double value, bool ok, const char* name, const char* rule) {
+  if (!std::isfinite(value) || !ok) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%g", value);
+    throw std::invalid_argument(std::string(name) + " must be " + rule +
+                                ", got " + text);
+  }
+  return value;
+}
+
+void check_flits_per_packet(int flits_per_packet, const char* who) {
+  if (flits_per_packet < 1) {
+    throw std::invalid_argument(std::string(who) +
+                                ": flits_per_packet must be >= 1, got " +
+                                std::to_string(flits_per_packet));
+  }
+}
+
 }  // namespace
 
 PatternTraffic::PatternTraffic(int num_slots, Pattern pattern,
@@ -43,13 +66,14 @@ PatternTraffic::PatternTraffic(int num_slots, Pattern pattern,
   if (num_slots < 2) {
     throw std::invalid_argument("PatternTraffic: need at least two slots");
   }
-  if (injection_rate < 0.0 || flits_per_packet < 1) {
-    throw std::invalid_argument("PatternTraffic: invalid rate or size");
-  }
+  checked(injection_rate, injection_rate >= 0.0,
+          "PatternTraffic: injection_rate", "finite and >= 0");
+  check_flits_per_packet(flits_per_packet, "PatternTraffic");
 }
 
 void PatternTraffic::set_hotspot(int slot, double fraction) {
-  if (slot < 0 || slot >= num_slots_ || fraction < 0.0 || fraction > 1.0) {
+  if (slot < 0 || slot >= num_slots_ ||
+      !(fraction >= 0.0 && fraction <= 1.0)) {
     throw std::invalid_argument("PatternTraffic: invalid hotspot");
   }
   hotspot_slot_ = slot;
@@ -112,9 +136,10 @@ void PatternTraffic::injections(std::uint64_t /*cycle*/, util::Prng& prng,
 }
 
 void BurstyTraffic::shape_burst(double burst_len, double duty) {
-  if (burst_len < 1.0 || duty <= 0.0 || duty >= 1.0) {
-    throw std::invalid_argument("BurstyTraffic: invalid burst shape");
-  }
+  checked(burst_len, burst_len >= 1.0, "BurstyTraffic: burst_len",
+          "finite and >= 1");
+  checked(duty, duty > 0.0 && duty < 1.0, "BurstyTraffic: duty",
+          "in (0, 1)");
   // Geometric state holding times: mean burst of `burst_len` cycles, and an
   // idle mean sized so bursts cover `duty` of the timeline in steady state.
   p_exit_burst_ = 1.0 / burst_len;
@@ -125,7 +150,9 @@ void BurstyTraffic::shape_burst(double burst_len, double duty) {
 BurstyTraffic::BurstyTraffic(int num_slots, Pattern pattern,
                              double burst_rate, int flits_per_packet,
                              double burst_len, double duty)
-    : pattern_(std::in_place, num_slots, pattern, burst_rate,
+    : pattern_(std::in_place, num_slots, pattern,
+               checked(burst_rate, burst_rate >= 0.0,
+                       "BurstyTraffic: burst_rate", "finite and >= 0"),
                flits_per_packet),
       packet_rate_(burst_rate / static_cast<double>(flits_per_packet)),
       bursting_(static_cast<std::size_t>(num_slots), 0) {
@@ -138,17 +165,16 @@ BurstyTraffic::BurstyTraffic(std::vector<TrafficFlow> flows,
                              double burst_len, double duty)
     : flows_(std::move(flows)),
       bursting_(flows_.size(), 0) {
-  if (flits_per_packet < 1 || flits_per_cycle_per_gbps <= 0.0) {
-    throw std::invalid_argument("BurstyTraffic: invalid scaling");
-  }
+  check_flits_per_packet(flits_per_packet, "BurstyTraffic");
+  checked(flits_per_cycle_per_gbps, flits_per_cycle_per_gbps > 0.0,
+          "BurstyTraffic: flits_per_cycle_per_gbps", "finite and positive");
   shape_burst(burst_len, duty);
   // In-burst rate = trace rate / duty: the long-run offered load matches
   // the plain trace while bursts concentrate it.
   flow_prob_.reserve(flows_.size());
   for (const auto& flow : flows_) {
-    if (flow.rate_mbps <= 0.0) {
-      throw std::invalid_argument("BurstyTraffic: flow rate must be positive");
-    }
+    checked(flow.rate_mbps, flow.rate_mbps > 0.0,
+            "BurstyTraffic: flow rate_mbps", "finite and positive");
     const double flits_per_cycle =
         flow.rate_mbps / 1000.0 * flits_per_cycle_per_gbps;
     const double prob = flits_per_cycle / flits_per_packet / duty;
@@ -165,8 +191,8 @@ void BurstyTraffic::injections(std::uint64_t /*cycle*/, util::Prng& prng,
                                std::vector<std::pair<int, int>>& out) {
   for (std::size_t s = 0; s < bursting_.size(); ++s) {
     // One transition draw per source per cycle, then the usual Bernoulli
-    // injection while bursting — a fixed per-cycle draw order, so both
-    // simulation engines consume the PRNG identically.
+    // injection while bursting — a fixed per-cycle draw order, so the
+    // stream depends only on the seed and the model's parameters.
     if (bursting_[s] != 0) {
       if (prng.chance(p_exit_burst_)) bursting_[s] = 0;
     } else {
@@ -195,14 +221,13 @@ TraceTraffic::TraceTraffic(std::vector<TrafficFlow> flows,
                            int flits_per_packet,
                            double flits_per_cycle_per_gbps)
     : flows_(std::move(flows)), flits_per_packet_(flits_per_packet) {
-  if (flits_per_packet < 1 || flits_per_cycle_per_gbps <= 0.0) {
-    throw std::invalid_argument("TraceTraffic: invalid scaling");
-  }
+  check_flits_per_packet(flits_per_packet, "TraceTraffic");
+  checked(flits_per_cycle_per_gbps, flits_per_cycle_per_gbps > 0.0,
+          "TraceTraffic: flits_per_cycle_per_gbps", "finite and positive");
   packet_prob_.reserve(flows_.size());
   for (const auto& flow : flows_) {
-    if (flow.rate_mbps <= 0.0) {
-      throw std::invalid_argument("TraceTraffic: flow rate must be positive");
-    }
+    checked(flow.rate_mbps, flow.rate_mbps > 0.0,
+            "TraceTraffic: flow rate_mbps", "finite and positive");
     const double flits_per_cycle =
         flow.rate_mbps / 1000.0 * flits_per_cycle_per_gbps;
     const double prob = flits_per_cycle / flits_per_packet;

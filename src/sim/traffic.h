@@ -9,8 +9,10 @@
 
 namespace sunmap::sim {
 
-/// Source of packet injections for the simulator. Each cycle the simulator
-/// asks the model which (source slot, destination slot) packets to create.
+/// Source of packet injections for the simulator. An InjectionSchedule
+/// polls the model once per cycle, in cycle order from 0, for the (source
+/// slot, destination slot) packets to create. Constructors throw
+/// std::invalid_argument naming any non-finite or out-of-range argument.
 class TrafficModel {
  public:
   virtual ~TrafficModel() = default;
@@ -69,6 +71,8 @@ struct TrafficFlow {
   int src_slot = 0;
   int dst_slot = 0;
   double rate_mbps = 0.0;
+
+  friend bool operator==(const TrafficFlow&, const TrafficFlow&) = default;
 };
 
 /// On/off modulated Bernoulli injection: each source alternates between a

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -295,6 +297,40 @@ TEST(BurstyTraffic, RejectsInvalidShape) {
                std::invalid_argument);
   EXPECT_THROW(BurstyTraffic(16, Pattern::kUniform, 0.4, 4, 30.0, 1.0),
                std::invalid_argument);
+
+  // Non-finite values fail every comparison, so each needs its own check.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(BurstyTraffic(16, Pattern::kUniform, nan, 4, 30.0, 0.25),
+               std::invalid_argument);
+  EXPECT_THROW(BurstyTraffic(16, Pattern::kUniform, 0.4, 4, nan, 0.25),
+               std::invalid_argument);
+  EXPECT_THROW(BurstyTraffic(16, Pattern::kUniform, 0.4, 4, inf, 0.25),
+               std::invalid_argument);
+  EXPECT_THROW(BurstyTraffic(16, Pattern::kUniform, 0.4, 4, 30.0, nan),
+               std::invalid_argument);
+
+  // The trace shape: flow rates, scaling and burst shape alike.
+  const std::vector<TrafficFlow> flows{{0, 1, 100.0}};
+  EXPECT_NO_THROW(BurstyTraffic(flows, 4, 0.05, 30.0, 0.3));
+  EXPECT_THROW(BurstyTraffic({{0, 1, nan}}, 4, 0.05, 30.0, 0.3),
+               std::invalid_argument);
+  EXPECT_THROW(BurstyTraffic({{0, 1, inf}}, 4, 0.05, 30.0, 0.3),
+               std::invalid_argument);
+  EXPECT_THROW(BurstyTraffic(flows, 4, nan, 30.0, 0.3),
+               std::invalid_argument);
+  EXPECT_THROW(BurstyTraffic(flows, 4, 0.05, nan, 0.3),
+               std::invalid_argument);
+  EXPECT_THROW(BurstyTraffic(flows, 4, 0.05, 30.0, nan),
+               std::invalid_argument);
+  try {
+    BurstyTraffic(flows, 4, nan, 30.0, 0.3);
+    ADD_FAILURE() << "a NaN trace scaling was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("flits_per_cycle_per_gbps"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("nan"), std::string::npos);
+  }
 }
 
 TEST(EventQueue, RingWrapsAndGrowsWithoutReordering) {
@@ -349,6 +385,144 @@ TEST(EventQueue, PopsInCycleThenFifoOrder) {
   EXPECT_EQ(queue.front().payload, 0);
   queue.pop();
   EXPECT_TRUE(queue.empty());
+}
+
+TEST(InjectionSchedule, ShortRunThenLongerRunMatchesFreshRuns) {
+  // The first run wedges a single-VC split-all mesh and ends at the stall
+  // limit; the second, over deadlock-free routes, outlives it and must
+  // draw the cycles the first never reached. Both must match fresh runs.
+  const auto mesh = topo::make_mesh_for(16);
+  const auto split =
+      RouteTable::all_pairs(*mesh, route::RoutingKind::kSplitAll);
+  const auto xy =
+      RouteTable::all_pairs(*mesh, route::RoutingKind::kDimensionOrdered);
+  SimConfig config = matrix_config(41);
+  config.stall_limit_cycles = 300;
+  const auto make_traffic = [&] {
+    return PatternTraffic(mesh->num_slots(), Pattern::kBitComplement, 0.5,
+                          config.flits_per_packet);
+  };
+
+  for (const auto engine :
+       {SimEngine::kEventDriven, SimEngine::kCycleStepped}) {
+    config.engine = engine;
+    SCOPED_TRACE(to_string(engine));
+    auto traffic = make_traffic();
+    InjectionSchedule schedule(traffic, config.seed);
+    Simulator wedged(*mesh, split, config);
+    const auto short_run = wedged.run(schedule);
+    ASSERT_EQ(short_run.status, RunStatus::kStalled);
+    const std::uint64_t drawn_after_short = schedule.drawn();
+
+    Simulator healthy(*mesh, xy, config);
+    const auto long_run = healthy.run(schedule);
+    EXPECT_GT(long_run.cycles, drawn_after_short);
+    EXPECT_GE(schedule.drawn(), long_run.cycles);
+    EXPECT_LE(schedule.drawn(), config.warmup_cycles + config.measure_cycles +
+                                    config.drain_cycles);
+
+    auto fresh_short = make_traffic();
+    expect_identical(short_run,
+                     Simulator(*mesh, split, config).run(fresh_short),
+                     "short");
+    auto fresh_long = make_traffic();
+    expect_identical(long_run, Simulator(*mesh, xy, config).run(fresh_long),
+                     "long");
+  }
+}
+
+TEST(InjectionSchedule, RunNeverDrawsPastItsLastCycle) {
+  // A drain budget too small to flush the measured packets runs the
+  // whole budget: the schedule ends exactly where the run does, as a live
+  // run never polls its traffic past the last cycle.
+  const auto mesh = topo::make_mesh_for(16);
+  const auto routes =
+      RouteTable::all_pairs(*mesh, route::RoutingKind::kDimensionOrdered);
+  SimConfig config = matrix_config(47);
+  config.drain_cycles = 5;
+  PatternTraffic traffic(mesh->num_slots(), Pattern::kUniform, 0.3,
+                         config.flits_per_packet);
+  InjectionSchedule schedule(traffic, config.seed);
+  const auto stats = Simulator(*mesh, routes, config).run(schedule);
+  ASSERT_EQ(stats.status, RunStatus::kUndelivered);
+  const std::uint64_t hard_end =
+      config.warmup_cycles + config.measure_cycles + config.drain_cycles;
+  EXPECT_EQ(stats.cycles, hard_end);
+  EXPECT_EQ(schedule.drawn(), hard_end);
+}
+
+TEST(InjectionSchedule, ExtensionGranularityDoesNotChangeEntries) {
+  // A schedule extended one cycle at a time, one extended in a single call
+  // and the stream a live run draws by hand (poll, then one path uniform
+  // per injection that is not self-addressed) must agree entry for entry.
+  // Bursty sources carry on/off state across cycles, and the trace below
+  // has a self-addressed flow that must consume no uniform.
+  const std::uint64_t cycles = 3000;
+  const std::uint64_t seed = 9;
+  const auto expect_same = [&](const auto& make_model) {
+    auto stepped_model = make_model();
+    InjectionSchedule stepped(stepped_model, seed);
+    for (std::uint64_t c = 1; c <= cycles; ++c) stepped.extend_to(c);
+    auto bulk_model = make_model();
+    InjectionSchedule bulk(bulk_model, seed);
+    bulk.extend_to(cycles);
+    bulk.extend_to(cycles / 2);  // never shrinks or redraws
+    ASSERT_EQ(stepped.drawn(), cycles);
+    ASSERT_EQ(bulk.drawn(), cycles);
+
+    auto live_model = make_model();
+    util::Prng prng(seed);
+    std::vector<std::pair<int, int>> poll;
+    std::size_t injections = 0;
+    for (std::uint64_t c = 0; c < cycles; ++c) {
+      poll.clear();
+      live_model.injections(c, prng, poll);
+      std::vector<ScheduledInjection> live;
+      for (const auto& [src, dst] : poll) {
+        if (src != dst) live.push_back({src, dst, prng.next_double()});
+      }
+      const auto a = stepped.at(c);
+      const auto b = bulk.at(c);
+      ASSERT_EQ(a.size(), live.size()) << "cycle " << c;
+      ASSERT_EQ(b.size(), live.size()) << "cycle " << c;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        for (const auto& entry : {a[i], b[i]}) {
+          EXPECT_EQ(entry.src, live[i].src);
+          EXPECT_EQ(entry.dst, live[i].dst);
+          EXPECT_EQ(entry.path_draw, live[i].path_draw);
+        }
+      }
+      injections += live.size();
+    }
+    EXPECT_GT(injections, 0u);
+  };
+
+  expect_same([] {
+    return BurstyTraffic(16, Pattern::kUniform, 0.3, 4, 30.0, 0.3);
+  });
+  expect_same([] {
+    return TraceTraffic({{0, 15, 400.0}, {3, 3, 300.0}, {5, 10, 150.0}}, 4,
+                        0.5);
+  });
+}
+
+TEST(Simulator, RejectsInjectionEndpointsOutsideTheTopology) {
+  const auto mesh = topo::make_mesh_for(16);
+  const auto routes =
+      RouteTable::all_pairs(*mesh, route::RoutingKind::kDimensionOrdered);
+  const SimConfig config = matrix_config(43);
+  Simulator simulator(*mesh, routes, config);
+  TraceTraffic stray({{0, 16, 400.0}}, 4, 0.5);
+  EXPECT_THROW((void)simulator.run(stray), std::out_of_range);
+
+  TraceTraffic labelled({{0, 1, 400.0}}, 4, 0.5);
+  InjectionSchedule schedule(labelled, config.seed);
+  const std::vector<int> off_mesh{3, -1};
+  EXPECT_THROW((void)simulator.run(schedule, off_mesh), std::out_of_range);
+  const std::vector<int> too_short{3};
+  EXPECT_THROW((void)simulator.run(schedule, too_short), std::out_of_range);
+  const std::vector<int> relabelled{3, 12};
+  EXPECT_GT(simulator.run(schedule, relabelled).packets_delivered, 0u);
 }
 
 }  // namespace
@@ -470,9 +644,9 @@ TEST(SimFinalistTier, EventAndCycleEnginesAgreeBitIdentically) {
   select::DesignSpaceExplorer explorer;
   auto request = tier_request(app, library);
   request.sim_finalists = 2;
-  request.base.sim_use_event_engine = true;
+  request.base.sim_engine = sim::SimEngine::kEventDriven;
   const auto event = explorer.explore(request);
-  request.base.sim_use_event_engine = false;
+  request.base.sim_engine = sim::SimEngine::kCycleStepped;
   const auto cycle = explorer.explore(request);
 
   ASSERT_EQ(count_scored(event), count_scored(cycle));
@@ -804,6 +978,113 @@ TEST(SimSeed, DecouplesSimulatorPrngFromSearchSeed) {
   const auto s2 = two.score(app, *best.topology, best.result);
   EXPECT_EQ(s1.analytical_latency_cycles, s2.analytical_latency_cycles);
   EXPECT_NE(s1.stats.avg_latency_cycles, s2.stats.avg_latency_cycles);
+}
+
+/// The tier's statistics for one mapping recomputed from scratch: a fresh
+/// simulator over fresh traffic for that mapping alone, flows in slots.
+sim::SimStats fresh_stats(const mapping::SimTierOptions& options,
+                          const mapping::CoreGraph& app,
+                          const topo::Topology& topology,
+                          const mapping::MappingResult& result) {
+  const auto commodities = mapping::commodities_by_value(app);
+  sim::RouteTable table(topology.num_slots());
+  std::vector<sim::TrafficFlow> flows;
+  for (std::size_t k = 0; k < commodities.size(); ++k) {
+    const int src = result.core_to_slot[static_cast<std::size_t>(
+        commodities[k].src_core)];
+    const int dst = result.core_to_slot[static_cast<std::size_t>(
+        commodities[k].dst_core)];
+    table.set_ref(src, dst, result.eval.routes[k]);
+    flows.push_back({src, dst, commodities[k].value_mbps});
+  }
+  std::unique_ptr<sim::TrafficModel> traffic;
+  if (options.traffic == mapping::SimTraffic::kBursty) {
+    traffic = std::make_unique<sim::BurstyTraffic>(
+        flows, options.config.flits_per_packet,
+        options.flits_per_cycle_per_gbps, options.burst_len,
+        options.burst_duty);
+  } else {
+    traffic = std::make_unique<sim::TraceTraffic>(
+        flows, options.config.flits_per_packet,
+        options.flits_per_cycle_per_gbps);
+  }
+  sim::Simulator simulator(topology, table, options.config);
+  return simulator.run(*traffic);
+}
+
+TEST(SimEvaluator, ReplayedScheduleMatchesFreshRunsAcrossApps) {
+  // Every finalist cell of two apps, scored through one evaluator in the
+  // order A, B, A: the evaluator replays each app's schedule across its
+  // cells and redraws it when the app changes, and every full SimStats
+  // record must equal a fresh run of that mapping alone.
+  struct AppCells {
+    mapping::CoreGraph app;
+    std::vector<std::unique_ptr<topo::Topology>> library;
+    select::ExplorationReport report;
+    std::vector<const select::TopologyCandidate*> cells;
+  };
+  std::vector<AppCells> apps_under_test;
+  apps_under_test.push_back({apps::pip(), {}, {}, {}});
+  apps_under_test.push_back({apps::mwd(), {}, {}, {}});
+  select::DesignSpaceExplorer explorer;
+  for (auto& entry : apps_under_test) {
+    entry.library = topo::standard_library(entry.app.num_cores());
+    auto request = tier_request(entry.app, entry.library);
+    request.sim_finalists = 2;
+    entry.report = explorer.explore(request);
+    for (const auto& result : entry.report.results) {
+      for (const auto& candidate : result.selection.candidates) {
+        if (candidate.sim.has_value()) entry.cells.push_back(&candidate);
+      }
+    }
+    ASSERT_GE(entry.cells.size(), 2u);
+  }
+
+  for (const auto engine :
+       {sim::SimEngine::kEventDriven, sim::SimEngine::kCycleStepped}) {
+    for (const auto traffic :
+         {mapping::SimTraffic::kTrace, mapping::SimTraffic::kBursty}) {
+      mapping::SimTierOptions options;
+      options.config.engine = engine;
+      options.traffic = traffic;
+      mapping::SimEvaluator evaluator(options);
+      for (const std::size_t a : {0, 1, 0}) {
+        const auto& entry = apps_under_test[a];
+        for (const auto* cell : entry.cells) {
+          const std::string label =
+              std::string(sim::to_string(engine)) + "/" +
+              mapping::to_string(traffic) + "/" + entry.app.name() + "/" +
+              cell->topology->name();
+          const auto replayed =
+              evaluator.score(entry.app, *cell->topology, cell->result);
+          sim::expect_identical(
+              replayed.stats,
+              fresh_stats(options, entry.app, *cell->topology, cell->result),
+              label);
+        }
+      }
+    }
+  }
+}
+
+TEST(SimEvaluator, RejectsNonFiniteTraceScaling) {
+  // A NaN scaling used to yield zero-probability flows: a "drained" run
+  // with no packets and zero latency that rank_sim_winners would crown.
+  const auto app = apps::vopd();
+  const auto library = topo::standard_library(app.num_cores());
+  select::TopologySelector selector;
+  const auto report = selector.select(app, library);
+  const auto& best = report.candidates[0];
+  for (const auto traffic :
+       {mapping::SimTraffic::kTrace, mapping::SimTraffic::kBursty}) {
+    mapping::SimTierOptions options;
+    options.traffic = traffic;
+    options.flits_per_cycle_per_gbps =
+        std::numeric_limits<double>::quiet_NaN();
+    mapping::SimEvaluator evaluator(options);
+    EXPECT_THROW((void)evaluator.score(app, *best.topology, best.result),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

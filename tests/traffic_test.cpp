@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "sim/traffic.h"
 
@@ -91,9 +94,16 @@ TEST(PatternTraffic, ValidatesArguments) {
                std::invalid_argument);
   EXPECT_THROW(PatternTraffic(8, Pattern::kUniform, 0.1, 0),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(PatternTraffic(8, Pattern::kUniform, nan, 4),
+               std::invalid_argument);
+  EXPECT_THROW(PatternTraffic(8, Pattern::kUniform,
+                              std::numeric_limits<double>::infinity(), 4),
+               std::invalid_argument);
   PatternTraffic traffic(8, Pattern::kHotspot, 0.1, 4);
   EXPECT_THROW(traffic.set_hotspot(9, 0.5), std::invalid_argument);
   EXPECT_THROW(traffic.set_hotspot(0, 1.5), std::invalid_argument);
+  EXPECT_THROW(traffic.set_hotspot(0, nan), std::invalid_argument);
 }
 
 TEST(TraceTraffic, RatesScaleWithBandwidth) {
@@ -119,6 +129,20 @@ TEST(TraceTraffic, ValidatesFlows) {
   // A flow needing more than one packet per cycle cannot be modelled.
   EXPECT_THROW(TraceTraffic({{0, 1, 100000.0}}, 4, 1.0),
                std::invalid_argument);
+  // NaN fails every comparison, so the range checks alone let it through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(TraceTraffic({{0, 1, nan}}, 4, 0.1), std::invalid_argument);
+  EXPECT_THROW(TraceTraffic({{0, 1, inf}}, 4, 0.1), std::invalid_argument);
+  EXPECT_THROW(TraceTraffic({{0, 1, 100.0}}, 4, nan), std::invalid_argument);
+  EXPECT_THROW(TraceTraffic({{0, 1, 100.0}}, 4, inf), std::invalid_argument);
+  try {
+    TraceTraffic({{0, 1, nan}}, 4, 0.1);
+    ADD_FAILURE() << "a NaN flow rate was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("rate_mbps"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("nan"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -559,9 +559,7 @@ int run_sweep(const mapping::CoreGraph& app, const core::SunmapConfig& config,
   // cell, the contention-aware delay next to the zero-load prediction.
   if (request.sim_finalists > 0) {
     std::cout << "Simulated finalists ("
-              << sim::to_string(request.base.sim_use_event_engine
-                                    ? sim::SimEngine::kEventDriven
-                                    : sim::SimEngine::kCycleStepped)
+              << sim::to_string(request.base.sim_engine)
               << " engine):\n";
     util::Table sims({"point", "topology", "analytical (cyc)",
                       "simulated (cyc)", "model err", "status"});
@@ -752,9 +750,9 @@ int main(int argc, char** argv) {
       } else if (arg == "--sim-engine") {
         const std::string text = need_value(i);
         if (text == "event") {
-          config.mapper.sim_use_event_engine = true;
+          config.mapper.sim_engine = sim::SimEngine::kEventDriven;
         } else if (text == "cycle") {
-          config.mapper.sim_use_event_engine = false;
+          config.mapper.sim_engine = sim::SimEngine::kCycleStepped;
         } else {
           std::cerr << "unknown sim engine " << text << " (event | cycle)\n";
           return 2;
