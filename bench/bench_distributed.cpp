@@ -13,16 +13,17 @@
 //              compared against the same reference, with the evaluation
 //              counter proving the journaled half was never re-run.
 //
-// The probe fails (exit 1) when any merged or resumed report diverges.
-// Worker scaling is recorded per worker count; the >= 1.7x two-worker bar
-// is only enforced when the machine actually has 2+ hardware threads —
-// on a single-core runner the fork overhead makes the ratio meaningless,
-// so there it is informational. `--json[=path]` dumps
-// BENCH_distributed.json so CI gates the invariants and tracks the
-// scaling trajectory across PRs.
+// `--json` writes BENCH_distributed.json (bench/probe.h) with two
+// invariants, merge_bit_identical and resume_bit_identical, and the
+// 2-worker sweep's wall time as wall_ms; the binary exits nonzero when
+// either fails. Worker scaling is recorded per worker count; the >= 1.7x
+// two-worker bar is only enforced when the machine actually has 2+
+// hardware threads — on a single-core runner the fork overhead makes the
+// ratio meaningless, so there it is informational.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "select/explorer.h"
 #include "sweep/checkpoint.h"
 #include "sweep/coordinator.h"
@@ -31,7 +32,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -115,7 +115,7 @@ double now_run_sweep_ms(const select::ExplorationRequest& request,
   return std::chrono::duration<double, std::milli>(t1 - t0).count();
 }
 
-int run_probe(const std::string& json_path) {
+int run_probe(bench::Probe& probe) {
   const auto app = apps::vopd();
   const auto library = topo::standard_library(app.num_cores());
   const auto request = grid_request(app, library);
@@ -144,6 +144,8 @@ int run_probe(const std::string& json_path) {
       const double ms = now_run_sweep_ms(request, options, &result);
       const bool same = identical(reference, result.report);
       merge_identical &= same;
+      probe.row("shard_counts_checked",
+                {{"shards", shards}, {"ms", ms}, {"bit_identical", same}});
       table.add_row({std::to_string(shards), "2", util::Table::num(ms, 1),
                      same ? "yes" : "NO"});
     }
@@ -162,6 +164,10 @@ int run_probe(const std::string& json_path) {
       const double ms = now_run_sweep_ms(request, options, &result);
       merge_identical &= identical(reference, result.report);
       worker_ms.push_back(ms);
+      probe.row("worker_scaling", {{"workers", workers},
+                                   {"ms", ms},
+                                   {"speedup", single_ms / ms}});
+      probe.sub_benchmark("workers_" + std::to_string(workers), ms);
       table.add_row({std::to_string(workers), util::Table::num(ms, 1),
                      util::Table::num(single_ms / ms, 2) + "x"});
     }
@@ -208,24 +214,20 @@ int run_probe(const std::string& json_path) {
     std::remove(journal_path.c_str());
   }
 
-  if (!merge_identical) {
-    std::fprintf(stderr,
-                 "FAIL: a merged sweep report diverged from the "
-                 "single-process explorer\n");
-    return 1;
-  }
-  if (!resume_identical) {
-    std::fprintf(stderr,
-                 "FAIL: the resumed sweep diverged or re-evaluated "
-                 "journaled points\n");
-    return 1;
-  }
+  probe.wall_ms(worker_ms[1]);
+  probe.invariant("merge_bit_identical", merge_identical);
+  probe.invariant("resume_bit_identical", resume_identical);
+  probe.metric("design_points", total);
+  probe.metric("single_process_ms", single_ms);
+  probe.metric("hardware_threads", hardware_threads);
+  probe.metric("resume_points_from_checkpoint", resume_from_checkpoint);
+  int status = probe.finish();
   if (hardware_threads >= 2 && speedup_2w < 1.7) {
     std::fprintf(stderr,
                  "FAIL: 2-worker sweep is only %.2fx the single-process "
                  "explore on a %u-thread machine (need >= 1.7x)\n",
                  speedup_2w, hardware_threads);
-    return 1;
+    status = 1;
   }
   if (hardware_threads < 2) {
     std::printf(
@@ -233,39 +235,7 @@ int run_probe(const std::string& json_path) {
         "informational here (%.2fx measured)\n",
         hardware_threads, speedup_2w);
   }
-
-  if (json_path.empty()) return 0;
-  FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"distributed_sweep_vopd_grid\",\n"
-               "  \"design_points\": %zu,\n"
-               "  \"single_process_ms\": %.3f,\n"
-               "  \"sub_benchmarks\": {\"workers_1\": %.3f, "
-               "\"workers_2\": %.3f},\n"
-               "  \"wall_ms\": %.3f,\n"
-               "  \"worker_scaling\": [\n"
-               "    {\"workers\": 1, \"ms\": %.3f, \"speedup\": %.3f},\n"
-               "    {\"workers\": 2, \"ms\": %.3f, \"speedup\": %.3f}\n"
-               "  ],\n"
-               "  \"shard_counts_checked\": [1, 2, 3, 7],\n"
-               "  \"hardware_threads\": %u,\n"
-               "  \"resume_points_from_checkpoint\": %zu,\n"
-               "  \"merge_bit_identical\": %s,\n"
-               "  \"resume_bit_identical\": %s\n"
-               "}\n",
-               total, single_ms, worker_ms[0], worker_ms[1], worker_ms[1],
-               worker_ms[0], single_ms / worker_ms[0], worker_ms[1],
-               speedup_2w, hardware_threads, resume_from_checkpoint,
-               merge_identical ? "true" : "false",
-               resume_identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
+  return status;
 }
 
 void BM_DistributedSweep2Workers(benchmark::State& state) {
@@ -284,23 +254,8 @@ BENCHMARK(BM_DistributedSweep2Workers)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --json[=path] flag before google-benchmark sees the
-  // arguments.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_distributed.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argv[kept] = nullptr;
-  argc = kept;
-
-  const int status = run_probe(json_path);
+  sunmap::bench::Probe probe("distributed", argc, argv);
+  const int status = run_probe(probe);
   if (status != 0) return status;
   return sunmap::bench::run_benchmarks(argc, argv);
 }

@@ -15,20 +15,23 @@
 //              between design points.
 //
 // The probe asserts the two are bit-identical (mappings, evaluations,
-// winners) and reports the wall-clock ratio; `--json[=path]` dumps the
-// result as BENCH_exploration.json so CI tracks the trajectory across PRs.
-// Both sides run single-threaded so the ratio isolates the structural
-// reuse; the explorer's cross-topology parallelism multiplies on top.
+// winners) and reports the wall-clock ratio; `--json` writes
+// BENCH_exploration.json (bench/probe.h) with the bit_identical invariant
+// and the batched grid's wall time as wall_ms. The binary exits nonzero
+// when the batched report diverges or builds more than one context per
+// topology. Both sides run single-threaded so the ratio isolates the
+// structural reuse; the explorer's cross-topology parallelism multiplies on
+// top.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "mapping/eval_context.h"
 #include "select/explorer.h"
 #include "topo/library.h"
 #include "util/table.h"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -142,7 +145,7 @@ ProbeResult run_one(const mapping::CoreGraph& app,
   return probe;
 }
 
-int run_probe(const std::string& json_path) {
+int run_probe(bench::Probe& probe) {
   const auto app = apps::vopd();
   const auto library = topo::standard_library(app.num_cores());
 
@@ -155,14 +158,14 @@ int run_probe(const std::string& json_path) {
 
   util::Table table({"workload", "points", "naive ms", "batched ms",
                      "speedup", "contexts built", "bit-identical"});
-  const auto row = [&](const char* name, const ProbeResult& probe) {
-    table.add_row({name, std::to_string(probe.points),
-                   util::Table::num(probe.naive_ms, 1),
-                   util::Table::num(probe.batched_ms, 1),
-                   util::Table::num(probe.speedup(), 2) + "x",
-                   std::to_string(probe.contexts_built) + "/" +
+  const auto row = [&](const char* name, const ProbeResult& result) {
+    table.add_row({name, std::to_string(result.points),
+                   util::Table::num(result.naive_ms, 1),
+                   util::Table::num(result.batched_ms, 1),
+                   util::Table::num(result.speedup(), 2) + "x",
+                   std::to_string(result.contexts_built) + "/" +
                        std::to_string(library.size()),
-                   probe.bit_identical ? "yes" : "NO"});
+                   result.bit_identical ? "yes" : "NO"});
   };
   row("3 obj x 4 routing", sweep);
   row("3 obj x 4 routing x 2 BW", grid);
@@ -179,52 +182,29 @@ int run_probe(const std::string& json_path) {
       static_cast<unsigned long long>(stats.metrics_hits +
                                       stats.metrics_misses));
 
-  for (const auto* probe : {&sweep, &grid}) {
-    if (!probe->bit_identical) {
-      std::fprintf(stderr,
-                   "FAIL: batched exploration diverged from the per-config "
-                   "loop\n");
-      return 1;
-    }
-    if (probe->contexts_built != library.size()) {
+  probe.wall_ms(grid.batched_ms);
+  probe.invariant("bit_identical", sweep.bit_identical && grid.bit_identical);
+  probe.metric("contexts_built_per_run", grid.contexts_built);
+  probe.metric("topologies", library.size());
+  probe.metric("explorer_threads", 1);
+  int status = 0;
+  for (const auto& [name, result] :
+       {std::pair{"sweep_3obj_4routing", &sweep},
+        std::pair{"grid_3obj_4routing_2bw", &grid}}) {
+    probe.row("workloads", {{"run", name},
+                            {"design_points", result->points},
+                            {"naive_ms", result->naive_ms},
+                            {"batched_ms", result->batched_ms},
+                            {"speedup", result->speedup()}});
+    if (result->contexts_built != library.size()) {
       std::fprintf(
           stderr, "FAIL: expected one context per topology (%zu), built %llu\n",
           library.size(),
-          static_cast<unsigned long long>(probe->contexts_built));
-      return 1;
+          static_cast<unsigned long long>(result->contexts_built));
+      status = 1;
     }
   }
-
-  if (json_path.empty()) return 0;
-  FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"exploration_vopd_full_library\",\n"
-               "  \"sweep_3obj_4routing\": {\"design_points\": %zu, "
-               "\"naive_ms\": %.3f, \"batched_ms\": %.3f, "
-               "\"speedup\": %.3f},\n"
-               "  \"grid_3obj_4routing_2bw\": {\"design_points\": %zu, "
-               "\"naive_ms\": %.3f, \"batched_ms\": %.3f, "
-               "\"speedup\": %.3f},\n"
-               "  \"wall_ms\": %.3f,\n"
-               "  \"contexts_built_per_run\": %llu,\n"
-               "  \"topologies\": %zu,\n"
-               "  \"explorer_threads\": 1,\n"
-               "  \"bit_identical\": %s\n"
-               "}\n",
-               sweep.points, sweep.naive_ms, sweep.batched_ms,
-               sweep.speedup(), grid.points, grid.naive_ms, grid.batched_ms,
-               grid.speedup(), grid.batched_ms,
-               static_cast<unsigned long long>(grid.contexts_built),
-               library.size(),
-               sweep.bit_identical && grid.bit_identical ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path.c_str());
-  return 0;
+  return probe.finish() | status;
 }
 
 void BM_ExplorerSweep(benchmark::State& state) {
@@ -243,23 +223,8 @@ BENCHMARK(BM_ExplorerSweep)->Unit(benchmark::kMillisecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --json[=path] flag before google-benchmark sees the
-  // arguments.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_exploration.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argv[kept] = nullptr;
-  argc = kept;
-
-  const int status = run_probe(json_path);
+  sunmap::bench::Probe probe("exploration", argc, argv);
+  const int status = run_probe(probe);
   if (status != 0) return status;
   return sunmap::bench::run_benchmarks(argc, argv);
 }

@@ -17,12 +17,15 @@
 //    must return bit-identical evaluations — the reference is the same
 //    arithmetic, so any divergence is a bug and the binary exits nonzero.
 //
-// A scenario-count scaling table (1..16 random scenarios) is also recorded
-// for the delta summary. Run with `--json[=path]` (default BENCH_fault.json)
-// to dump the probe for scripts/check_bench_regression.py.
+// The fault-free search's cost and evaluated/pruned counts are invariants
+// too. A scenario-count scaling table (1..16 random scenarios) is also
+// recorded for the delta summary. `--json` writes
+// BENCH_fault_tolerance.json (bench/probe.h); the binary exits nonzero when
+// an invariant fails or a walk diverges from its reference.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "fault/fault.h"
 #include "mapping/eval_context.h"
 #include "topo/library.h"
@@ -31,7 +34,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -222,16 +224,7 @@ ScalingPoint run_scaling_point(const mapping::CoreGraph& app, int scenarios,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_fault.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    }
-  }
-
-  const double t0 = now_ms();
+  bench::Probe probe("fault_tolerance", argc, argv);
   const auto fault_free = run_fault_free_probe();
 
   constexpr int kWalkIters = 400;
@@ -283,64 +276,35 @@ int main(int argc, char** argv) {
                          util::Table::num(point.speedup, 2)});
   }
   std::printf("%s", scale_table.to_string().c_str());
-  const double total_ms = now_ms() - t0;
 
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"benchmark\": \"fault_tolerance\",\n"
-                 "  \"wall_ms\": %.3f,\n"
-                 "  \"cost\": %.17g,\n"
-                 "  \"evaluated_mappings\": %d,\n"
-                 "  \"pruned_mappings\": %d,\n"
-                 "  \"fault_free_bit_identical\": %s,\n"
-                 "  \"fault_incremental_2x\": %s,\n"
-                 "  \"fault_incremental_speedup\": %.3f,\n",
-                 total_ms, fault_free.cost, fault_free.evaluated,
-                 fault_free.pruned,
-                 fault_free.bit_identical ? "true" : "false",
-                 incremental_2x ? "true" : "false", min_speedup);
-    std::fprintf(out, "  \"runs\": [\n");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      const auto& run = runs[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"scenarios\": %zu, "
-                   "\"base_ms\": %.3f, \"wall_ms\": %.3f, "
-                   "\"reference_ms\": %.3f, \"walk_speedup\": %.3f, "
-                   "\"fault_speedup\": %.3f, \"bit_identical\": %s}%s\n",
-                   run.name.c_str(), run.scenarios, run.base_ms,
-                   run.incremental_ms, run.reference_ms, run.walk_speedup,
-                   run.fault_speedup, run.bit_identical ? "true" : "false",
-                   i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"scenario_scaling\": [\n");
-    for (std::size_t i = 0; i < scaling.size(); ++i) {
-      const auto& point = scaling[i];
-      std::fprintf(out,
-                   "    {\"scenarios\": %d, \"incremental_ms\": %.3f, "
-                   "\"reference_ms\": %.3f, \"speedup\": %.3f}%s\n",
-                   point.scenarios, point.incremental_ms, point.reference_ms,
-                   point.speedup, i + 1 < scaling.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"sub_benchmarks\": {\n");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-      std::fprintf(out, "    \"%s\": %.3f%s\n", runs[i].name.c_str(),
-                   runs[i].incremental_ms, i + 1 < runs.size() ? "," : "");
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
+  probe.invariant("cost", fault_free.cost);
+  probe.invariant("evaluated_mappings", fault_free.evaluated);
+  probe.invariant("pruned_mappings", fault_free.pruned);
+  probe.invariant("fault_free_bit_identical", fault_free.bit_identical);
+  probe.invariant("fault_incremental_2x", incremental_2x);
+  probe.metric("fault_incremental_speedup", min_speedup);
+  for (const auto& run : runs) {
+    probe.row("runs", {{"run", run.name},
+                       {"scenarios", run.scenarios},
+                       {"base_ms", run.base_ms},
+                       {"wall_ms", run.incremental_ms},
+                       {"reference_ms", run.reference_ms},
+                       {"walk_speedup", run.walk_speedup},
+                       {"fault_speedup", run.fault_speedup},
+                       {"bit_identical", run.bit_identical}});
+    probe.sub_benchmark(run.name, run.incremental_ms);
   }
-
+  for (const auto& point : scaling) {
+    probe.row("scenario_scaling", {{"scenarios", point.scenarios},
+                                   {"incremental_ms", point.incremental_ms},
+                                   {"reference_ms", point.reference_ms},
+                                   {"speedup", point.speedup}});
+  }
+  const int status = probe.finish();
   if (!all_identical) {
     std::fprintf(stderr,
                  "FAIL: fault evaluation diverged from its reference\n");
     return 1;
   }
-  return 0;
+  return status;
 }

@@ -9,12 +9,16 @@
 // sequence driven once through stateless from-scratch Floorplanner::place
 // calls and once through an incremental fplan::FloorplanSession. The two
 // must agree bit-for-bit on every step (chip W/H, area, every block), and
-// the session must be at least 2x faster — `--json[=path]` dumps
-// BENCH_floorplan.json with both invariants so CI tracks them across PRs,
-// and the binary exits nonzero when either fails.
+// the session must be at least 2x faster. An annealing-shaped probe then
+// drives speculative push/solve + commit|rollback through the session.
+// `--json` writes BENCH_floorplan.json (bench/probe.h) with three
+// invariants — bit_identical, incremental_2x and annealing_incremental
+// (bit-identical, >= 2x rigid and >= 1.4x with sizing) — and the binary
+// exits nonzero when any of them fails.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "fplan/floorplanner.h"
 #include "fplan/session.h"
 #include "topo/library.h"
@@ -22,10 +26,10 @@
 #include "util/table.h"
 
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 namespace {
@@ -113,7 +117,7 @@ struct SwapWorkload {
   std::unique_ptr<topo::Topology> topology;
 };
 
-struct SwapRow {
+struct LegRow {
   std::string key;
   double from_scratch_ms = 0.0;
   double incremental_ms = 0.0;
@@ -156,13 +160,13 @@ struct SwapSequence {
   }
 };
 
-SwapRow run_swap_probe(const SwapWorkload& workload) {
+LegRow run_swap_probe(const SwapWorkload& workload) {
   const auto placement = workload.topology->relative_placement();
   const fplan::Floorplanner::Options options;
   const fplan::Floorplanner planner(options);
   const int num_slots = workload.topology->num_slots();
 
-  SwapRow row;
+  LegRow row;
   row.key = workload.name;
 
   // Correctness pass (untimed): every step's incremental solve must equal
@@ -250,25 +254,14 @@ SwapRow run_swap_probe(const SwapWorkload& workload) {
 // generates — roughly half the candidates are rejected, so the session must
 // win on the rollback side too, not just on forward deltas.
 
-struct TxnRow {
-  std::string key;
-  double from_scratch_ms = 0.0;
-  double incremental_ms = 0.0;
-  bool bit_identical = false;
-
-  [[nodiscard]] double speedup() const {
-    return incremental_ms > 0.0 ? from_scratch_ms / incremental_ms : 0.0;
-  }
-};
-
-TxnRow run_txn_probe(const SwapWorkload& workload,
+LegRow run_txn_probe(const SwapWorkload& workload,
                      const fplan::Floorplanner::Options& options,
                      const std::string& key) {
   const auto placement = workload.topology->relative_placement();
   const fplan::Floorplanner planner(options);
   const int num_slots = workload.topology->num_slots();
 
-  TxnRow row;
+  LegRow row;
   row.key = key;
 
   // One candidate per step: speculate the swap with push_shapes, solve,
@@ -423,23 +416,7 @@ BENCHMARK(BM_FloorplanIncrementalSwap)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --json[=path] flag before google-benchmark sees the
-  // arguments.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_floorplan.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argv[kept] = nullptr;
-  argc = kept;
-
-  const auto total_start = std::chrono::steady_clock::now();
+  bench::Probe probe("floorplan", argc, argv);
   print_engine_comparison();
   print_sizing_ablation();
 
@@ -481,7 +458,7 @@ int main(int argc, char** argv) {
     txn_workloads.push_back(std::move(synth));
   }
 
-  std::vector<SwapRow> rows;
+  std::vector<LegRow> rows;
   util::Table table({"workload", "from-scratch ms", "incremental ms",
                      "speedup", "bit-identical"});
   bool all_identical = true;
@@ -508,7 +485,7 @@ int main(int argc, char** argv) {
   bench::print_heading(
       "Annealing-shaped probe: speculative push/solve + commit|rollback vs "
       "from-scratch place per candidate (default + rigid sizing)");
-  std::vector<TxnRow> txn_rows;
+  std::vector<LegRow> txn_rows;
   util::Table txn_table({"workload", "from-scratch ms", "txn ms", "speedup",
                          "bit-identical"});
   bool txn_identical = true;
@@ -563,98 +540,30 @@ int main(int argc, char** argv) {
                                      txn_speedup_rigid >= 2.0 &&
                                      txn_speedup_sized >= 1.4;
 
-  const bool incremental_2x = aggregate_speedup >= 2.0;
-  int status = 0;
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: incremental session diverged from from-scratch "
-                 "Floorplanner::place\n");
-    status = 1;
+  probe.invariant("bit_identical", all_identical);
+  probe.invariant("incremental_2x", aggregate_speedup >= 2.0);
+  probe.invariant("annealing_incremental", annealing_incremental);
+  probe.metric("swap_steps", kSwapSteps);
+  probe.metric("aggregate_speedup", aggregate_speedup);
+  probe.metric("annealing_txn_speedup_rigid", txn_speedup_rigid);
+  probe.metric("annealing_txn_speedup_sized", txn_speedup_sized);
+  // Only the incremental legs are gated sub-benchmarks: the from-scratch
+  // legs are the deliberately slow reference path (their absolute time
+  // shifts with runner generations, and a slowdown there would only make
+  // the session look better); they stay in the tables for information.
+  for (const auto& [table, suffix, legs] :
+       {std::tuple{"swap_probe", "_incremental", &rows},
+        std::tuple{"txn_probe", "_txn", &txn_rows}}) {
+    for (const auto& row : *legs) {
+      probe.row(table, {{"run", row.key},
+                        {"from_scratch_ms", row.from_scratch_ms},
+                        {"incremental_ms", row.incremental_ms},
+                        {"speedup", row.speedup()},
+                        {"bit_identical", row.bit_identical}});
+      probe.sub_benchmark(row.key + suffix, row.incremental_ms);
+    }
   }
-  if (!incremental_2x) {
-    std::fprintf(stderr,
-                 "FAIL: incremental speedup %.2fx below the 2x acceptance "
-                 "bar\n",
-                 aggregate_speedup);
-    status = 1;
-  }
-  if (!annealing_incremental) {
-    std::fprintf(stderr,
-                 "FAIL: annealing-shaped txn probe lost its win "
-                 "(bit-identical %s, rigid %.2fx vs the 2x bar, sized "
-                 "%.2fx vs the 1.4x bar)\n",
-                 txn_identical ? "yes" : "NO", txn_speedup_rigid,
-                 txn_speedup_sized);
-    status = 1;
-  }
-
-  const auto total_end = std::chrono::steady_clock::now();
-  const double total_ms =
-      std::chrono::duration<double, std::milli>(total_end - total_start)
-          .count();
-
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"benchmark\": \"floorplan\",\n"
-                 "  \"wall_ms\": %.3f,\n"
-                 "  \"swap_steps\": %d,\n"
-                 "  \"bit_identical\": %s,\n"
-                 "  \"incremental_2x\": %s,\n"
-                 "  \"aggregate_speedup\": %.3f,\n"
-                 "  \"annealing_incremental\": %s,\n"
-                 "  \"annealing_txn_speedup_rigid\": %.3f,\n"
-                 "  \"annealing_txn_speedup_sized\": %.3f,\n",
-                 total_ms, kSwapSteps, all_identical ? "true" : "false",
-                 incremental_2x ? "true" : "false", aggregate_speedup,
-                 annealing_incremental ? "true" : "false", txn_speedup_rigid,
-                 txn_speedup_sized);
-    std::fprintf(out, "  \"txn_probe\": [\n");
-    for (std::size_t i = 0; i < txn_rows.size(); ++i) {
-      const auto& row = txn_rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"from_scratch_ms\": %.3f, "
-                   "\"incremental_ms\": %.3f, \"speedup\": %.3f, "
-                   "\"bit_identical\": %s}%s\n",
-                   row.key.c_str(), row.from_scratch_ms, row.incremental_ms,
-                   row.speedup(), row.bit_identical ? "true" : "false",
-                   i + 1 < txn_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"swap_probe\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"from_scratch_ms\": %.3f, "
-                   "\"incremental_ms\": %.3f, \"speedup\": %.3f, "
-                   "\"bit_identical\": %s}%s\n",
-                   row.key.c_str(), row.from_scratch_ms, row.incremental_ms,
-                   row.speedup(), row.bit_identical ? "true" : "false",
-                   i + 1 < rows.size() ? "," : "");
-    }
-    // Only the incremental legs are gated sub-benchmarks: the from-scratch
-    // legs are the deliberately slow reference path (their absolute time
-    // shifts with runner generations, and a slowdown there would only make
-    // the session look better); they stay in swap_probe for information.
-    std::fprintf(out, "  ],\n  \"sub_benchmarks\": {\n");
-    const std::size_t total_subs = rows.size() + txn_rows.size();
-    std::size_t emitted = 0;
-    for (const auto& row : rows) {
-      std::fprintf(out, "    \"%s_incremental\": %.3f%s\n", row.key.c_str(),
-                   row.incremental_ms, ++emitted < total_subs ? "," : "");
-    }
-    for (const auto& row : txn_rows) {
-      std::fprintf(out, "    \"%s_txn\": %.3f%s\n", row.key.c_str(),
-                   row.incremental_ms, ++emitted < total_subs ? "," : "");
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  const int status = probe.finish();
   if (status != 0) return status;
   return sunmap::bench::run_benchmarks(argc, argv);
 }

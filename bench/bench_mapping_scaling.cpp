@@ -8,19 +8,20 @@
 //
 // It also hosts the cross-PR perf probe for the incremental
 // mapping-evaluation engine: a one-shot wall-clock measurement of
-// Mapper::map with greedy swaps on the 64-core synthetic mesh. Run with
-// `--json[=path]` to dump the probe as JSON (default BENCH_mapping.json) so
-// the perf trajectory is tracked across PRs.
+// Mapper::map with greedy swaps on the 64-core synthetic mesh. `--json`
+// writes BENCH_mapping_scaling.json (bench/probe.h). Its wall_ms is the
+// search alone; the search's cost, evaluated/pruned counts and feasibility
+// are invariants, so the gate fails when the search semantics drift.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "graph/paths.h"
 #include "select/selector.h"
 #include "topo/library.h"
 #include "util/table.h"
 
 #include <chrono>
-#include <cstring>
 #include <string>
 
 namespace {
@@ -41,7 +42,7 @@ apps::SyntheticSpec spec_for(int cores) {
 /// google-benchmark loop) because one search already evaluates thousands of
 /// candidate mappings, and because the probe's mapping/cost are part of the
 /// contract: they must stay identical as the engine gets faster.
-void run_mapping_probe(const std::string& json_path) {
+void run_mapping_probe(bench::Probe& probe) {
   constexpr int kCores = 64;
   const auto app = apps::synthetic(spec_for(kCores));
   const auto mesh = topo::make_mesh_for(kCores);
@@ -69,31 +70,17 @@ void run_mapping_probe(const std::string& json_path) {
                  result.eval.feasible() ? "yes" : "no"});
   std::printf("%s", table.to_string().c_str());
 
-  if (json_path.empty()) return;
-  FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return;
-  }
-  std::fprintf(out,
-               "{\n"
-               "  \"benchmark\": \"mapping_scaling_64core_mesh\",\n"
-               "  \"workload\": {\"cores\": %d, \"topology\": \"%s\", "
-               "\"routing\": \"%s\", \"objective\": \"%s\", "
-               "\"link_bandwidth_mbps\": %.1f, \"swap_passes\": %d},\n"
-               "  \"wall_ms\": %.3f,\n"
-               "  \"evaluated_mappings\": %d,\n"
-               "  \"pruned_mappings\": %d,\n"
-               "  \"cost\": %.17g,\n"
-               "  \"feasible\": %s\n"
-               "}\n",
-               kCores, mesh->name().c_str(), route::to_string(config.routing),
-               mapping::to_string(config.objective),
-               config.link_bandwidth_mbps, config.swap_passes, wall_ms,
-               result.evaluated_mappings, result.pruned_mappings,
-               result.eval.cost, result.eval.feasible() ? "true" : "false");
-  std::fclose(out);
-  std::printf("wrote %s\n", json_path.c_str());
+  probe.wall_ms(wall_ms);
+  probe.invariant("cost", result.eval.cost);
+  probe.invariant("evaluated_mappings", result.evaluated_mappings);
+  probe.invariant("pruned_mappings", result.pruned_mappings);
+  probe.invariant("feasible", result.eval.feasible());
+  probe.row("workload", {{"cores", kCores},
+                         {"topology", mesh->name()},
+                         {"routing", route::to_string(config.routing)},
+                         {"objective", mapping::to_string(config.objective)},
+                         {"link_bandwidth_mbps", config.link_bandwidth_mbps},
+                         {"swap_passes", config.swap_passes}});
 }
 
 void print_quadrant_sizes() {
@@ -190,23 +177,10 @@ BENCHMARK(BM_SwapSearchCost)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --json[=path] flag before google-benchmark sees the
-  // arguments.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_mapping.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argv[kept] = nullptr;
-  argc = kept;
-
+  sunmap::bench::Probe probe("mapping_scaling", argc, argv);
   print_quadrant_sizes();
-  run_mapping_probe(json_path);
+  run_mapping_probe(probe);
+  const int status = probe.finish();
+  if (status != 0) return status;
   return sunmap::bench::run_benchmarks(argc, argv);
 }

@@ -29,13 +29,17 @@
 //    microsecond-scale minimum-path legs on 49-slot meshes are dominated by
 //    fixed per-solve costs on both sides and are reported informationally.
 //
-// `--json[=path]` dumps BENCH_routing.json. Gated invariants:
-// routing_bit_identical (every leg, both kinds, both probes) and
-// routing_incremental_2x (time-weighted aggregate session speedup over the
-// gated exploration legs >= 2x for minimum-path AND for split-all).
+// `--json` writes BENCH_routing_incremental.json (bench/probe.h). Its
+// invariants: routing_bit_identical (every leg, both kinds, both probes)
+// and routing_incremental_2x (time-weighted aggregate session speedup over
+// the gated exploration legs >= 2x for minimum-path AND for split-all); the
+// binary exits nonzero when either fails. Only the incremental legs are
+// sub-benchmarks: the from-scratch legs are the deliberately slow
+// reference path.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "mapping/core_graph.h"
 #include "mapping/delta_txn.h"
 #include "mapping/eval_context.h"
@@ -47,10 +51,10 @@
 #include "util/table.h"
 
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -509,23 +513,7 @@ BENCHMARK(BM_RoutingSessionSpeculativeSwap)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --json[=path] flag before google-benchmark sees the
-  // arguments.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_routing.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argv[kept] = nullptr;
-  argc = kept;
-
-  const auto total_start = std::chrono::steady_clock::now();
+  bench::Probe probe("routing_incremental", argc, argv);
   const Workloads workloads;
 
   bench::print_heading(
@@ -583,80 +571,25 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", eval_table.to_string().c_str());
 
-  const bool routing_2x = mp_speedup >= 2.0 && sa_speedup >= 2.0;
-  int status = 0;
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: incremental routing diverged from the from-scratch "
-                 "reference\n");
-    status = 1;
-  }
-  if (!routing_2x) {
-    std::fprintf(stderr,
-                 "FAIL: gated session speedup %.2fx minimum-path / %.2fx "
-                 "split-all below the 2x acceptance bar\n",
-                 mp_speedup, sa_speedup);
-    status = 1;
-  }
-
-  const auto total_end = std::chrono::steady_clock::now();
-  const double total_ms =
-      std::chrono::duration<double, std::milli>(total_end - total_start)
-          .count();
-
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
+  probe.invariant("routing_bit_identical", all_identical);
+  probe.invariant("routing_incremental_2x",
+                  mp_speedup >= 2.0 && sa_speedup >= 2.0);
+  probe.metric("session_speedup_minpath", mp_speedup);
+  probe.metric("session_speedup_splitall", sa_speedup);
+  for (const auto& [table, suffix, rows] :
+       {std::tuple{"session_probe", "_session", &session_rows},
+        std::tuple{"eval_probe", "_eval", &eval_rows}}) {
+    for (const auto& row : *rows) {
+      probe.row(table, {{"run", row.key},
+                        {"from_scratch_ms", row.from_scratch_ms},
+                        {"incremental_ms", row.incremental_ms},
+                        {"speedup", row.speedup()},
+                        {"gated_2x", row.gated_2x},
+                        {"bit_identical", row.bit_identical}});
+      probe.sub_benchmark(row.key + suffix, row.incremental_ms);
     }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"benchmark\": \"routing_incremental\",\n"
-                 "  \"wall_ms\": %.3f,\n"
-                 "  \"routing_bit_identical\": %s,\n"
-                 "  \"routing_incremental_2x\": %s,\n"
-                 "  \"session_speedup_minpath\": %.3f,\n"
-                 "  \"session_speedup_splitall\": %.3f,\n",
-                 total_ms, all_identical ? "true" : "false",
-                 routing_2x ? "true" : "false", mp_speedup, sa_speedup);
-    const auto emit_rows = [&](const char* name,
-                               const std::vector<ProbeRow>& rows,
-                               const char* tail) {
-      std::fprintf(out, "  \"%s\": [\n", name);
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto& row = rows[i];
-        std::fprintf(out,
-                     "    {\"run\": \"%s\", \"from_scratch_ms\": %.3f, "
-                     "\"incremental_ms\": %.3f, \"speedup\": %.3f, "
-                     "\"gated_2x\": %s, \"bit_identical\": %s}%s\n",
-                     row.key.c_str(), row.from_scratch_ms,
-                     row.incremental_ms, row.speedup(),
-                     row.gated_2x ? "true" : "false",
-                     row.bit_identical ? "true" : "false",
-                     i + 1 < rows.size() ? "," : "");
-      }
-      std::fprintf(out, "  ]%s\n", tail);
-    };
-    emit_rows("session_probe", session_rows, ",");
-    emit_rows("eval_probe", eval_rows, ",");
-    // Only the incremental legs are tracked sub-benchmarks: the from-scratch
-    // legs are the deliberately slow reference path.
-    std::fprintf(out, "  \"sub_benchmarks\": {\n");
-    const std::size_t total_subs = session_rows.size() + eval_rows.size();
-    std::size_t emitted = 0;
-    for (const auto& row : session_rows) {
-      std::fprintf(out, "    \"%s_session\": %.3f%s\n", row.key.c_str(),
-                   row.incremental_ms, ++emitted < total_subs ? "," : "");
-    }
-    for (const auto& row : eval_rows) {
-      std::fprintf(out, "    \"%s_eval\": %.3f%s\n", row.key.c_str(),
-                   row.incremental_ms, ++emitted < total_subs ? "," : "");
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
   }
+  const int status = probe.finish();
   if (status != 0) return status;
   return sunmap::bench::run_benchmarks(argc, argv);
 }

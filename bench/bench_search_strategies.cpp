@@ -12,16 +12,20 @@
 //    must return the bit-identical mapping and cost (the bounds are
 //    admissible) while pruning the majority of candidates.
 //
-// `--json[=path]` dumps BENCH_search.json so CI tracks both wall clocks and
-// the correctness invariants across PRs.
+// `--json` writes BENCH_search_strategies.json (bench/probe.h). Its
+// invariants: restart_never_worse, bit_identical (pruned search equals the
+// prune-disabled reference) and annealing_incremental (transactional SA
+// bit-identical to the from-scratch floorplan reference, >= 2x rigid and
+// >= 1.25x with sizing). The binary exits nonzero when any of them fails or
+// when aggregate bound pruning drops to 50% or below.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "topo/library.h"
 #include "util/table.h"
 
 #include <chrono>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -95,23 +99,7 @@ mapping::MapperConfig strategy_config(mapping::SearchKind kind,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --json[=path] flag before google-benchmark sees the
-  // arguments.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_search.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argv[kept] = nullptr;
-  argc = kept;
-
-  const auto total_start = std::chrono::steady_clock::now();
+  bench::Probe probe("search_strategies", argc, argv);
   auto loads = workloads();
 
   // ---- Strategy comparison at equal total iteration budget. ----
@@ -347,28 +335,7 @@ int main(int argc, char** argv) {
                 area_fraction, power_fraction);
   }
 
-  const auto total_end = std::chrono::steady_clock::now();
-  const double total_ms =
-      std::chrono::duration<double, std::milli>(total_end - total_start)
-          .count();
-
   int status = 0;
-  if (!restart_never_worse) status = 1;
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: pruned search diverged from the prune-disabled "
-                 "reference\n");
-    status = 1;
-  }
-  if (!annealing_incremental) {
-    std::fprintf(stderr,
-                 "FAIL: transactional SA lost its incremental-floorplan win "
-                 "(bit-identical %s, rigid %.2fx vs the 2x bar, sized %.2fx "
-                 "vs the 1.25x bar)\n",
-                 sa_identical ? "yes" : "NO", sa_speedup_rigid,
-                 sa_speedup_sized);
-    status = 1;
-  }
   if (area_fraction <= 0.5 || power_fraction <= 0.5) {
     std::fprintf(stderr,
                  "FAIL: aggregate bound pruning below the 50%% bar "
@@ -377,83 +344,45 @@ int main(int argc, char** argv) {
     status = 1;
   }
 
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"benchmark\": \"search_strategies\",\n"
-                 "  \"wall_ms\": %.3f,\n"
-                 "  \"anneal_iterations\": %d,\n"
-                 "  \"restarts\": %d,\n"
-                 "  \"restart_never_worse\": %s,\n"
-                 "  \"bit_identical\": %s,\n"
-                 "  \"annealing_incremental\": %s,\n"
-                 "  \"annealing_speedup_rigid\": %.3f,\n"
-                 "  \"annealing_speedup_sized\": %.3f,\n"
-                 "  \"min_prune_fraction\": %.4f,\n"
-                 "  \"min_area_prune_fraction\": %.4f,\n"
-                 "  \"min_power_prune_fraction\": %.4f,\n",
-                 total_ms, kAnnealIterations, kRestarts,
-                 restart_never_worse ? "true" : "false",
-                 all_identical ? "true" : "false",
-                 annealing_incremental ? "true" : "false", sa_speedup_rigid,
-                 sa_speedup_sized, min_fraction, area_fraction,
-                 power_fraction);
-    std::fprintf(out, "  \"annealing\": [\n");
-    for (std::size_t i = 0; i < sa_rows.size(); ++i) {
-      const auto& row = sa_rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"wall_ms\": %.3f, "
-                   "\"from_scratch_ms\": %.3f, \"speedup\": %.3f, "
-                   "\"bit_identical\": %s}%s\n",
-                   row.key.c_str(), row.incremental_ms, row.reference_ms,
-                   row.speedup(), row.bit_identical ? "true" : "false",
-                   i + 1 < sa_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"strategies\": [\n");
-    for (std::size_t i = 0; i < strategy_rows.size(); ++i) {
-      const auto& row = strategy_rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"wall_ms\": %.3f, "
-                   "\"cost\": %.17g, \"feasible\": %s, \"evaluated\": %d}%s\n",
-                   row.key.c_str(), row.wall_ms, row.cost,
-                   row.feasible ? "true" : "false", row.evaluated,
-                   i + 1 < strategy_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"pruning\": [\n");
-    for (std::size_t i = 0; i < prune_rows.size(); ++i) {
-      const auto& row = prune_rows[i];
-      std::fprintf(
-          out,
-          "    {\"run\": \"%s\", \"wall_ms\": %.3f, "
-          "\"unpruned_wall_ms\": %.3f, \"evaluated\": %d, \"pruned\": %d, "
-          "\"prune_fraction\": %.4f, \"bit_identical\": %s}%s\n",
-          row.key.c_str(), row.pruned_ms, row.unpruned_ms, row.evaluated,
-          row.pruned, row.fraction(), row.bit_identical ? "true" : "false",
-          i + 1 < prune_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"sub_benchmarks\": {\n");
-    for (std::size_t i = 0; i < strategy_rows.size(); ++i) {
-      std::fprintf(out, "    \"%s\": %.3f,\n",
-                   strategy_rows[i].key.c_str(), strategy_rows[i].wall_ms);
-    }
-    for (const auto& row : sa_rows) {
-      std::fprintf(out, "    \"%s\": %.3f,\n", row.key.c_str(),
-                   row.incremental_ms);
-    }
-    for (std::size_t i = 0; i < prune_rows.size(); ++i) {
-      std::fprintf(out, "    \"%s_pruned\": %.3f%s\n",
-                   prune_rows[i].key.c_str(), prune_rows[i].pruned_ms,
-                   i + 1 < prune_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
+  probe.invariant("restart_never_worse", restart_never_worse);
+  probe.invariant("bit_identical", all_identical);
+  probe.invariant("annealing_incremental", annealing_incremental);
+  probe.metric("anneal_iterations", kAnnealIterations);
+  probe.metric("restarts", kRestarts);
+  probe.metric("annealing_speedup_rigid", sa_speedup_rigid);
+  probe.metric("annealing_speedup_sized", sa_speedup_sized);
+  probe.metric("min_prune_fraction", min_fraction);
+  probe.metric("min_area_prune_fraction", area_fraction);
+  probe.metric("min_power_prune_fraction", power_fraction);
+  for (const auto& row : sa_rows) {
+    probe.row("annealing", {{"run", row.key},
+                            {"wall_ms", row.incremental_ms},
+                            {"from_scratch_ms", row.reference_ms},
+                            {"speedup", row.speedup()},
+                            {"bit_identical", row.bit_identical}});
   }
+  for (const auto& row : strategy_rows) {
+    probe.row("strategies", {{"run", row.key},
+                             {"wall_ms", row.wall_ms},
+                             {"cost", row.cost},
+                             {"feasible", row.feasible},
+                             {"evaluated", row.evaluated}});
+    probe.sub_benchmark(row.key, row.wall_ms);
+  }
+  for (const auto& row : sa_rows) {
+    probe.sub_benchmark(row.key, row.incremental_ms);
+  }
+  for (const auto& row : prune_rows) {
+    probe.row("pruning", {{"run", row.key},
+                          {"wall_ms", row.pruned_ms},
+                          {"unpruned_wall_ms", row.unpruned_ms},
+                          {"evaluated", row.evaluated},
+                          {"pruned", row.pruned},
+                          {"prune_fraction", row.fraction()},
+                          {"bit_identical", row.bit_identical}});
+    probe.sub_benchmark(row.key + "_pruned", row.pruned_ms);
+  }
+  status |= probe.finish();
   if (status != 0) return status;
   return sunmap::bench::run_benchmarks(argc, argv);
 }

@@ -1,6 +1,6 @@
 // Cross-PR simulation perf probe: event-driven vs cycle-stepped engine.
 //
-// Three sections:
+// Four sections:
 //  * zero-load latency table (must match the analytic pipeline model
 //    F + (S-1)*L, the same check the unit tests pin down);
 //  * engine probe — the same (topology, routing, traffic) leg run by both
@@ -13,31 +13,39 @@
 //    over the light-load (rate 0.02 and sparse-trace) legs; the moderate
 //    and saturated legs, where most routers hold flits every cycle and the
 //    armed set approaches "all of them", are reported informationally.
+//    Each leg also records a digest of its full SimStats record: the two
+//    engines agreeing cannot catch a change to the router model they
+//    share, but a digest that moves from its committed value does;
+//  * parallel finalist tier — simulate_finalists() at 1/2/4 threads;
 //  * model validation — the SimEvaluator finalist tier run on the paper's
 //    figure workloads: each app's selected topology simulated under its own
 //    trace, analytical zero-load delay vs contention-aware simulated delay.
 //
-// `--json[=path]` dumps BENCH_sim.json. Gated invariants: sim_bit_identical
-// (every engine-probe leg), sim_event_3x (time-weighted aggregate event
-// speedup over the gated light-load legs >= 3x), sim_hot_path_1p3x (the
-// storage-overhauled event engine >= 1.3x the in-binary frozen pre-overhaul
-// BaselineSimulator, bit-identical on every leg), and
-// finalist_parallel_identical (the parallel finalist tier merges
-// bit-identically at every thread count; >= 1.7x at 2 workers gated on
-// multi-core machines, informational on single-core runners).
+// `--json` writes BENCH_sim_throughput.json (bench/probe.h). Its
+// invariants: sim_bit_identical (every engine-probe leg), sim_event_3x
+// (time-weighted aggregate event speedup over the gated light-load legs
+// >= 3x), finalist_parallel_identical (the parallel finalist tier merges
+// bit-identically at every thread count) and one <leg>_digest per engine
+// leg. The binary exits nonzero when any boolean invariant fails, and when
+// the 2-worker finalist tier is below 1.7x the serial pass on a multi-core
+// machine (informational on single-core runners). Only the event legs and
+// the finalist tier are sub-benchmarks: the cycle-stepped engine is the
+// deliberately slower reference.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
+#include "bench/probe.h"
 #include "mapping/sim_eval.h"
 #include "select/explorer.h"
 #include "select/selector.h"
-#include "sim/baseline_sim.h"
 #include "sim/simulator.h"
 #include "topo/library.h"
 #include "util/table.h"
 
+#include <bit>
 #include <chrono>
-#include <cstring>
+#include <cstdint>
+#include <cstdio>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -221,8 +229,38 @@ bool stats_identical(const sim::SimStats& a, const sim::SimStats& b) {
          a.flit_events == b.flit_events;
 }
 
+/// FNV-1a digest of the full SimStats record, verdict fields included, as
+/// 16 hex digits.
+std::string stats_digest(const sim::SimStats& s) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  const auto mix = [&hash](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash = (hash ^ ((word >> (8 * byte)) & 0xffU)) * 1099511628211ULL;
+    }
+  };
+  for (const std::uint64_t word :
+       {s.cycles, s.packets_generated, s.packets_delivered, s.stalled_cycles,
+        s.undelivered_packets, s.flit_events,
+        static_cast<std::uint64_t>(s.saturated),
+        static_cast<std::uint64_t>(s.status)}) {
+    mix(word);
+  }
+  for (const double value :
+       {s.avg_latency_cycles, s.max_latency_cycles, s.p50_latency_cycles,
+        s.p95_latency_cycles, s.p99_latency_cycles,
+        s.throughput_flits_per_cycle_per_slot,
+        s.offered_flits_per_cycle_per_slot}) {
+    mix(std::bit_cast<std::uint64_t>(value));
+  }
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  return hex;
+}
+
 struct EngineRow {
   std::string key;
+  std::string digest;  ///< stats_digest() of the event engine's run
   double event_ms = 0.0;
   double cycle_ms = 0.0;
   bool bit_identical = false;
@@ -264,6 +302,7 @@ EngineRow run_engine_leg(const EngineLeg& leg) {
     const auto cycle_traffic = leg.traffic(num_slots);
     const auto cycle_stats = cycle_sim.run(*cycle_traffic);
     row.bit_identical = stats_identical(event_stats, cycle_stats);
+    row.digest = stats_digest(event_stats);
     row.flit_events = event_stats.flit_events;
     row.sim_cycles = event_stats.cycles;
     row.status = event_stats.status;
@@ -291,70 +330,6 @@ EngineRow run_engine_leg(const EngineLeg& leg) {
       benchmark::DoNotOptimize(stats);
       row.cycle_ms = std::min(
           row.cycle_ms,
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-  }
-  return row;
-}
-
-// ---- Hot-path probe: the overhauled engine vs the frozen PR baseline. ----
-
-struct HotPathRow {
-  std::string key;
-  double baseline_ms = 0.0;
-  double current_ms = 0.0;
-  bool bit_identical = false;
-
-  [[nodiscard]] double speedup() const {
-    return current_ms > 0.0 ? baseline_ms / current_ms : 0.0;
-  }
-};
-
-/// Runs one engine-probe leg on the event engine under both the current
-/// Simulator (pooled events, SoA flit storage) and the frozen pre-overhaul
-/// BaselineSimulator retained in-binary as the machine-independent perf
-/// reference. The statistics must match bit for bit — the overhaul changed
-/// storage, never behavior — and the aggregate speedup gates the >= 1.3x
-/// acceptance bar.
-HotPathRow run_hot_path_leg(const EngineLeg& leg) {
-  const int num_slots = leg.topology->num_slots();
-  const auto routes = sim::RouteTable::all_pairs(*leg.topology, leg.kind);
-  const auto layout = sim::make_network_layout(*leg.topology);
-  auto config = leg.config;
-  config.engine = sim::SimEngine::kEventDriven;
-  sim::Simulator current(*leg.topology, routes, config, layout);
-  sim::BaselineSimulator baseline(*leg.topology, routes, config, layout);
-
-  HotPathRow row;
-  row.key = leg.key;
-  {
-    const auto current_traffic = leg.traffic(num_slots);
-    const auto current_stats = current.run(*current_traffic);
-    const auto baseline_traffic = leg.traffic(num_slots);
-    const auto baseline_stats = baseline.run(*baseline_traffic);
-    row.bit_identical = stats_identical(current_stats, baseline_stats);
-  }
-  row.baseline_ms = std::numeric_limits<double>::infinity();
-  row.current_ms = std::numeric_limits<double>::infinity();
-  for (int round = 0; round < kTimingRounds; ++round) {
-    {
-      const auto traffic = leg.traffic(num_slots);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto stats = current.run(*traffic);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(stats);
-      row.current_ms = std::min(
-          row.current_ms,
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    {
-      const auto traffic = leg.traffic(num_slots);
-      const auto t0 = std::chrono::steady_clock::now();
-      const auto stats = baseline.run(*traffic);
-      const auto t1 = std::chrono::steady_clock::now();
-      benchmark::DoNotOptimize(stats);
-      row.baseline_ms = std::min(
-          row.baseline_ms,
           std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
   }
@@ -540,24 +515,7 @@ BENCHMARK(BM_RouteTableAllPairs)
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel off our own --json[=path] flag before google-benchmark sees the
-  // arguments.
-  std::string json_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      json_path = "BENCH_sim.json";
-    } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argv[kept] = nullptr;
-  argc = kept;
-
-  const auto total_start = std::chrono::steady_clock::now();
-
+  bench::Probe probe("sim_throughput", argc, argv);
   print_zero_load_table();
 
   bench::print_heading(
@@ -595,32 +553,6 @@ int main(int argc, char** argv) {
               engine_table.to_string().c_str(), light_load_speedup);
 
   bench::print_heading(
-      "Hot-path probe: overhauled event engine vs frozen pre-overhaul "
-      "baseline (bit-identity gated on every leg; >=1.3x aggregate gated)");
-  std::vector<HotPathRow> hot_rows;
-  util::Table hot_table({"leg", "baseline ms", "current ms", "speedup",
-                         "bit-identical"});
-  bool hot_identical = true;
-  double hot_baseline_ms = 0.0;
-  double hot_current_ms = 0.0;
-  for (const auto& leg : make_engine_legs(workloads)) {
-    auto row = run_hot_path_leg(leg);
-    hot_identical = hot_identical && row.bit_identical;
-    hot_baseline_ms += row.baseline_ms;
-    hot_current_ms += row.current_ms;
-    hot_table.add_row({row.key, util::Table::num(row.baseline_ms, 2),
-                       util::Table::num(row.current_ms, 2),
-                       util::Table::num(row.speedup(), 2) + "x",
-                       row.bit_identical ? "yes" : "NO"});
-    hot_rows.push_back(std::move(row));
-  }
-  const double hot_path_speedup =
-      hot_current_ms > 0.0 ? hot_baseline_ms / hot_current_ms : 0.0;
-  std::printf("%shot-path aggregate: %.2fx over the frozen baseline "
-              "(bar: 1.3x)\n",
-              hot_table.to_string().c_str(), hot_path_speedup);
-
-  bench::print_heading(
       "Parallel finalist tier: simulate_finalists() thread scaling "
       "(bit-identical merge gated at every thread count)");
   const unsigned hardware_threads = std::thread::hardware_concurrency();
@@ -653,41 +585,44 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", validation_table.to_string().c_str());
 
-  const bool event_3x = light_load_speedup >= 3.0;
-  const bool hot_path_1p3x = hot_path_speedup >= 1.3;
-  int status = 0;
-  if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: event-driven engine diverged from the cycle-stepped "
-                 "reference\n");
-    status = 1;
+  probe.invariant("sim_bit_identical", all_identical);
+  probe.invariant("sim_event_3x", light_load_speedup >= 3.0);
+  probe.invariant("finalist_parallel_identical", finalist.identical);
+  probe.metric("event_speedup_light_load", light_load_speedup);
+  probe.metric("finalist_speedup_2t", finalist_speedup_2t);
+  probe.metric("finalist_cells", finalist.cells);
+  probe.metric("hardware_threads", hardware_threads);
+  for (const auto& row : engine_rows) {
+    probe.invariant(row.key + "_digest", row.digest);
+    probe.sub_benchmark(row.key + "_event", row.event_ms);
+    probe.row("engine_probe",
+              {{"run", row.key},
+               {"cycle_ms", row.cycle_ms},
+               {"event_ms", row.event_ms},
+               {"speedup", row.speedup()},
+               {"event_events_per_sec", row.events_per_sec(row.event_ms)},
+               {"cycle_events_per_sec", row.events_per_sec(row.cycle_ms)},
+               {"sim_cycles_per_sec", row.cycles_per_sec(row.event_ms)},
+               {"gated_3x", row.gated_3x},
+               {"bit_identical", row.bit_identical}});
   }
-  if (!event_3x) {
-    std::fprintf(stderr,
-                 "FAIL: gated light-load event speedup %.2fx below the 3x "
-                 "acceptance bar\n",
-                 light_load_speedup);
-    status = 1;
+  for (std::size_t i = 0; i < finalist.threads.size(); ++i) {
+    probe.sub_benchmark("finalist_" + std::to_string(finalist.threads[i]) + "t",
+                        finalist.ms[i]);
+    probe.row("finalist_scaling", {{"threads", finalist.threads[i]},
+                                   {"ms", finalist.ms[i]},
+                                   {"speedup", finalist.ms[0] / finalist.ms[i]}});
   }
-  if (!hot_identical) {
-    std::fprintf(stderr,
-                 "FAIL: the overhauled event engine diverged from the frozen "
-                 "pre-overhaul baseline\n");
-    status = 1;
+  for (const auto& row : validation_rows) {
+    probe.row("model_validation",
+              {{"run", row.key},
+               {"topology", row.topology},
+               {"analytical_cycles", row.analytical_cycles},
+               {"simulated_cycles", row.simulated_cycles},
+               {"model_error", row.model_error},
+               {"status", sim::to_string(row.status)}});
   }
-  if (!hot_path_1p3x) {
-    std::fprintf(stderr,
-                 "FAIL: hot-path speedup %.2fx over the frozen baseline is "
-                 "below the 1.3x acceptance bar\n",
-                 hot_path_speedup);
-    status = 1;
-  }
-  if (!finalist.identical) {
-    std::fprintf(stderr,
-                 "FAIL: the parallel finalist tier diverged from the "
-                 "single-thread merge\n");
-    status = 1;
-  }
+  int status = probe.finish();
   if (hardware_threads >= 2 && finalist_speedup_2t < 1.7) {
     std::fprintf(stderr,
                  "FAIL: 2-worker finalist tier is only %.2fx the serial pass "
@@ -700,100 +635,6 @@ int main(int argc, char** argv) {
         "note: %u hardware thread(s); the 2-worker >= 1.7x bar is "
         "informational here (%.2fx measured)\n",
         hardware_threads, finalist_speedup_2t);
-  }
-
-  const auto total_end = std::chrono::steady_clock::now();
-  const double total_ms =
-      std::chrono::duration<double, std::milli>(total_end - total_start)
-          .count();
-
-  if (!json_path.empty()) {
-    FILE* out = std::fopen(json_path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::fprintf(out,
-                 "{\n"
-                 "  \"benchmark\": \"sim_throughput\",\n"
-                 "  \"wall_ms\": %.3f,\n"
-                 "  \"sim_bit_identical\": %s,\n"
-                 "  \"sim_event_3x\": %s,\n"
-                 "  \"event_speedup_light_load\": %.3f,\n"
-                 "  \"sim_hot_path_1p3x\": %s,\n"
-                 "  \"hot_path_speedup\": %.3f,\n"
-                 "  \"finalist_parallel_identical\": %s,\n"
-                 "  \"finalist_speedup_2t\": %.3f,\n"
-                 "  \"finalist_cells\": %zu,\n"
-                 "  \"hardware_threads\": %u,\n",
-                 total_ms, all_identical ? "true" : "false",
-                 event_3x ? "true" : "false", light_load_speedup,
-                 hot_path_1p3x ? "true" : "false", hot_path_speedup,
-                 finalist.identical ? "true" : "false", finalist_speedup_2t,
-                 finalist.cells, hardware_threads);
-    std::fprintf(out, "  \"hot_path_probe\": [\n");
-    for (std::size_t i = 0; i < hot_rows.size(); ++i) {
-      const auto& row = hot_rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"baseline_ms\": %.3f, "
-                   "\"current_ms\": %.3f, \"speedup\": %.3f, "
-                   "\"bit_identical\": %s}%s\n",
-                   row.key.c_str(), row.baseline_ms, row.current_ms,
-                   row.speedup(), row.bit_identical ? "true" : "false",
-                   i + 1 < hot_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"finalist_scaling\": [\n");
-    for (std::size_t i = 0; i < finalist.threads.size(); ++i) {
-      std::fprintf(out,
-                   "    {\"threads\": %d, \"ms\": %.3f, \"speedup\": %.3f}%s\n",
-                   finalist.threads[i], finalist.ms[i],
-                   finalist.ms[0] / finalist.ms[i],
-                   i + 1 < finalist.threads.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n");
-    std::fprintf(out, "  \"engine_probe\": [\n");
-    for (std::size_t i = 0; i < engine_rows.size(); ++i) {
-      const auto& row = engine_rows[i];
-      std::fprintf(
-          out,
-          "    {\"run\": \"%s\", \"cycle_ms\": %.3f, \"event_ms\": %.3f, "
-          "\"speedup\": %.3f, \"event_events_per_sec\": %.0f, "
-          "\"cycle_events_per_sec\": %.0f, \"sim_cycles_per_sec\": %.0f, "
-          "\"gated_3x\": %s, \"bit_identical\": %s}%s\n",
-          row.key.c_str(), row.cycle_ms, row.event_ms, row.speedup(),
-          row.events_per_sec(row.event_ms), row.events_per_sec(row.cycle_ms),
-          row.cycles_per_sec(row.event_ms), row.gated_3x ? "true" : "false",
-          row.bit_identical ? "true" : "false",
-          i + 1 < engine_rows.size() ? "," : "");
-    }
-    std::fprintf(out, "  ],\n  \"model_validation\": [\n");
-    for (std::size_t i = 0; i < validation_rows.size(); ++i) {
-      const auto& row = validation_rows[i];
-      std::fprintf(out,
-                   "    {\"run\": \"%s\", \"topology\": \"%s\", "
-                   "\"analytical_cycles\": %.6f, \"simulated_cycles\": %.6f, "
-                   "\"model_error\": %.6f, \"status\": \"%s\"}%s\n",
-                   row.key.c_str(), row.topology.c_str(),
-                   row.analytical_cycles, row.simulated_cycles,
-                   row.model_error, sim::to_string(row.status),
-                   i + 1 < validation_rows.size() ? "," : "");
-    }
-    // Only the event legs are tracked sub-benchmarks: the cycle-stepped
-    // legs and the frozen BaselineSimulator are deliberately slower
-    // reference engines. The finalist tier's per-thread timings ride along.
-    std::fprintf(out, "  ],\n  \"sub_benchmarks\": {\n");
-    for (const auto& row : engine_rows) {
-      std::fprintf(out, "    \"%s_event\": %.3f,\n", row.key.c_str(),
-                   row.event_ms);
-    }
-    for (std::size_t i = 0; i < finalist.threads.size(); ++i) {
-      std::fprintf(out, "    \"finalist_%dt\": %.3f%s\n", finalist.threads[i],
-                   finalist.ms[i],
-                   i + 1 < finalist.threads.size() ? "," : "");
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", json_path.c_str());
   }
   if (status != 0) return status;
   return sunmap::bench::run_benchmarks(argc, argv);

@@ -1,64 +1,41 @@
 #!/usr/bin/env python3
-"""Cross-PR perf regression gate for the benchmark probes.
+"""Cross-PR regression gate for the benchmark probes.
 
-Compares the `wall_ms` of freshly measured probe JSONs against their
-committed baselines and fails (exit 1) when a measurement is more than
---max-slowdown times its baseline. The committed baselines are recorded on
-the development container; CI runners differ in absolute speed, which is
-why the gate is a generous ratio rather than a tight budget — it exists to
-catch order-of-magnitude regressions (a disabled cache, an accidentally
-quadratic loop), not scheduling noise.
+Every probe writes one JSON shape (bench/probe.h): benchmark, wall_ms,
+invariants, metrics, sub_benchmarks and tables. The gate reads that shape
+with no per-probe knowledge and fails (exit 1) when, for any
+current/baseline pair:
 
-Several probes are gated in one invocation by repeating --current/--baseline
-(pairs are matched positionally). Every pair's "benchmark" name must match
-between current and baseline, and every sub-benchmark present in a current
-file must exist in its baseline — unmatched names are hard errors, so a
-probe silently renamed or missing from the committed baselines can never
-slip through green.
+  * the "benchmark" names differ;
+  * an invariant is missing on either side, or differs from the baseline
+    (booleans compare as booleans, numbers exactly, digests as strings);
+  * a boolean invariant is false;
+  * a sub-benchmark is measured on one side only;
+  * wall_ms or a sub-benchmark is more than --max-slowdown times its
+    baseline.
 
-Usage:
-  check_bench_regression.py \
-      --current BENCH_mapping.json --baseline bench/baselines/BENCH_mapping.json \
-      --current BENCH_exploration.json --baseline bench/baselines/BENCH_exploration.json \
-      [--max-slowdown 2.0]
+Metrics and tables are informational. The committed baselines are recorded
+on the development container; CI runners differ in absolute speed, which is
+why the timing gate is a generous ratio rather than a tight budget — it
+exists to catch order-of-magnitude regressions (a disabled cache, an
+accidentally quadratic loop), not scheduling noise.
+
+Usage (pairs are matched positionally):
+  check_bench_regression.py \\
+      --current BENCH_mapping_scaling.json \\
+      --baseline bench/baselines/BENCH_mapping_scaling.json \\
+      [--current ... --baseline ...] [--max-slowdown 2.0]
 """
 
 import argparse
 import json
 import sys
 
-# Correctness invariants recorded alongside the timings, when present: the
-# probes' mapping costs, candidate counts, bit-identity flags, the
-# incremental floorplanner's 2x acceptance bar, and the transactional
-# annealing win (bit-identical SA with incremental floorplan deltas on
-# accept AND reject, >= 2x where the delta-vs-rebuild machinery is
-# isolated), and the fault-evaluation pair (an empty fault set leaves the
-# mapping search bit-identical; degraded re-evaluation through prebuilt
-# per-scenario BFS tables is >= 2x the from-scratch masked searches) are
-# part of the contract and must not drift as the engine gets faster. The
-# distributed-sweep probe adds two more: a merged multi-process report and
-# a checkpoint-resumed report must both stay bit-identical to the
-# single-process explorer. The routing probe adds the transactional
-# incremental-routing pair: every speculative RoutingSession solve is
-# bit-identical to the from-scratch canonical loop, and the gated
-# exploration legs keep the >= 2x session speedup under both minimum-path
-# and split-all routing. The simulation probe adds the engine pair: the
-# event-driven engine is bit-identical to the cycle-stepped reference on
-# every leg (the full SimStats record, verdict paths included), and the
-# light-load legs keep the >= 3x aggregate event speedup. The simulator
-# hot-path overhaul adds two more: the overhauled event engine stays
-# bit-identical to the frozen in-binary pre-overhaul baseline while keeping
-# the >= 1.3x aggregate speedup over it, and the explorer's parallel
-# finalist tier merges simulation scores bit-identically to the serial pass
-# at every thread count.
-INVARIANT_KEYS = ("cost", "evaluated_mappings", "pruned_mappings",
-                  "bit_identical", "restart_never_worse", "incremental_2x",
-                  "annealing_incremental", "fault_free_bit_identical",
-                  "fault_incremental_2x", "merge_bit_identical",
-                  "resume_bit_identical", "routing_bit_identical",
-                  "routing_incremental_2x", "sim_bit_identical",
-                  "sim_event_3x", "sim_hot_path_1p3x",
-                  "finalist_parallel_identical")
+
+def same(current, baseline) -> bool:
+    # True == 1 in Python; a boolean must stay a boolean.
+    return (isinstance(current, bool) == isinstance(baseline, bool)
+            and current == baseline)
 
 
 def check_pair(current_path: str, baseline_path: str,
@@ -68,18 +45,36 @@ def check_pair(current_path: str, baseline_path: str,
     with open(baseline_path) as f:
         baseline = json.load(f)
 
-    ok = True
-    current_name = current.get("benchmark")
-    baseline_name = baseline.get("benchmark")
-    if current_name != baseline_name:
-        print(f"FAIL: benchmark name mismatch: {current_path} is "
-              f"{current_name!r} but {baseline_path} is {baseline_name!r}")
+    name = current["benchmark"]
+    if name != baseline["benchmark"]:
+        print(f"FAIL: benchmark name mismatch: {current_path} is {name!r} "
+              f"but {baseline_path} is {baseline['benchmark']!r}")
         return False
+
+    ok = True
+    invariants = current["invariants"]
+    baseline_invariants = baseline["invariants"]
+    for key in sorted(baseline_invariants.keys() - invariants.keys()):
+        print(f"FAIL: {name}: invariant {key} is missing from {current_path}")
+        ok = False
+    for key in sorted(invariants.keys() - baseline_invariants.keys()):
+        print(f"FAIL: {name}: invariant {key} has no baseline in "
+              f"{baseline_path} — refresh the committed baselines")
+        ok = False
+    for key, value in invariants.items():
+        if value is False:
+            print(f"FAIL: {name}: invariant {key} is false")
+            ok = False
+        elif (key in baseline_invariants
+              and not same(value, baseline_invariants[key])):
+            print(f"FAIL: {name}: invariant {key} drifted: baseline "
+                  f"{baseline_invariants[key]!r} vs current {value!r}")
+            ok = False
 
     def gate(label: str, current_ms: float, baseline_ms: float) -> bool:
         if baseline_ms <= 0:
-            print(f"FAIL: {label}: baseline wall_ms is {baseline_ms}; "
-                  f"nothing to compare")
+            print(f"FAIL: {label}: baseline is {baseline_ms} ms; nothing to "
+                  f"compare")
             return False
         ratio = current_ms / baseline_ms
         print(f"{label}: current {current_ms:.1f} ms vs baseline "
@@ -90,36 +85,22 @@ def check_pair(current_path: str, baseline_path: str,
             return False
         return True
 
-    ok &= gate(str(current_name), float(current["wall_ms"]),
-               float(baseline["wall_ms"]))
-
-    # Sub-benchmarks: every name measured now must have a committed
-    # baseline; a missing one is a hard error, not a silent pass.
-    current_subs = current.get("sub_benchmarks", {})
-    baseline_subs = baseline.get("sub_benchmarks", {})
-    for name, current_ms in current_subs.items():
-        if name not in baseline_subs:
-            print(f"FAIL: {current_name}/{name} has no baseline in "
-                  f"{baseline_path} — refresh the committed baselines")
-            ok = False
-            continue
-        ok &= gate(f"{current_name}/{name}", float(current_ms),
-                   float(baseline_subs[name]))
-    for name in baseline_subs:
-        if name not in current_subs:
-            print(f"warning: baseline sub-benchmark {current_name}/{name} "
-                  f"was not measured in this run")
-
-    for key in INVARIANT_KEYS:
-        if key in baseline and key in current and current[key] != baseline[key]:
-            print(f"FAIL: {current_name}: {key} drifted: "
-                  f"baseline {baseline[key]} vs current {current[key]}")
-            ok = False
+    ok &= gate(name, float(current["wall_ms"]), float(baseline["wall_ms"]))
+    subs = current["sub_benchmarks"]
+    baseline_subs = baseline["sub_benchmarks"]
+    for sub in sorted(subs.keys() ^ baseline_subs.keys()):
+        side = current_path if sub in subs else baseline_path
+        print(f"FAIL: {name}/{sub} is measured only in {side}")
+        ok = False
+    for sub, ms in subs.items():
+        if sub in baseline_subs:
+            ok &= gate(f"{name}/{sub}", float(ms), float(baseline_subs[sub]))
     return ok
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     parser.add_argument("--current", action="append", required=True,
                         help="probe JSON produced by this run (repeatable)")
     parser.add_argument("--baseline", action="append", required=True,

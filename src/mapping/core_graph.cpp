@@ -1,9 +1,25 @@
 #include "mapping/core_graph.h"
 
 #include <algorithm>
+#include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 namespace sunmap::mapping {
+
+namespace {
+
+/// Throws unless `value` is finite and positive, naming what it is and the
+/// value itself.
+void require_positive(double value, const std::string& what) {
+  if (std::isfinite(value) && value > 0.0) return;
+  std::ostringstream message;
+  message << "CoreGraph: " << what << " must be finite and positive, got "
+          << value;
+  throw std::invalid_argument(message.str());
+}
+
+}  // namespace
 
 CoreGraph::CoreGraph(std::string name) : name_(std::move(name)) {}
 
@@ -12,6 +28,20 @@ int CoreGraph::add_core(std::string name, fplan::BlockShape shape) {
     if (c.name == name) {
       throw std::invalid_argument("CoreGraph: duplicate core name " + name);
     }
+  }
+  const std::string what = "core " + name;
+  if (shape.soft) {
+    require_positive(shape.area_mm2, what + " area");
+  } else {
+    require_positive(shape.width_mm, what + " width");
+    require_positive(shape.height_mm, what + " height");
+    require_positive(shape.area_mm2, what + " area");
+  }
+  require_positive(shape.min_aspect, what + " min aspect");
+  require_positive(shape.max_aspect, what + " max aspect");
+  if (shape.max_aspect < shape.min_aspect) {
+    throw std::invalid_argument("CoreGraph: " + what +
+                                " has an inverted aspect range");
   }
   cores_.push_back(Core{std::move(name), shape});
   return graph_.add_node();
@@ -22,9 +52,7 @@ int CoreGraph::add_core(std::string name, double area_mm2) {
 }
 
 void CoreGraph::add_flow(int src_core, int dst_core, double bandwidth_mbps) {
-  if (bandwidth_mbps <= 0.0) {
-    throw std::invalid_argument("CoreGraph: bandwidth must be positive");
-  }
+  require_positive(bandwidth_mbps, "flow bandwidth");
   if (graph_.has_edge(src_core, dst_core)) {
     throw std::invalid_argument("CoreGraph: duplicate flow");
   }

@@ -26,14 +26,18 @@ class CoreGraph {
  public:
   explicit CoreGraph(std::string name);
 
-  /// Adds a core with an explicit block shape; returns its index.
+  /// Adds a core with an explicit block shape; returns its index. Throws
+  /// std::invalid_argument, naming the core and the value, on a duplicate
+  /// name, on a soft area, hard width or height, or aspect limit that is
+  /// not finite and positive, or on an inverted aspect range. Every core
+  /// graph (files, generators, built-in apps) is built through here.
   int add_core(std::string name, fplan::BlockShape shape);
   /// Adds a soft-block core with the given area.
   int add_core(std::string name, double area_mm2);
 
   /// Adds the directed communication edge e_{i,j} with bandwidth comm_{i,j}
   /// (MB/s). Throws if an edge between the pair already exists in this
-  /// direction or the bandwidth is not positive.
+  /// direction or the bandwidth is not finite and positive.
   void add_flow(int src_core, int dst_core, double bandwidth_mbps);
 
   [[nodiscard]] const std::string& name() const { return name_; }

@@ -557,11 +557,6 @@ MappingResult Mapper::map(const CoreGraph& app,
   return map(ctx, scratch);
 }
 
-MappingResult Mapper::map(const EvalContext& ctx) const {
-  EvalScratch scratch;
-  return map(ctx, scratch);
-}
-
 MappingResult Mapper::map(const EvalContext& ctx, EvalScratch& scratch) const {
   const CoreGraph& app = ctx.app();
   const topo::Topology& topology = ctx.topology();

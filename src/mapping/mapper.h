@@ -346,13 +346,6 @@ class Mapper {
   [[nodiscard]] MappingResult map(const EvalContext& ctx,
                                   EvalScratch& scratch) const;
 
-  /// Compatibility shim for the pre-session API: constructs a throwaway
-  /// scratch per call, so the incremental sessions are rebuilt every time.
-  /// Prefer map(ctx, scratch) with a scratch that outlives the call.
-  [[deprecated("use map(ctx, scratch) — a throwaway scratch rebuilds the "
-               "incremental sessions on every call")]] [[nodiscard]]
-  MappingResult map(const EvalContext& ctx) const;
-
   /// Builds the incremental evaluation engine for one (application,
   /// topology) pair under this mapper's configuration. The returned context
   /// borrows `app` and `topology`; both must outlive it.

@@ -497,9 +497,10 @@ ExplorationReport DesignSpaceExplorer::explore(
   // runs, so a bad axis value fails the whole request up front.
   for (const auto& point : points) point.config.validate();
 
-  // One shared mapper for the whole grid: Mapper::map(ctx) takes every
-  // setting from the context's bound config, and the technology point is
-  // not a sweep axis, so all points share one resolved area/power library.
+  // One shared mapper for the whole grid: Mapper::map(ctx, scratch) takes
+  // every setting from the context's bound config, and the technology point
+  // is not a sweep axis, so all points share one resolved area/power
+  // library.
   mapping::Mapper mapper(points.front().config);
 
   // Winner/Pareto accumulation is incremental and scalar-only, so the

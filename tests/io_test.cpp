@@ -92,6 +92,34 @@ TEST(CoreGraphIo, RejectsMalformedInput) {
   EXPECT_THROW(parse(""), std::runtime_error);
 }
 
+TEST(CoreGraphIo, RejectsNonFiniteAndNonPositiveValuesNamingLineAndValue) {
+  struct Case {
+    const char* text;
+    const char* line;
+    const char* value;
+  };
+  const Case cases[] = {
+      {"app x\ncore a 1.0\ncore b nan\n", "line 3", "got nan"},
+      {"app x\ncore a 1.0\ncore b -1\n", "line 3", "got -1"},
+      {"app x\ncore a 1.0\ncore b inf\n", "line 3", "got inf"},
+      {"app x\ncore a 1.0\ncore b hard 0 1\n", "line 3", "width"},
+      {"app x\ncore a soft 2.0 0 3\n", "line 2", "min aspect"},
+      {"app x\ncore a 1.0\ncore b 1.0\nflow a b nan\n", "line 4",
+       "got nan"},
+  };
+  for (const auto& c : cases) {
+    std::istringstream in(c.text);
+    try {
+      (void)read_core_graph(in);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(c.line), std::string::npos) << message;
+      EXPECT_NE(message.find(c.value), std::string::npos) << message;
+    }
+  }
+}
+
 TEST(CoreGraphIo, RoundTripsBuiltinApps) {
   for (const auto& app :
        {apps::vopd(), apps::mpeg4(), apps::dsp_filter(), apps::netproc16()}) {
