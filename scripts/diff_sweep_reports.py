@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Bit-identity check between two exploration CSV reports.
 
-Used by the CI distributed smoke sweep: a single-process `sunmap_cli
+Used by tests/request_paths_test.py: a single-process `sunmap_cli
 --sweep` run and a `--workers N` run over the same grid must emit
 identical reports — every scalar printed for every (point, topology)
 cell, winner rows included — except for the shard/worker provenance

@@ -1,6 +1,7 @@
 #include "apps/apps.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -178,6 +179,16 @@ CoreGraph mwd() {
   flow("jug2", "se", 96);
   flow("se", "blend", 64);
   return app;
+}
+
+std::optional<CoreGraph> by_name(const std::string& name) {
+  if (name == "vopd") return vopd();
+  if (name == "mpeg4") return mpeg4();
+  if (name == "dsp") return dsp_filter();
+  if (name == "netproc16") return netproc16();
+  if (name == "pip") return pip();
+  if (name == "mwd") return mwd();
+  return std::nullopt;
 }
 
 CoreGraph synthetic(const SyntheticSpec& spec) {

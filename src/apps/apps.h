@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "mapping/core_graph.h"
 
@@ -43,6 +45,11 @@ mapping::CoreGraph pip();
 /// from the same literature, a noise-reduction + scaling pipeline with
 /// three memories and a blender.
 mapping::CoreGraph mwd();
+
+/// The built-in benchmark a command line or daemon request names: vopd,
+/// mpeg4, dsp (dsp_filter), netproc16, pip or mwd; nullopt for any other
+/// name.
+std::optional<mapping::CoreGraph> by_name(const std::string& name);
 
 /// Parameters for the synthetic workload generator.
 struct SyntheticSpec {

@@ -4,6 +4,7 @@
 #include "mapping/search_strategy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -145,8 +146,8 @@ void MapperConfig::validate() const {
     fail("annealing_iterations must be >= 0, got " +
          std::to_string(annealing_iterations));
   }
-  if (!(annealing_t0 >= 0.0)) {
-    fail("annealing_t0 must be >= 0, got " + num(annealing_t0));
+  if (!(annealing_t0 >= 0.0) || !std::isfinite(annealing_t0)) {
+    fail("annealing_t0 must be finite and >= 0, got " + num(annealing_t0));
   }
   if (!(annealing_cooling > 0.0 && annealing_cooling <= 1.0)) {
     fail("annealing_cooling must be in (0, 1], got " + num(annealing_cooling));
@@ -166,23 +167,17 @@ void MapperConfig::validate() const {
   if (num_threads < 1) {
     fail("num_threads must be >= 1, got " + std::to_string(num_threads));
   }
-  if (sim_finalists < 0) {
-    fail("sim_finalists must be >= 0, got " + std::to_string(sim_finalists));
-  }
-  if (!(sim_flits_per_cycle_per_gbps > 0.0)) {
-    fail("sim_flits_per_cycle_per_gbps must be positive, got " +
+  if (!(sim_flits_per_cycle_per_gbps > 0.0) ||
+      !std::isfinite(sim_flits_per_cycle_per_gbps)) {
+    fail("sim_flits_per_cycle_per_gbps must be finite and positive, got " +
          num(sim_flits_per_cycle_per_gbps));
-  }
-  if (sim_rank && sim_finalists < 1) {
-    fail("sim_rank requires sim_finalists >= 1 (the analytical prefilter "
-         "that picks the cells to re-rank), got sim_finalists=" +
-         std::to_string(sim_finalists));
   }
   if (sim_seed == 0) {
     fail("sim_seed must be >= 1 (0 is reserved as \"not a seed\"), got 0");
   }
-  if (!(sim_burst_len >= 1.0)) {
-    fail("sim_burst_len must be >= 1 cycle, got " + num(sim_burst_len));
+  if (!(sim_burst_len >= 1.0) || !std::isfinite(sim_burst_len)) {
+    fail("sim_burst_len must be finite and >= 1 cycle, got " +
+         num(sim_burst_len));
   }
   if (!(sim_burst_duty > 0.0 && sim_burst_duty < 1.0)) {
     fail("sim_burst_duty must be in (0, 1), got " + num(sim_burst_duty));
@@ -195,9 +190,12 @@ void MapperConfig::validate() const {
     fail("floorplan spacing_mm must be >= 0, got " +
          num(floorplan.spacing_mm));
   }
-  if (!(weights.delay >= 0.0 && weights.area >= 0.0 && weights.power >= 0.0)) {
-    fail("objective weights must be >= 0, got delay=" + num(weights.delay) +
-         " area=" + num(weights.area) + " power=" + num(weights.power));
+  const auto weight_ok = [](double w) { return w >= 0.0 && std::isfinite(w); };
+  if (!(weight_ok(weights.delay) && weight_ok(weights.area) &&
+        weight_ok(weights.power))) {
+    fail("objective weights must be finite and >= 0, got delay=" +
+         num(weights.delay) + " area=" + num(weights.area) +
+         " power=" + num(weights.power));
   }
   if (!(weights.ref_hops > 0.0 && weights.ref_area_mm2 > 0.0 &&
         weights.ref_power_mw > 0.0)) {

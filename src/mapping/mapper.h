@@ -32,6 +32,7 @@ struct ObjectiveWeights {
   double ref_hops = 3.0;
   double ref_area_mm2 = 60.0;
   double ref_power_mw = 400.0;
+  bool operator==(const ObjectiveWeights&) const = default;
 };
 
 /// Which mapping-search strategy Mapper runs after the greedy initial
@@ -176,25 +177,16 @@ struct MapperConfig {
   /// sequential search. 1 (the default) runs fully sequential.
   int num_threads = 1;
 
-  /// Simulator-backed finalist tier (consumed by the explorer and the CLI,
-  /// not by Mapper::map itself): after the analytically-pruned search, the
-  /// flit-level simulator re-scores the top-K feasible candidates per
-  /// objective with contention-aware delay. 0 disables the tier.
-  int sim_finalists = 0;
-  /// Simulation engine for the finalist tier and --sim-validate: the
-  /// event-driven engine (default) or the cycle-stepped reference. Both are
-  /// bit-identical; the choice exists for A/B checks and perf probes.
+  /// Settings of the simulator-backed finalist tier, which
+  /// ExplorationRequest::sim_finalists and sim_rank switch on (Mapper::map
+  /// reads none of them). Simulation engine for the finalist tier and
+  /// --sim-validate: the event-driven engine (default) or the cycle-stepped
+  /// reference. Both are bit-identical; the choice exists for A/B checks
+  /// and perf probes.
   sim::SimEngine sim_engine = sim::SimEngine::kEventDriven;
   /// MB/s -> flits/cycle conversion for the simulated application trace
   /// (sim::TraceTraffic's scaling knob).
   double sim_flits_per_cycle_per_gbps = 0.05;
-  /// Rank by simulated delay (--sim-rank): after the finalist tier scores
-  /// the top-K feasible cells of each objective group, each group is
-  /// re-ranked by contention-aware simulated delay and the sim winners are
-  /// reported alongside the analytical ones (two-phase rank: analytical
-  /// prefilter, simulated re-rank). Purely additive — analytical results
-  /// and winners are untouched. Requires sim_finalists >= 1.
-  bool sim_rank = false;
   /// PRNG seed of the finalist-tier simulator, decoupled from the mapping
   /// search's seed so the two streams can be varied independently
   /// (--sim-seed). 1 — the default — reproduces the historical behavior
@@ -218,6 +210,9 @@ struct MapperConfig {
   /// Mapper's constructor, the DesignSpaceExplorer, and the CLI all call
   /// this instead of keeping their own ad-hoc checks.
   void validate() const;
+
+  /// Memberwise equality (io::encode_request's read-back check).
+  bool operator==(const MapperConfig&) const = default;
 };
 
 /// Everything phase 2 needs to compare a mapped topology against the rest —

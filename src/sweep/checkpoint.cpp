@@ -103,7 +103,9 @@ void hash_config(Fnv1a& fnv, const mapping::MapperConfig& config) {
   fnv.u64(config.annealing_seed);
   fnv.i64(config.annealing_restarts);
   fnv.i64(config.annealing_reheats);
+  fnv.f64(config.annealing_chain_move_prob);
   fnv.i64(config.reroute_passes);
+  fnv.i64(config.split_chunks);
   hash_floorplan_options(fnv, config.floorplan);
   hash_fault_set(fnv, config.faults);
 }

@@ -9,7 +9,7 @@
 
 namespace sunmap::sweep {
 
-/// Checkpoint journal format (version 1):
+/// Checkpoint journal format (version 2):
 ///
 ///   [8B magic "SWEEPJNL"][u32 version][u64 request fingerprint]
 ///   [u32 description length][description bytes]
@@ -23,7 +23,9 @@ namespace sunmap::sweep {
 /// different request is rejected, never silently merged.
 inline constexpr char kJournalMagic[8] = {'S', 'W', 'E', 'E',
                                           'P', 'J', 'N', 'L'};
-inline constexpr std::uint32_t kJournalVersion = 1;
+/// Version 2 added split_chunks and annealing_chain_move_prob to the
+/// fingerprint, so a version-1 journal may hold other values of either.
+inline constexpr std::uint32_t kJournalVersion = 2;
 
 struct JournalHeader {
   std::uint32_t version = kJournalVersion;
@@ -86,7 +88,8 @@ class JournalWriter {
 /// FNV-1a digest of every result-affecting field of an exploration request:
 /// the application (name, cores, commodities), the topology library, every
 /// sweep axis, and the base configuration (objective/routing/search,
-/// constraints, weights, annealing schedule, floorplan options, fault set).
+/// constraints, weights, annealing schedule and chain-move probability,
+/// split-all chunks, floorplan options, fault set).
 /// Deliberately excluded: thread counts, streaming callbacks, point
 /// sub-ranges, and context pools — none change any result bit, so a resume
 /// may vary them freely.

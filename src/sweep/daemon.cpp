@@ -8,19 +8,19 @@
 
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "apps/apps.h"
 #include "io/exploration_io.h"
+#include "io/request_codec.h"
 #include "select/explorer.h"
 #include "sweep/coordinator.h"
 #include "topo/library.h"
@@ -28,48 +28,6 @@
 namespace sunmap::sweep {
 
 namespace {
-
-std::optional<mapping::CoreGraph> builtin_app(const std::string& name) {
-  if (name == "vopd") return apps::vopd();
-  if (name == "mpeg4") return apps::mpeg4();
-  if (name == "dsp") return apps::dsp_filter();
-  if (name == "netproc16") return apps::netproc16();
-  if (name == "pip") return apps::pip();
-  if (name == "mwd") return apps::mwd();
-  return std::nullopt;
-}
-
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> items;
-  std::stringstream stream(text);
-  std::string item;
-  while (std::getline(stream, item, ',')) {
-    if (!item.empty()) items.push_back(item);
-  }
-  return items;
-}
-
-std::optional<mapping::Objective> parse_objective(const std::string& text) {
-  if (text == "delay") return mapping::Objective::kMinDelay;
-  if (text == "area") return mapping::Objective::kMinArea;
-  if (text == "power") return mapping::Objective::kMinPower;
-  if (text == "weighted") return mapping::Objective::kWeighted;
-  return std::nullopt;
-}
-
-std::optional<route::RoutingKind> parse_routing(const std::string& text) {
-  for (route::RoutingKind kind : route::kAllRoutingKinds) {
-    if (text == route::to_string(kind)) return kind;
-  }
-  return std::nullopt;
-}
-
-std::optional<mapping::SearchKind> parse_search(const std::string& text) {
-  if (text == "greedy") return mapping::SearchKind::kGreedySwaps;
-  if (text == "sa") return mapping::SearchKind::kAnnealing;
-  if (text == "rsa") return mapping::SearchKind::kRestartAnnealing;
-  return std::nullopt;
-}
 
 /// One resident (application, library) pair with its live context pool.
 /// The app and library are heap-stable, so the pool's identity binding
@@ -89,128 +47,72 @@ struct PoolEntry {
 /// next to an explore), so two threads never build the same key twice;
 /// entries are never erased once created, so the returned reference stays
 /// valid after the lock is released (std::map nodes are address-stable).
-PoolEntry& resolve_pool(const std::map<std::string, std::string>& fields,
+PoolEntry& resolve_pool(const io::DecodedRequest& decoded,
                         std::map<std::string, PoolEntry>& pools,
                         std::mutex& pools_mutex) {
-  const auto app_it = fields.find("app");
-  if (app_it == fields.end()) {
+  if (decoded.app.empty()) {
     throw std::runtime_error("request needs app=<name>");
   }
-  const bool extensions =
-      fields.count("extensions") != 0 && fields.at("extensions") == "1";
-  const std::string pool_key = app_it->second + (extensions ? "+ext" : "");
+  const std::string pool_key =
+      decoded.app + (decoded.extensions ? "+ext" : "");
   std::lock_guard<std::mutex> lock(pools_mutex);
   const auto [entry_it, inserted] = pools.try_emplace(pool_key);
   if (inserted) {
-    auto app = builtin_app(app_it->second);
+    auto app = apps::by_name(decoded.app);
     if (!app) {
       pools.erase(entry_it);
-      throw std::runtime_error("unknown app " + app_it->second);
+      throw std::runtime_error("unknown app " + decoded.app);
     }
     entry_it->second.app =
         std::make_unique<mapping::CoreGraph>(std::move(*app));
-    entry_it->second.library =
-        topo::standard_library(entry_it->second.app->num_cores(), extensions);
+    entry_it->second.library = topo::standard_library(
+        entry_it->second.app->num_cores(), decoded.extensions);
   }
   return entry_it->second;
-}
-
-/// Serves one parsed request against its resolved pool entry; throws
-/// std::runtime_error with a client-facing message on bad input. The
-/// caller must hold entry.mutex.
-std::string handle_request(const std::map<std::string, std::string>& fields,
-                           PoolEntry& entry) {
-  select::ExplorationRequest request;
-  request.app = entry.app.get();
-  request.library = &entry.library;
-  request.context_pool = &entry.pool;
-  const auto field = [&](const char* key) -> std::string {
-    const auto it = fields.find(key);
-    return it != fields.end() ? it->second : std::string();
-  };
-  for (const auto& text : split_list(field("objectives"))) {
-    const auto objective = parse_objective(text);
-    if (!objective) throw std::runtime_error("unknown objective " + text);
-    request.objectives.push_back(*objective);
-  }
-  for (const auto& text : split_list(field("routings"))) {
-    const auto kind = parse_routing(text);
-    if (!kind) throw std::runtime_error("unknown routing " + text);
-    request.routings.push_back(*kind);
-  }
-  for (const auto& text : split_list(field("searches"))) {
-    const auto kind = parse_search(text);
-    if (!kind) throw std::runtime_error("unknown search " + text);
-    request.searches.push_back(*kind);
-  }
-  try {
-    for (const auto& text : split_list(field("bandwidths"))) {
-      request.link_bandwidths_mbps.push_back(std::stod(text));
-    }
-    for (const auto& text : split_list(field("areas"))) {
-      request.max_areas_mm2.push_back(std::stod(text));
-    }
-    for (const auto& text : split_list(field("restarts"))) {
-      request.restart_counts.push_back(std::stoi(text));
-    }
-    for (const auto& text : split_list(field("swap_passes"))) {
-      request.swap_passes.push_back(std::stoi(text));
-    }
-    if (!field("threads").empty()) {
-      request.num_threads = std::stoi(field("threads"));
-    }
-  } catch (const std::invalid_argument&) {
-    throw std::runtime_error("bad numeric list value");
-  } catch (const std::out_of_range&) {
-    throw std::runtime_error("bad numeric list value");
-  }
-
-  select::DesignSpaceExplorer explorer;
-  return io::exploration_report_json(explorer.explore(request));
-}
-
-std::map<std::string, std::string> parse_fields(const std::string& text) {
-  std::map<std::string, std::string> fields;
-  std::stringstream stream(text);
-  std::string line;
-  while (std::getline(stream, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) break;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("bad request line (want key=value): " + line);
-    }
-    fields[line.substr(0, eq)] = line.substr(eq + 1);
-  }
-  if (fields.empty()) throw std::runtime_error("empty request");
-  return fields;
 }
 
 void write_all_fd(int fd, const char* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
+    // MSG_NOSIGNAL: a peer that hung up must not SIGPIPE the process.
+    const ssize_t n = ::send(fd, data + done, size - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return;  // Client gone; nothing useful left to do with this conn.
+      return;  // Peer gone; nothing useful left to do with this conn.
     }
     done += static_cast<std::size_t>(n);
   }
 }
 
-/// Reads the whole request: until a blank line terminator or EOF.
+/// Reads one request: until a blank terminator line or EOF. Throws
+/// std::runtime_error when the whole request has not arrived within
+/// kRequestDeadlineMs or exceeds kMaxRequestBytes, so a silent or flooding
+/// client holds an accept thread for at most the deadline.
 std::string read_request(int fd) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(kRequestDeadlineMs);
   std::string text;
   char buffer[4096];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
+  while (text.find("\n\n") == std::string::npos) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          deadline - std::chrono::steady_clock::now())
+                          .count();
+    pollfd client{fd, POLLIN, 0};
+    const int ready =
+        left > 0 ? ::poll(&client, 1, static_cast<int>(left)) : 0;
+    if (ready == 0) {
+      throw std::runtime_error("no complete request within " +
+                               std::to_string(kRequestDeadlineMs) + " ms");
     }
-    if (n == 0) break;
+    if (ready < 0) continue;  // EINTR; the deadline still bounds the wait.
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;
     text.append(buffer, static_cast<std::size_t>(n));
-    if (text.find("\n\n") != std::string::npos) break;
+    if (text.size() > kMaxRequestBytes) {
+      throw std::runtime_error("request exceeds " +
+                               std::to_string(kMaxRequestBytes) + " bytes");
+    }
   }
   return text;
 }
@@ -287,10 +189,15 @@ DaemonStats serve(const DaemonOptions& options) {
       }
       std::string response;
       try {
-        const auto fields = parse_fields(read_request(conn));
-        PoolEntry& entry = resolve_pool(fields, pools, pools_mutex);
+        auto decoded = io::decode_request(read_request(conn));
+        PoolEntry& entry = resolve_pool(decoded, pools, pools_mutex);
         std::lock_guard<std::mutex> lock(entry.mutex);
-        const std::string json = handle_request(fields, entry);
+        auto& request = decoded.request;
+        request.app = entry.app.get();
+        request.library = &entry.library;
+        request.context_pool = &entry.pool;
+        const std::string json = io::exploration_report_json(
+            select::DesignSpaceExplorer().explore(request));
         response = "OK " + std::to_string(json.size()) + "\n" + json;
         const int count = served.fetch_add(1) + 1;
         if (options.verbose) {

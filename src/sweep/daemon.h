@@ -1,8 +1,15 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace sunmap::sweep {
+
+/// How long the daemon waits, from accepting a connection, for the whole
+/// request before it answers ERR and moves on to the next client.
+inline constexpr int kRequestDeadlineMs = 2000;
+/// Longest request the daemon reads; a longer one is answered with ERR.
+inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 
 /// Persistent sweep service over a unix-domain stream socket. The daemon
 /// keeps one evaluation-context pool per (application, library) pair alive
@@ -11,14 +18,26 @@ namespace sunmap::sweep {
 /// see select::ExplorerContextPool and EvalContext::rebind).
 ///
 /// Request protocol: newline-separated `key=value` lines terminated by a
-/// blank line (or EOF). Keys:
+/// blank line (or EOF), decoded by io::decode_request. One key per request
+/// flag of sunmap_cli; `app` is required:
 ///
-///   app=<vopd|mpeg4|dsp|netproc16|pip|mwd>      (required)
-///   objectives=delay,area,power,weighted
-///   routings=DO,MP,SM,SA
-///   bandwidths=<MBps,...>    areas=<mm2,...>
-///   searches=greedy,sa,rsa   restarts=<n,...>   swap_passes=<n,...>
-///   extensions=0|1           threads=<n>
+///   app=<vopd|mpeg4|dsp|netproc16|pip|mwd>   extensions=0|1
+///   objectives=delay,area,power,weighted      routings=DO,MP,SM,SA
+///   bandwidths=<MBps,...>  areas=<mm2,...>     threads=<n>
+///   searches=greedy,sa,rsa restarts=<n,...>    swap_passes=<n,...>
+///   reheat=<n>  fplan_engine=lp,simplex        fplan_sizing_passes=<n,...>
+///   faults=<none|n1|rand[M],...> or one explicit list "a-b,c-d,sN/..."
+///   fault_samples=<n>  fault_seed=<s>  fault_mode=worst|weighted
+///   fault_penalty=<x>  w_delay=<x>  w_area=<x>  w_power=<x>
+///   sim_engine=event|cycle  sim_finalists=<n>  sim_validate=0|1
+///   sim_rank=0|1  sim_seed=<s>  sim_traffic=trace|bursty
+///   sim_burst_len=<c>  sim_burst_duty=<d>
+///
+/// sim_validate=1 scores every feasible cell; sim_rank=1 with no finalist
+/// count re-ranks the top 3 of each objective group.
+/// An unknown or repeated key, or a bad value, is answered with an error
+/// naming it. A client must send its whole request within
+/// kRequestDeadlineMs of being accepted, and at most kMaxRequestBytes.
 ///
 /// Response: `OK <byte count>\n` followed by exactly that many bytes of
 /// io::exploration_report_json, or `ERR <message>\n`.

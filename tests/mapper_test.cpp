@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 
 #include "apps/apps.h"
@@ -70,6 +71,8 @@ TEST(MapperConfig, ValidateRejectsEachBadField) {
   rejects([](MapperConfig& c) { c.annealing_iterations = -3; }, "got -3");
   rejects([](MapperConfig& c) { c.annealing_t0 = -0.5; },
           "got " + std::to_string(-0.5));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  rejects([](MapperConfig& c) { c.annealing_t0 = kInf; }, "got inf");
   rejects([](MapperConfig& c) { c.annealing_cooling = 0.0; },
           "got " + std::to_string(0.0));
   rejects([](MapperConfig& c) { c.annealing_cooling = 1.5; },
@@ -82,6 +85,10 @@ TEST(MapperConfig, ValidateRejectsEachBadField) {
           std::to_string(-0.25));
   rejects([](MapperConfig& c) { c.weights.delay = -1.0; },
           "delay=" + std::to_string(-1.0));
+  // +inf has no meaning as a weight: every weighted cost would read inf.
+  rejects([](MapperConfig& c) { c.weights.delay = kInf; }, "delay=inf");
+  rejects([](MapperConfig& c) { c.weights.area = kInf; }, "area=inf");
+  rejects([](MapperConfig& c) { c.weights.power = kInf; }, "power=inf");
   rejects([](MapperConfig& c) { c.weights.ref_power_mw = 0.0; },
           std::to_string(0.0));
   rejects([](MapperConfig& c) { c.faults.infeasible_penalty = 0.5; },

@@ -741,28 +741,25 @@ TEST(SimEvaluator, CachesLayoutsPerTopologyAndRejectsBareResults) {
 
 TEST(MapperConfigValidate, ChecksSimTierFields) {
   mapping::MapperConfig config;
-  config.sim_finalists = -1;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.sim_finalists = 2;
   config.sim_flits_per_cycle_per_gbps = 0.0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.sim_flits_per_cycle_per_gbps = -0.5;
   EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.sim_flits_per_cycle_per_gbps =
+      std::numeric_limits<double>::infinity();
+  EXPECT_THROW(config.validate(), std::invalid_argument);
   config.sim_flits_per_cycle_per_gbps = 0.05;
   EXPECT_NO_THROW(config.validate());
 
-  // The simulated-delay re-rank needs a prefilter, the simulator seed must
-  // be a seed, and the burst shape must be a valid on/off process.
-  config.sim_rank = true;
-  config.sim_finalists = 0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.sim_finalists = 2;
-  EXPECT_NO_THROW(config.validate());
+  // The simulator seed must be a seed, and the burst shape must be a valid
+  // on/off process.
   config.sim_seed = 0;
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.sim_seed = 42;
   EXPECT_NO_THROW(config.validate());
   config.sim_burst_len = 0.5;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
+  config.sim_burst_len = std::numeric_limits<double>::infinity();
   EXPECT_THROW(config.validate(), std::invalid_argument);
   config.sim_burst_len = 50.0;
   config.sim_burst_duty = 1.0;

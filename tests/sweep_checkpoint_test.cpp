@@ -155,15 +155,20 @@ TEST(Checkpoint, RejectsForeignMagicAndFutureVersion) {
     auto writer = JournalWriter::create(path, JournalHeader{});
     writer.close();
   }
-  auto bytes = slurp(path);
-  bytes[8] = 99;  // Version field (little-endian u32 after the magic).
-  dump(path, bytes);
-  try {
-    (void)read_journal(path);
-    FAIL() << "expected a version error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
-        << e.what();
+  // Version 1 predates the fingerprint's split_chunks and chain-move
+  // fields, so it is refused like a future version.
+  for (const char version : {1, 99}) {
+    auto bytes = slurp(path);
+    bytes[8] = version;  // Version field (little-endian u32 after the magic).
+    dump(path, bytes);
+    try {
+      (void)read_journal(path);
+      ADD_FAILURE() << "expected a version error for version "
+                    << static_cast<int>(version);
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }
@@ -192,6 +197,17 @@ TEST(Checkpoint, FingerprintCoversResultAffectingFieldsOnly) {
   auto different_base = request;
   different_base.base.max_area_mm2 = 55.0;
   EXPECT_NE(request_fingerprint(different_base), base_print);
+
+  // split_chunks changes split-all routes and the chain-move probability
+  // changes annealing walks, so a journal written under another value of
+  // either must not resume.
+  auto different_chunks = request;
+  different_chunks.base.split_chunks = 8;
+  EXPECT_NE(request_fingerprint(different_chunks), base_print);
+
+  auto different_chain = request;
+  different_chain.base.annealing_chain_move_prob = 0.25;
+  EXPECT_NE(request_fingerprint(different_chain), base_print);
 }
 
 TEST(Checkpoint, ResumeRejectsMismatchedFingerprintNamingBoth) {

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
+#include <cstring>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -380,6 +386,98 @@ TEST(Sweep, ThreadedDaemonServesConcurrentClients) {
   EXPECT_EQ(pip_reply, pip_reference);
   EXPECT_EQ(stats.requests_served, 4);
   EXPECT_EQ(stats.requests_failed, 0);
+}
+
+/// Connects to a daemon socket, retrying while its listener comes up; -1
+/// when it never does.
+int connect_when_up(const std::string& socket_path) {
+  sockaddr_un address{};
+  address.sun_family = AF_UNIX;
+  std::strncpy(address.sun_path, socket_path.c_str(),
+               sizeof(address.sun_path) - 1);
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&address),
+                  sizeof(address)) == 0) {
+      return fd;
+    }
+    ::close(fd);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return -1;
+}
+
+TEST(Sweep, SilentClientHoldsTheDaemonForAtMostTheDeadline) {
+  const std::string socket_path =
+      testing::TempDir() + "sweep_daemon_idle.sock";
+  DaemonOptions options;  // One accept thread.
+  options.socket_path = socket_path;
+  options.max_requests = 2;
+  reset_stop();
+  DaemonStats stats;
+  std::thread server([&]() { stats = serve(options); });
+
+  // The first client connects and never sends; the only accept thread
+  // takes it first. The second client's request must still be answered.
+  const int silent = connect_when_up(socket_path);
+  ASSERT_GE(silent, 0) << "daemon never came up";
+  auto reply = std::async(std::launch::async, [&]() {
+    return call_daemon(socket_path, "app=pip\nobjectives=delay\nroutings=DO\n");
+  });
+  const bool answered =
+      reply.wait_for(std::chrono::milliseconds(kRequestDeadlineMs + 3000)) ==
+      std::future_status::ready;
+  EXPECT_TRUE(answered) << "a silent client blocked the daemon";
+  if (answered) {
+    // The silent client was told why it was dropped.
+    std::string text;
+    char buffer[256];
+    ssize_t n = 0;
+    while ((n = ::read(silent, buffer, sizeof(buffer))) > 0) {
+      text.append(buffer, static_cast<std::size_t>(n));
+    }
+    EXPECT_EQ(text.rfind("ERR ", 0), 0u) << text;
+    EXPECT_NE(text.find(std::to_string(kRequestDeadlineMs) + " ms"),
+              std::string::npos)
+        << text;
+  }
+  ::close(silent);  // Unblocks a daemon that waits on it regardless.
+  EXPECT_NE(reply.get().find("\"winners\""), std::string::npos);
+  server.join();
+  EXPECT_EQ(stats.requests_served, 1);
+  EXPECT_EQ(stats.requests_failed, 1);
+}
+
+TEST(Sweep, DaemonRejectsOversizedRequestNamingTheCap) {
+  const std::string socket_path = testing::TempDir() + "sweep_daemon_cap.sock";
+  DaemonOptions options;
+  options.socket_path = socket_path;
+  options.max_requests = 1;
+  reset_stop();
+  DaemonStats stats;
+  std::thread server([&]() { stats = serve(options); });
+
+  // One line longer than the cap, with no blank terminator inside it.
+  const std::string oversized =
+      "app=vopd\nobjectives=" + std::string(kMaxRequestBytes, 'x') + "\n";
+  std::string error;
+  for (int attempt = 0; attempt < 100 && error.empty(); ++attempt) {
+    try {
+      (void)call_daemon(socket_path, oversized);
+      error = "(answered OK)";
+    } catch (const std::runtime_error& e) {
+      if (std::string(e.what()).find("cannot connect") == std::string::npos) {
+        error = e.what();
+      } else {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+  }
+  server.join();
+  EXPECT_NE(error.find(std::to_string(kMaxRequestBytes) + " bytes"),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(stats.requests_failed, 1);
 }
 
 }  // namespace
