@@ -1,6 +1,7 @@
 #include "fault/fault.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/prng.h"
@@ -21,12 +22,14 @@ void FaultSet::validate() const {
   const auto fail = [](const std::string& what) {
     throw std::invalid_argument("FaultSet: " + what);
   };
-  if (!(infeasible_penalty >= 1.0)) {
-    fail("infeasible_penalty must be >= 1, got " +
+  // +inf passes a plain range check but turns every faulty cost into inf,
+  // which still ranks as a feasible winner; so each value must be finite.
+  if (!(infeasible_penalty >= 1.0) || !std::isfinite(infeasible_penalty)) {
+    fail("infeasible_penalty must be finite and >= 1, got " +
          std::to_string(infeasible_penalty));
   }
-  if (!(fault_free_weight >= 0.0)) {
-    fail("fault_free_weight must be >= 0, got " +
+  if (!(fault_free_weight >= 0.0) || !std::isfinite(fault_free_weight)) {
+    fail("fault_free_weight must be finite and >= 0, got " +
          std::to_string(fault_free_weight));
   }
   if (spec.kind == FaultSpec::Kind::kRandom) {
@@ -42,8 +45,8 @@ void FaultSet::validate() const {
   if (spec.kind == FaultSpec::Kind::kExplicit) {
     double weight_total = fault_free_weight;
     for (const auto& scenario : spec.scenarios) {
-      if (!(scenario.weight >= 0.0)) {
-        fail("scenario weight must be >= 0, got " +
+      if (!(scenario.weight >= 0.0) || !std::isfinite(scenario.weight)) {
+        fail("scenario weight must be finite and >= 0, got " +
              std::to_string(scenario.weight));
       }
       weight_total += scenario.weight;
@@ -138,8 +141,10 @@ std::vector<FaultScenario> materialize(const FaultSpec& spec,
       scenarios.reserve(links.size());
       for (const auto& link : links) {
         FaultScenario scenario;
-        scenario.name = "L" + std::to_string(link.a) + "-" +
-                        std::to_string(link.b);
+        scenario.name = "L";
+        scenario.name += std::to_string(link.a);
+        scenario.name += '-';
+        scenario.name += std::to_string(link.b);
         add_link_edges(topology, link, scenario);
         scenarios.push_back(std::move(scenario));
       }

@@ -78,8 +78,10 @@ std::string render_ascii(const Floorplan& floorplan, int width_chars) {
   return render_ascii(
       floorplan,
       [](const PlacedBlock& block) {
-        return (block.kind == PlacedBlock::Kind::kCore ? "c" : "S") +
-               std::to_string(block.index);
+        std::string label =
+            block.kind == PlacedBlock::Kind::kCore ? "c" : "S";
+        label += std::to_string(block.index);
+        return label;
       },
       width_chars);
 }

@@ -67,10 +67,6 @@ std::vector<int> bfs_distances_to(const DirectedGraph& g, NodeId dst,
   return bfs_impl(g, dst, /*reverse=*/true, filter);
 }
 
-int hop_distance(const DirectedGraph& g, NodeId src, NodeId dst) {
-  return bfs_distances(g, src)[static_cast<std::size_t>(dst)];
-}
-
 std::vector<std::vector<int>> all_pairs_hops(const DirectedGraph& g) {
   std::vector<std::vector<int>> dist;
   dist.reserve(static_cast<std::size_t>(g.num_nodes()));

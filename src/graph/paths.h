@@ -149,9 +149,6 @@ std::vector<int> bfs_distances(const DirectedGraph& g, NodeId src,
 std::vector<int> bfs_distances_to(const DirectedGraph& g, NodeId dst,
                                   const NodeFilterFn& filter = nullptr);
 
-/// Hop distance src->dst, or -1 if unreachable.
-int hop_distance(const DirectedGraph& g, NodeId src, NodeId dst);
-
 /// All-pairs hop-distance matrix (BFS from every node); dist[u][v] == -1 for
 /// unreachable pairs.
 std::vector<std::vector<int>> all_pairs_hops(const DirectedGraph& g);

@@ -34,35 +34,6 @@ std::string selection_report_csv(const select::SelectionReport& report) {
   return out.str();
 }
 
-std::string pareto_csv(const std::vector<select::ParetoPoint>& frontier) {
-  std::ostringstream out;
-  out << "area_mm2,power_mw\n";
-  for (const auto& point : frontier) {
-    out << point.area_mm2 << "," << point.power_mw << "\n";
-  }
-  return out.str();
-}
-
-std::string series_csv(const std::string& x_name,
-                       const std::vector<double>& xs,
-                       const std::vector<CsvSeries>& series) {
-  for (const auto& s : series) {
-    if (s.values.size() != xs.size()) {
-      throw std::invalid_argument("series_csv: length mismatch in " + s.name);
-    }
-  }
-  std::ostringstream out;
-  out << csv_field(x_name);
-  for (const auto& s : series) out << "," << csv_field(s.name);
-  out << "\n";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    out << xs[i];
-    for (const auto& s : series) out << "," << s.values[i];
-    out << "\n";
-  }
-  return out.str();
-}
-
 void write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path);
   if (!out) {

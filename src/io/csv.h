@@ -1,7 +1,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "select/selector.h"
 
@@ -14,19 +13,6 @@ namespace sunmap::io {
 /// topology,feasible,avg_hops,avg_latency_ns,design_area_mm2,
 /// design_power_mw,dynamic_power_mw,static_power_mw,min_bandwidth_mbps,cost
 std::string selection_report_csv(const select::SelectionReport& report);
-
-/// area_mm2,power_mw — one row per Pareto point.
-std::string pareto_csv(const std::vector<select::ParetoPoint>& frontier);
-
-/// Generic numeric series: first column x, then one column per named
-/// series. Series must all have the same length as xs.
-struct CsvSeries {
-  std::string name;
-  std::vector<double> values;
-};
-std::string series_csv(const std::string& x_name,
-                       const std::vector<double>& xs,
-                       const std::vector<CsvSeries>& series);
 
 /// Quotes a CSV field when needed (commas, quotes, or newlines inside),
 /// per RFC 4180. Shared by every CSV writer so user-supplied names (custom

@@ -387,7 +387,7 @@ void each_key(Archive& v, DecodedRequest& decoded) {
 }
 
 /// Equal on every field the request text describes; the bindings (app,
-/// library, context_pool, on_point, the point sub-range) are not compared.
+/// library, context_pool) are not compared.
 bool same_request(const DecodedRequest& a, const DecodedRequest& b) {
   const auto& x = a.request;
   const auto& y = b.request;

@@ -28,7 +28,7 @@ std::string format_number(double value) {
 }
 
 /// Runs `worker` on this thread plus num_workers - 1 spawned ones and
-/// joins — the shared scaffold of the buffered and streaming sweep paths
+/// joins — the shared scaffold of the mapping loop and the finalist tier
 /// (the worker captures its own work queue and error slot).
 void run_worker_pool(int num_workers, const std::function<void()>& worker) {
   if (num_workers <= 1) {
@@ -265,6 +265,25 @@ std::vector<ObjectiveBest> WinnerTracker::take() {
   return std::move(winners_);
 }
 
+void finish_report(const ExplorationRequest& request,
+                   ExplorationReport& report) {
+  WinnerTracker tracker(request);
+  std::vector<std::pair<double, double>> area_power;
+  for (std::size_t p = 0; p < report.results.size(); ++p) {
+    auto& result = report.results[p];
+    result.selection.best_index =
+        best_feasible_index(result.selection.candidates);
+    tracker.consider(result, static_cast<int>(p));
+    for (const auto& candidate : result.selection.candidates) {
+      if (!candidate.feasible()) continue;
+      area_power.emplace_back(candidate.result.eval.design_area_mm2,
+                              candidate.result.eval.design_power_mw);
+    }
+  }
+  report.winners = tracker.take();
+  report.pareto = pareto_frontier(area_power);
+}
+
 std::size_t ExplorationRequest::num_points() const {
   const auto axis = [](std::size_t n) { return n == 0 ? 1 : n; };
   return axis(floorplan_options.size()) * axis(fault_sets.size()) *
@@ -319,12 +338,6 @@ const TopologyCandidate* ExplorationReport::winner(
   for (const auto& best : winners) {
     if (best.objective != objective) continue;
     if (!best.found()) return nullptr;
-    // A streamed report (ExplorationRequest::on_point) retains no per-point
-    // results to point into; the winner coordinates in `winners` are still
-    // valid grid coordinates for the caller's own bookkeeping.
-    if (static_cast<std::size_t>(best.point_index) >= results.size()) {
-      return nullptr;
-    }
     return &results[static_cast<std::size_t>(best.point_index)]
                 .selection
                 .candidates[static_cast<std::size_t>(best.topology_index)];
@@ -436,25 +449,9 @@ ExplorationReport DesignSpaceExplorer::explore(
     throw std::invalid_argument(
         "DesignSpaceExplorer: num_threads must be >= 1");
   }
-  const bool sub_range =
-      request.point_begin != 0 ||
-      request.point_end != std::numeric_limits<std::size_t>::max();
-  if (sub_range && !request.on_point) {
-    throw std::invalid_argument(
-        "DesignSpaceExplorer: point sub-ranges require on_point streaming");
-  }
-  if (request.point_begin > request.point_end) {
-    throw std::invalid_argument(
-        "DesignSpaceExplorer: point_begin exceeds point_end");
-  }
   if (request.sim_finalists < 0) {
     throw std::invalid_argument(
         "DesignSpaceExplorer: sim_finalists must be >= 0");
-  }
-  if (request.sim_finalists > 0 && request.on_point) {
-    throw std::invalid_argument(
-        "DesignSpaceExplorer: sim_finalists requires the buffered path "
-        "(incompatible with on_point streaming)");
   }
   if (request.sim_rank && request.sim_finalists < 1) {
     throw std::invalid_argument(
@@ -503,80 +500,7 @@ ExplorationReport DesignSpaceExplorer::explore(
   // library.
   mapping::Mapper mapper(points.front().config);
 
-  // Winner/Pareto accumulation is incremental and scalar-only, so the
-  // streaming path can drop each PointResult right after the callback.
-  WinnerTracker tracker(request);
-  std::vector<std::pair<double, double>> area_power;
-  const auto absorb = [&](const PointResult& result, int point_index) {
-    tracker.consider(result, point_index);
-    for (const auto& candidate : result.selection.candidates) {
-      if (!candidate.feasible()) continue;
-      area_power.emplace_back(candidate.result.eval.design_area_mm2,
-                              candidate.result.eval.design_power_mw);
-    }
-  };
-
   ExplorationReport report;
-
-  if (request.on_point) {
-    // ---- Request-level result streaming (point-major). ----
-    // One context and one scratch per topology, all alive at once and
-    // re-bound per design point; a barrier per point lets the callback fire
-    // in exact grid order with only O(|library|) results in memory. Each
-    // context still experiences the identical build-then-rebind sequence of
-    // the buffered path, so streamed results are bit-identical to it. The
-    // contexts/scratches live in the (possibly caller-owned) pool.
-    const std::size_t num_topologies = library.size();
-    const std::size_t begin = std::min(request.point_begin, points.size());
-    const std::size_t end = std::min(request.point_end, points.size());
-    PointResult current;
-    current.selection.candidates.resize(num_topologies);
-    for (std::size_t t = 0; t < num_topologies; ++t) {
-      current.selection.candidates[t].topology = library[t].get();
-    }
-    for (std::size_t p = begin; p < end; ++p) {
-      current.point = points[p];
-      if (num_topologies > 0) {
-        std::atomic<std::size_t> next_topology{0};
-        std::mutex error_mutex;
-        std::exception_ptr first_error;
-        const auto worker = [&]() {
-          for (;;) {
-            const std::size_t t = next_topology.fetch_add(1);
-            if (t >= num_topologies) break;
-            try {
-              if (pool.contexts[t] == nullptr) {
-                pool.contexts[t] = std::make_unique<mapping::EvalContext>(
-                    app, *library[t], points[p].config, mapper.library());
-              } else {
-                pool.contexts[t]->rebind(points[p].config, mapper.library());
-              }
-              current.selection.candidates[t].result =
-                  mapper.map(*pool.contexts[t], pool.scratches[t]);
-            } catch (...) {
-              std::lock_guard<std::mutex> lock(error_mutex);
-              if (!first_error) first_error = std::current_exception();
-              break;
-            }
-          }
-        };
-        run_worker_pool(
-            static_cast<int>(std::min<std::size_t>(
-                static_cast<std::size_t>(request.num_threads),
-                num_topologies)),
-            worker);
-        if (first_error) std::rethrow_exception(first_error);
-      }
-      current.selection.best_index =
-          best_feasible_index(current.selection.candidates);
-      absorb(current, static_cast<int>(p));
-      request.on_point(current);
-    }
-    report.winners = tracker.take();
-    report.pareto = pareto_frontier(area_power);
-    return report;
-  }
-
   report.results.resize(points.size());
   for (std::size_t p = 0; p < points.size(); ++p) {
     report.results[p].point = points[p];
@@ -632,17 +556,7 @@ ExplorationReport DesignSpaceExplorer::explore(
     if (first_error) std::rethrow_exception(first_error);
   }
 
-  // Per-objective winners (best feasible cell in report order, ties to the
-  // earliest grid coordinate) and the area/power Pareto frontier, via the
-  // same accumulator the streaming path feeds point by point.
-  for (std::size_t p = 0; p < report.results.size(); ++p) {
-    auto& result = report.results[p];
-    result.selection.best_index =
-        best_feasible_index(result.selection.candidates);
-    absorb(result, static_cast<int>(p));
-  }
-  report.winners = tracker.take();
-  report.pareto = pareto_frontier(area_power);
+  finish_report(request, report);
 
   // High-fidelity finalist tier (opt-in): simulate the top-K cells of each
   // objective group. Purely additive — nothing above reads the scores.

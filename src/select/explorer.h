@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,8 +12,6 @@
 
 namespace sunmap::select {
 
-struct PointResult;
-
 /// Externally-owned per-topology evaluation contexts and scratches, indexed
 /// like the request's library. When a request carries one, explore() draws
 /// its contexts from the pool instead of building fresh ones — contexts
@@ -23,7 +19,7 @@ struct PointResult;
 /// the pool — so consecutive explore() calls over the same (app, library)
 /// skip the per-topology construction entirely. This is what the sweep
 /// daemon keeps alive across submitted requests and what a sweep worker
-/// reuses across its assigned shards.
+/// reuses across every point it explores.
 ///
 /// A pool is bound to the first (app, library) it serves; handing it to a
 /// request over a different app or library is an error (the contexts
@@ -90,34 +86,6 @@ struct ExplorationRequest {
   /// base.num_threads (the per-search swap workers).
   int num_threads = 1;
 
-  /// Request-level result streaming: when set, every design point's
-  /// PointResult is handed to this callback in deterministic grid order
-  /// (exactly the order ExplorationReport::results would have) as soon as
-  /// the point completes, and the report keeps NO per-point results — so a
-  /// very large sweep never buffers every SelectionReport. Winners and the
-  /// Pareto frontier are still accumulated (from scalars) and returned;
-  /// ExplorationReport::winner() returns nullptr in this mode because the
-  /// buffered results it would point into were never retained.
-  ///
-  /// Streaming flips the iteration point-major (contexts for every
-  /// topology stay alive simultaneously and are re-bound per point, with a
-  /// barrier per point so the callback order is exact); each context still
-  /// sees the identical rebind sequence, so the streamed PointResults are
-  /// bit-identical to a buffered explore(). The callback runs on the
-  /// explore() caller's thread.
-  std::function<void(const PointResult&)> on_point;
-
-  /// Half-open sub-range [point_begin, point_end) of the expanded grid to
-  /// evaluate — the unit a sweep shard hands a worker process. The grid
-  /// coordinates and rebind sequence of the covered points are identical to
-  /// a full run (rebind() is equivalent to fresh construction by contract),
-  /// so the streamed results of a sub-range are bit-identical to the same
-  /// points of a whole-grid explore(). Only the streaming (on_point) path
-  /// supports sub-ranges; explore() throws otherwise. point_end is clamped
-  /// to num_points().
-  std::size_t point_begin = 0;
-  std::size_t point_end = std::numeric_limits<std::size_t>::max();
-
   /// Optional externally-owned context/scratch pool (see
   /// ExplorerContextPool). nullptr — the default — keeps the contexts
   /// internal to the explore() call, exactly as before.
@@ -132,9 +100,7 @@ struct ExplorationRequest {
   /// alongside the analytical number. Mapping results and winner selection
   /// are untouched (the tier is purely additive; reports are bit-identical
   /// with it on or off). Engine, simulator seed, and trace scaling come
-  /// from the base config's sim_* fields. 0 disables. Requires the
-  /// buffered path: combining this with on_point streaming throws
-  /// (streamed reports retain no candidates to attach scores to).
+  /// from the base config's sim_* fields. 0 disables.
   ///
   /// Finalist cells are simulated by a deterministic worker pool of
   /// `num_threads` threads (one SimEvaluator per worker, results written
@@ -194,9 +160,8 @@ struct PointResult {
 
 /// Best feasible candidate of one point by strict cost comparison, in
 /// candidate order — the exact rule TopologySelector::select() applies
-/// (and SelectionReport::best_index holds), exposed so the sweep merge
-/// layer re-derives best indices from streamed scalars bit-identically.
-/// -1 when no candidate is feasible.
+/// (and SelectionReport::best_index holds). -1 when no candidate is
+/// feasible.
 [[nodiscard]] int best_feasible_index(
     const std::vector<TopologyCandidate>& candidates);
 
@@ -215,19 +180,17 @@ struct ObjectiveBest {
   [[nodiscard]] bool found() const { return point_index >= 0; }
 };
 
-/// Incremental per-objective winner accumulation, shared by the buffered
-/// explore() path, the streaming path, and the distributed sweep merge
-/// layer: points must be fed in report (grid) order, so ties resolve to the
-/// earliest grid coordinate exactly as a buffered scan would. Weighted
-/// costs are only comparable under one weight vector, so kWeighted gets one
-/// winner per swept weight set; the plain objectives pool across weight
-/// sets.
+/// Incremental per-objective winner accumulation, the rule finish_report()
+/// applies: points must be fed in report (grid) order, so ties resolve to
+/// the earliest grid coordinate. Weighted costs are only comparable under
+/// one weight vector, so kWeighted gets one winner per swept weight set;
+/// the plain objectives pool across weight sets.
 class WinnerTracker {
  public:
   explicit WinnerTracker(const ExplorationRequest& request);
 
   /// Folds one point's candidates in, by its grid index. Feed strictly in
-  /// increasing point_index order for buffered-identical tie-breaking.
+  /// increasing point_index order.
   void consider(const PointResult& result, int point_index);
 
   /// The accumulated winners, one entry per distinct objective group.
@@ -268,6 +231,13 @@ struct ExplorationReport {
       mapping::Objective objective) const;
 };
 
+/// Derives a report's per-point best indices, per-objective winners and
+/// area/power Pareto frontier from its results, scanned in grid order.
+/// explore() calls it after mapping every cell, and sweep::run_sweep() once
+/// a merge completes, so both reports carry the same derived fields.
+void finish_report(const ExplorationRequest& request,
+                   ExplorationReport& report);
+
 /// Phase 1 + 2 of the SUNMAP flow generalised to a configuration grid: maps
 /// the application onto every topology under every design point, building
 /// one evaluation context per topology and re-binding it across the grid so
@@ -290,7 +260,7 @@ class DesignSpaceExplorer {
       const ExplorationRequest& request);
 };
 
-/// The finalist simulation pass on an already-evaluated (buffered) report:
+/// The finalist simulation pass on an already-evaluated report:
 /// picks the top-K feasible cells of each objective group by mapping cost
 /// (K = request.sim_finalists; the same grouping WinnerTracker uses) and
 /// attaches a mapping::SimScore to each. Cells are distributed over a

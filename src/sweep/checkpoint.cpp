@@ -142,8 +142,8 @@ void hash_fault_set(Fnv1a& fnv, const fault::FaultSet& faults) {
 }
 
 std::vector<std::uint8_t> encode_header(const JournalHeader& header) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kJournalMagic, kJournalMagic + sizeof(kJournalMagic));
+  std::vector<std::uint8_t> out(std::begin(kJournalMagic),
+                                std::end(kJournalMagic));
   put_u32(out, header.version);
   put_u64(out, header.fingerprint);
   put_u32(out, static_cast<std::uint32_t>(header.description.size()));

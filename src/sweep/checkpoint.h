@@ -90,9 +90,8 @@ class JournalWriter {
 /// sweep axis, and the base configuration (objective/routing/search,
 /// constraints, weights, annealing schedule and chain-move probability,
 /// split-all chunks, floorplan options, fault set).
-/// Deliberately excluded: thread counts, streaming callbacks, point
-/// sub-ranges, and context pools — none change any result bit, so a resume
-/// may vary them freely.
+/// Deliberately excluded: thread counts and context pools — neither changes
+/// any result bit, so a resume may vary them freely.
 [[nodiscard]] std::uint64_t request_fingerprint(
     const select::ExplorationRequest& request);
 

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -23,7 +24,10 @@ namespace sunmap::sweep {
 
 namespace {
 
-volatile std::sig_atomic_t g_stop = 0;
+/// Lock-free, so request_stop() is safe both in a signal handler and from
+/// any thread while the coordinator or the daemon's threads read it.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
 
 /// One contiguous range of grid points handed to a worker. Initially the
 /// whole shard; after a crash, the unfinished remainder (retried == true).
@@ -43,7 +47,7 @@ struct WorkerProc {
   bool shutdown_sent = false;
   bool has_assignment = false;
   Assignment assignment;
-  /// Next grid index this worker's current assignment should stream — the
+  /// Next grid index this worker's current assignment should send — the
   /// crash-recovery cut: everything before it already reached the journal.
   std::size_t next_expected = 0;
   std::size_t points_done = 0;
@@ -76,9 +80,9 @@ void close_fd(int& fd) {
 
 }  // namespace
 
-void request_stop() { g_stop = 1; }
-bool stop_requested() { return g_stop != 0; }
-void reset_stop() { g_stop = 0; }
+void request_stop() { g_stop = true; }
+bool stop_requested() { return g_stop; }
+void reset_stop() { g_stop = false; }
 
 SweepResult run_sweep(const select::ExplorationRequest& request,
                       const SweepOptions& options) {
@@ -123,26 +127,6 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
   }
   std::vector<char> have(total, 0);
   std::size_t have_count = 0;
-  std::size_t cursor = 0;
-  select::WinnerTracker tracker(request);
-  std::vector<std::pair<double, double>> area_power;
-  // Strict-order absorption: winners/Pareto/on_point see points exactly as
-  // the single-process explorer would, whatever order records arrived in.
-  const auto absorb_ready = [&]() {
-    while (cursor < total && have[cursor] != 0) {
-      auto& result = report.results[cursor];
-      result.selection.best_index =
-          select::best_feasible_index(result.selection.candidates);
-      tracker.consider(result, static_cast<int>(cursor));
-      for (const auto& candidate : result.selection.candidates) {
-        if (!candidate.feasible()) continue;
-        area_power.emplace_back(candidate.result.eval.design_area_mm2,
-                                candidate.result.eval.design_power_mw);
-      }
-      if (request.on_point) request.on_point(result);
-      ++cursor;
-    }
-  };
 
   // ---- Checkpoint: load (resume) or create, then keep appending. ----
   JournalWriter journal;
@@ -174,7 +158,6 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
       journal = JournalWriter::create(options.checkpoint_path, header);
     }
   }
-  absorb_ready();
 
   // ---- Work queue: per shard, the contiguous runs of missing points. ----
   const int shard_count =
@@ -372,7 +355,7 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
     for (int i = 0; i < initial; ++i) dispatch(spawn_worker());
 
     while (any_assignment_pending()) {
-      if (g_stop != 0) {
+      if (g_stop) {
         stats.interrupted = true;
         break;
       }
@@ -418,7 +401,6 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
               have[index] = 1;
               ++have_count;
               ++stats.points_evaluated;
-              absorb_ready();
             }
             worker.next_expected = index + 1;
             ++worker.points_done;
@@ -466,10 +448,9 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
   }
 
   print_progress(true);
-  if (!stats.interrupted) {
-    report.winners = tracker.take();
-    report.pareto = select::pareto_frontier(area_power);
-  }
+  // Records arrive in any order; the derived fields are set once, over the
+  // whole merged grid in grid order, by the explorer's own rule.
+  if (!stats.interrupted) select::finish_report(request, report);
   journal.close();
   return out;
 }

@@ -13,7 +13,8 @@ namespace sunmap::sweep {
 /// How run_sweep() distributes one exploration request.
 struct SweepOptions {
   /// Worker child processes forked off the coordinator. Each binds its own
-  /// per-topology context pool; results stream back over pipes.
+  /// per-topology context pool and sends each point back over a pipe as
+  /// soon as it is explored.
   int num_workers = 2;
   /// Shards the grid is partitioned into; 0 (default) means one per
   /// worker. More shards than workers gives finer-grained work stealing
@@ -49,9 +50,9 @@ struct SweepStats {
   int workers_spawned = 0;
   int worker_crashes = 0;
   int shards_requeued = 0;
-  /// True when request_stop() ended the sweep early; the report then only
-  /// covers the absorbed prefix and the checkpoint holds every completed
-  /// point.
+  /// True when request_stop() ended the sweep early; the report then holds
+  /// the points merged so far, without best indices, winners or Pareto
+  /// frontier, and the checkpoint holds every completed point.
   bool interrupted = false;
   std::uint64_t fingerprint = 0;
 };
@@ -61,25 +62,27 @@ struct SweepResult {
   SweepStats stats;
 };
 
-/// Runs `request` across worker processes and merges the streamed scalars
-/// into a report that is bit-identical (winners, Pareto frontier, per-point
-/// scalars in grid order) to single-process DesignSpaceExplorer::explore()
-/// at any shard count and worker interleaving. Merged evaluations carry
-/// scalars and mappings only — floorplan geometry and route sets stay in
-/// the workers — so ExplorationReport::winner() floorplan rendering is a
-/// single-process-mode feature.
+/// Runs `request` across worker processes, merges the per-point scalars
+/// they send back, and finishes the merged report once with
+/// select::finish_report(), so it is bit-identical (winners, Pareto
+/// frontier, per-point scalars in grid order) to single-process
+/// DesignSpaceExplorer::explore() at any shard count and worker
+/// interleaving. Merged evaluations carry scalars and mappings only —
+/// floorplan geometry and route sets stay in the workers — so
+/// ExplorationReport::winner() floorplan rendering is a single-process-mode
+/// feature.
 ///
 /// Worker crashes re-queue the lost remainder of the shard once; a second
 /// death on the same range throws std::runtime_error naming the shard and
 /// point range. A checkpoint fingerprint mismatch throws std::runtime_error
-/// naming both fingerprints. request.on_point, when set, fires in strict
-/// grid order as the merge cursor advances.
+/// naming both fingerprints.
 [[nodiscard]] SweepResult run_sweep(const select::ExplorationRequest& request,
                                     const SweepOptions& options);
 
-/// Async-signal-safe stop request: the coordinator finishes absorbing what
-/// already arrived, flushes the checkpoint journal, reaps its workers, and
-/// returns with stats.interrupted set. Wire it to SIGINT in a CLI handler.
+/// Stop request, safe in a signal handler and from any thread: the
+/// coordinator finishes absorbing what already arrived, flushes the
+/// checkpoint journal, reaps its workers, and returns with
+/// stats.interrupted set. Wire it to SIGINT in a CLI handler.
 void request_stop();
 [[nodiscard]] bool stop_requested();
 void reset_stop();

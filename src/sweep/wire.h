@@ -15,8 +15,8 @@ namespace sunmap::sweep {
 ///   [u32 payload_len][u32 crc32(payload)][payload]
 ///
 /// little-endian, payload starting with the u8 message type. Doubles cross
-/// the wire as their raw IEEE-754 bit patterns, so a streamed scalar is the
-/// exact double the worker computed — the bit-identity invariant of the
+/// the wire as their raw IEEE-754 bit patterns, so a scalar on the wire is
+/// the exact double the worker computed — the bit-identity invariant of the
 /// merge layer depends on this.
 enum class MsgType : std::uint8_t {
   // coordinator -> worker
@@ -101,16 +101,16 @@ class PayloadReader {
 [[nodiscard]] PointRecord decode_point_record(const std::uint8_t* data,
                                               std::size_t size);
 
-/// Extracts the streamed scalars of one explorer result (point `index` of
+/// Extracts the scalars a worker sends for one explorer result (point `index` of
 /// the grid) into a wire record.
 [[nodiscard]] PointRecord record_from_result(
     const select::PointResult& result, std::size_t index);
 
 /// Writes a record's scalars back into a PointResult whose candidates are
 /// already sized and topology-bound (the merge layer prepares those from
-/// the coordinator's own library). best_index is NOT set here — the merge
-/// layer re-derives it with select::best_feasible_index so the rule lives
-/// in exactly one place.
+/// the coordinator's own library). best_index is NOT set here —
+/// select::finish_report() derives it once the merge completes, so the rule
+/// lives in exactly one place.
 void apply_record(const PointRecord& record, select::PointResult* out);
 
 // ---- Framed pipe I/O ------------------------------------------------------

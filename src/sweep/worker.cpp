@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <string>
@@ -29,11 +30,19 @@ void send_error(int res_fd, const std::string& message) {
 void run_worker_loop(const select::ExplorationRequest& request,
                      int worker_id, int cmd_fd, int res_fd,
                      const WorkerHooks& hooks) {
-  // One pool for the worker's lifetime: every assignment this worker serves
-  // rebinds the same per-topology contexts instead of rebuilding them.
+  // One pool for the worker's lifetime: every point this worker explores
+  // rebinds the same per-topology contexts instead of rebuilding them, so
+  // each context sees the build-then-rebind sequence of a whole-grid
+  // explore() over the same points.
   select::ExplorerContextPool pool;
   select::DesignSpaceExplorer explorer;
+  select::ExplorationRequest one_point;
+  one_point.app = request.app;
+  one_point.library = request.library;
+  one_point.num_threads = request.num_threads;
+  one_point.context_pool = &pool;
   try {
+    const auto points = select::DesignSpaceExplorer::expand(request);
     for (;;) {
       MsgType type{};
       std::vector<std::uint8_t> body;
@@ -48,15 +57,12 @@ void run_worker_loop(const select::ExplorationRequest& request,
       const std::int32_t shard_index =
           static_cast<std::int32_t>(reader.get_u32());
       const std::uint64_t begin = reader.get_u64();
-      const std::uint64_t end = reader.get_u64();
+      const std::uint64_t end =
+          std::min<std::uint64_t>(reader.get_u64(), points.size());
 
-      select::ExplorationRequest sub = request;
-      sub.point_begin = static_cast<std::size_t>(begin);
-      sub.point_end = static_cast<std::size_t>(end);
-      sub.context_pool = &pool;
-      std::uint64_t next_index = begin;
-      sub.on_point = [&](const select::PointResult& result) {
-        const std::uint64_t index = next_index++;
+      for (std::uint64_t index = begin; index < end; ++index) {
+        one_point.base = points[index].config;
+        const auto report = explorer.explore(one_point);
         if (hooks.sleep_ms_per_point > 0) {
           ::usleep(static_cast<useconds_t>(hooks.sleep_ms_per_point) * 1000);
         }
@@ -64,8 +70,8 @@ void run_worker_loop(const select::ExplorationRequest& request,
             index == static_cast<std::uint64_t>(hooks.crash_at_point)) {
           _exit(42);
         }
-        PointRecord record =
-            record_from_result(result, static_cast<std::size_t>(index));
+        PointRecord record = record_from_result(
+            report.results.front(), static_cast<std::size_t>(index));
         record.shard_index = shard_index;
         record.worker_id = worker_id;
         if (!write_frame(res_fd, MsgType::kPoint,
@@ -74,8 +80,7 @@ void run_worker_loop(const select::ExplorationRequest& request,
           // CPU on a sweep nobody will merge.
           _exit(3);
         }
-      };
-      (void)explorer.explore(sub);
+      }
 
       std::vector<std::uint8_t> done;
       put_u32(done, static_cast<std::uint32_t>(shard_index));

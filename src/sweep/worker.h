@@ -21,11 +21,13 @@ struct WorkerHooks {
 };
 
 /// Body of a sweep worker child process; never returns (every exit path is
-/// _exit, so the child skips the parent's static destructors). Reads
-/// kAssignShard frames from cmd_fd, evaluates each assigned [begin, end)
-/// range of the request's grid via ExplorationRequest::on_point streaming —
-/// with one ExplorerContextPool persisting across every assignment this
-/// worker serves — and writes kPoint/kShardDone frames to res_fd.
+/// _exit, so the child skips the parent's static destructors). Expands the
+/// request's grid once, then reads kAssignShard frames from cmd_fd and
+/// explores each assigned [begin, end) range one point at a time: a
+/// one-point request (base = the point's config, no axes, the request's
+/// num_threads) on one ExplorerContextPool that persists across every
+/// assignment this worker serves. Writes a kPoint frame after each point
+/// and a kShardDone frame after each range to res_fd.
 /// Exits 0 on kShutdown or cmd EOF, 1 after sending kError for a fatal
 /// exception, 3 when the coordinator vanished mid-write (EPIPE).
 [[noreturn]] void run_worker_loop(const select::ExplorationRequest& request,

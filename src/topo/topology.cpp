@@ -5,28 +5,6 @@
 
 namespace sunmap::topo {
 
-const char* to_string(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::kMesh:
-      return "mesh";
-    case TopologyKind::kTorus:
-      return "torus";
-    case TopologyKind::kHypercube:
-      return "hypercube";
-    case TopologyKind::kClos:
-      return "clos";
-    case TopologyKind::kButterfly:
-      return "butterfly";
-    case TopologyKind::kOctagon:
-      return "octagon";
-    case TopologyKind::kStar:
-      return "star";
-    case TopologyKind::kCustom:
-      return "custom";
-  }
-  return "unknown";
-}
-
 void Topology::finalize() {
   if (ingress_.size() != egress_.size()) {
     throw std::logic_error("Topology: ingress/egress size mismatch");

@@ -32,9 +32,6 @@ enum class TopologyKind {
   kCustom,  ///< User-defined heterogeneous topology (topo/custom.h).
 };
 
-/// Human-readable name ("mesh", "torus", ...).
-const char* to_string(TopologyKind kind);
-
 /// Relative block placement used by the floorplanner (§5: "for a particular
 /// mapping ... the relative positions of the cores and switches are known").
 ///

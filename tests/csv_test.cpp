@@ -31,20 +31,10 @@ TEST(Csv, SelectionReportHasHeaderAndRows) {
 TEST(Csv, QuotesFieldsWithCommas) {
   // Topology names like "4-ary 2-fly" have no commas, but the quoting path
   // must still be correct for custom names.
-  const std::vector<select::ParetoPoint> frontier{{1.5, 2.5}, {3.0, 1.0}};
-  const auto csv = pareto_csv(frontier);
-  EXPECT_EQ(csv, "area_mm2,power_mw\n1.5,2.5\n3,1\n");
-}
-
-TEST(Csv, SeriesLayout) {
-  const auto csv = series_csv("rate", {0.1, 0.2},
-                              {{"mesh", {5.0, 6.0}}, {"clos", {4.0, 4.5}}});
-  EXPECT_EQ(csv, "rate,mesh,clos\n0.1,5,4\n0.2,6,4.5\n");
-}
-
-TEST(Csv, SeriesLengthMismatchThrows) {
-  EXPECT_THROW(series_csv("x", {1.0}, {{"bad", {1.0, 2.0}}}),
-               std::invalid_argument);
+  EXPECT_EQ(csv_field("4-ary 2-fly"), "4-ary 2-fly");
+  EXPECT_EQ(csv_field("ring,6"), "\"ring,6\"");
+  EXPECT_EQ(csv_field("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv_field("two\nlines"), "\"two\nlines\"");
 }
 
 TEST(Csv, WriteFileRoundTrips) {

@@ -340,80 +340,40 @@ TEST(Explorer, ParetoFrontierCoversFeasibleCells) {
   }
 }
 
-TEST(Explorer, StreamedPointsMatchBufferedExploreInGridOrder) {
-  // Request-level result streaming (ROADMAP follow-on from PR 2): with
-  // on_point set the explorer hands every PointResult over in exact grid
-  // order, bit-identical to the buffered run, keeps no per-point results,
-  // and still reports identical winners and Pareto frontier.
+TEST(Explorer, OnePointRequestsOnOnePoolMatchWholeGridExplore) {
+  // The contract a sweep worker rests on: exploring the grid one point at a
+  // time, each as a one-point request (base = the point's config, no axes)
+  // on one shared context pool, builds each context once, rebinds it per
+  // point, and returns every cell of the whole-grid explore() bit for bit,
+  // at any thread count.
   const auto app = apps::vopd();
-  auto library = topo::standard_library(app.num_cores());
-  library.resize(2);
-  auto request = full_sweep(app, library);
-
+  const auto library = topo::standard_library(app.num_cores());
+  const auto request = full_sweep(app, library);
   DesignSpaceExplorer explorer;
-  const auto buffered = explorer.explore(request);
+  const auto whole = explorer.explore(request);
   const auto points = DesignSpaceExplorer::expand(request);
+  ASSERT_EQ(whole.results.size(), points.size());
 
-  std::vector<PointResult> streamed;
-  request.on_point = [&](const PointResult& result) {
-    streamed.push_back(result);
-  };
-  const auto report = explorer.explore(request);
-
-  EXPECT_TRUE(report.results.empty());
-  ASSERT_EQ(streamed.size(), buffered.results.size());
-  ASSERT_EQ(streamed.size(), points.size());
-  for (std::size_t p = 0; p < streamed.size(); ++p) {
-    EXPECT_EQ(streamed[p].point.label(), points[p].label());
-    expect_identical(streamed[p].selection, buffered.results[p].selection,
-                     "streamed point " + std::to_string(p));
-  }
-
-  ASSERT_EQ(report.winners.size(), buffered.winners.size());
-  for (std::size_t w = 0; w < report.winners.size(); ++w) {
-    EXPECT_EQ(report.winners[w].objective, buffered.winners[w].objective);
-    EXPECT_EQ(report.winners[w].weights_index,
-              buffered.winners[w].weights_index);
-    EXPECT_EQ(report.winners[w].point_index, buffered.winners[w].point_index);
-    EXPECT_EQ(report.winners[w].topology_index,
-              buffered.winners[w].topology_index);
-  }
-  ASSERT_EQ(report.pareto.size(), buffered.pareto.size());
-  for (std::size_t i = 0; i < report.pareto.size(); ++i) {
-    EXPECT_EQ(report.pareto[i].area_mm2, buffered.pareto[i].area_mm2);
-    EXPECT_EQ(report.pareto[i].power_mw, buffered.pareto[i].power_mw);
-  }
-  // No buffered results to point into: the accessor answers nullptr rather
-  // than dangling.
-  EXPECT_EQ(report.winner(mapping::Objective::kMinDelay), nullptr);
-}
-
-TEST(Explorer, StreamingIsThreadCountInvariant) {
-  const auto app = apps::vopd();
-  auto library = topo::standard_library(app.num_cores());
-  library.resize(3);
-  auto request = full_sweep(app, library);
-  request.objectives.resize(2);
-  request.routings.resize(2);
-
-  std::vector<double> costs_seq;
-  request.on_point = [&](const PointResult& result) {
-    for (const auto& candidate : result.selection.candidates) {
-      costs_seq.push_back(candidate.result.eval.cost);
+  for (const int threads : {1, 3}) {
+    ExplorerContextPool pool;
+    ExplorationRequest one_point;
+    one_point.app = &app;
+    one_point.library = &library;
+    one_point.num_threads = threads;
+    one_point.context_pool = &pool;
+    const auto contexts_before = mapping::EvalContext::contexts_built();
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      one_point.base = points[p].config;
+      const auto report = explorer.explore(one_point);
+      ASSERT_EQ(report.results.size(), 1u);
+      expect_identical(report.results.front().selection,
+                       whole.results[p].selection,
+                       points[p].label() + " threads " +
+                           std::to_string(threads));
     }
-  };
-  DesignSpaceExplorer explorer;
-  (void)explorer.explore(request);
-
-  std::vector<double> costs_par;
-  request.num_threads = 3;
-  request.on_point = [&](const PointResult& result) {
-    for (const auto& candidate : result.selection.candidates) {
-      costs_par.push_back(candidate.result.eval.cost);
-    }
-  };
-  (void)explorer.explore(request);
-  EXPECT_EQ(costs_seq, costs_par);
+    EXPECT_EQ(mapping::EvalContext::contexts_built() - contexts_before,
+              library.size());
+  }
 }
 
 TEST(Explorer, ValidatesRequest) {

@@ -90,15 +90,5 @@ TEST(Library, RejectsTinyApplications) {
   EXPECT_THROW(make_mesh_for(1), std::invalid_argument);
 }
 
-TEST(Library, ToStringNamesAllKinds) {
-  EXPECT_STREQ(to_string(TopologyKind::kMesh), "mesh");
-  EXPECT_STREQ(to_string(TopologyKind::kTorus), "torus");
-  EXPECT_STREQ(to_string(TopologyKind::kHypercube), "hypercube");
-  EXPECT_STREQ(to_string(TopologyKind::kClos), "clos");
-  EXPECT_STREQ(to_string(TopologyKind::kButterfly), "butterfly");
-  EXPECT_STREQ(to_string(TopologyKind::kOctagon), "octagon");
-  EXPECT_STREQ(to_string(TopologyKind::kStar), "star");
-}
-
 }  // namespace
 }  // namespace sunmap::topo

@@ -95,6 +95,18 @@ TEST(MapperConfig, ValidateRejectsEachBadField) {
           "got " + std::to_string(0.5));
   rejects([](MapperConfig& c) { c.faults.fault_free_weight = -2.0; },
           "got " + std::to_string(-2.0));
+  // A +inf penalty or weight turns faulty costs into inf, which would still
+  // rank as a feasible winner.
+  rejects([](MapperConfig& c) { c.faults.infeasible_penalty = kInf; },
+          "infeasible_penalty must be finite and >= 1, got inf");
+  rejects([](MapperConfig& c) { c.faults.fault_free_weight = kInf; },
+          "fault_free_weight must be finite and >= 0, got inf");
+  rejects(
+      [](MapperConfig& c) {
+        c.faults.spec.kind = fault::FaultSpec::Kind::kExplicit;
+        c.faults.spec.scenarios.push_back({{{0, 1}}, {}, kInf});
+      },
+      "scenario weight must be finite and >= 0, got inf");
   rejects(
       [](MapperConfig& c) {
         c.faults.spec.kind = fault::FaultSpec::Kind::kRandom;

@@ -107,12 +107,6 @@ TEST(BfsDistancesTo, FollowsReversedEdges) {
   EXPECT_EQ(dist[0], 1);
 }
 
-TEST(HopDistance, MatchesBfs) {
-  const auto g = diamond();
-  EXPECT_EQ(hop_distance(g, 0, 3), 1);
-  EXPECT_EQ(hop_distance(g, 1, 2), -1);
-}
-
 TEST(AllPairsHops, MatchesPerSourceBfs) {
   const auto g = diamond();
   const auto all = all_pairs_hops(g);

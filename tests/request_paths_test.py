@@ -150,6 +150,8 @@ class RequestPathsTest(unittest.TestCase):
             (["--routing", "DO", "--routing", "MP"], ["routings"]),
             (["--objective", "weighted", "--w-delay", "inf"],
              ["delay=inf"]),
+            (["--faults", "0-1/s7", "--fault-penalty", "inf"],
+             ["infeasible_penalty", "got inf"]),
         ]
         for args, named in cases:
             with self.subTest(args=args):

@@ -180,12 +180,9 @@ TEST(Checkpoint, FingerprintCoversResultAffectingFieldsOnly) {
   const auto base_print = request_fingerprint(request);
 
   // Result-neutral knobs must not move the fingerprint: a resume may use a
-  // different thread count, callback, sub-range, or pool.
+  // different thread count or pool.
   auto neutral = request;
   neutral.num_threads = 7;
-  neutral.point_begin = 2;
-  neutral.point_end = 5;
-  neutral.on_point = [](const select::PointResult&) {};
   select::ExplorerContextPool pool;
   neutral.context_pool = &pool;
   EXPECT_EQ(request_fingerprint(neutral), base_print);

@@ -10,6 +10,7 @@
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <stop_token>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "io/exploration_io.h"
 #include "mapping/eval_context.h"
 #include "select/explorer.h"
+#include "sweep/checkpoint.h"
 #include "sweep/coordinator.h"
 #include "sweep/daemon.h"
 #include "sweep/shard.h"
@@ -255,7 +257,7 @@ TEST(Sweep, PersistentCrashFailsWithNamedError) {
 TEST(Sweep, RequestStopInterruptsAndCheckpointResumes) {
   const auto app = apps::vopd();
   const auto library = topo::standard_library(app.num_cores());
-  auto request = figure_request(app, library);
+  const auto request = figure_request(app, library);
   select::DesignSpaceExplorer explorer;
   const auto reference = explorer.explore(request);
   const std::size_t total = reference.results.size();
@@ -264,22 +266,35 @@ TEST(Sweep, RequestStopInterruptsAndCheckpointResumes) {
       testing::TempDir() + "sweep_stop_resume.journal";
   std::remove(path.c_str());
 
-  // Interrupt after the 3rd merged point, through the same stop flag the
-  // CLI's SIGINT handler raises.
+  // Interrupt once the journal holds 3 points, through the same stop flag
+  // the CLI's SIGINT handler raises; slowed workers keep the sweep
+  // mid-grid while the watcher polls.
   reset_stop();
-  std::size_t streamed = 0;
-  request.on_point = [&](const select::PointResult&) {
-    if (++streamed == 3) request_stop();
-  };
+  std::jthread watcher([&](const std::stop_token& done) {
+    while (!done.stop_requested()) {
+      try {
+        if (read_journal(path).records.size() >= 3) {
+          request_stop();
+          return;
+        }
+      } catch (const std::exception&) {
+        // No journal, or its header is still being written; keep polling.
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  });
   SweepOptions options;
   options.num_workers = 2;
   options.checkpoint_path = path;
+  options.hooks.sleep_ms_per_point = 50;
   const auto partial = run_sweep(request, options);
+  watcher.request_stop();
+  watcher.join();
   reset_stop();
   EXPECT_TRUE(partial.stats.interrupted);
   EXPECT_LT(partial.stats.points_evaluated, total);
 
-  request.on_point = nullptr;
+  options.hooks.sleep_ms_per_point = 0;
   options.resume = true;
   const auto resumed = run_sweep(request, options);
   EXPECT_FALSE(resumed.stats.interrupted);
