@@ -5,10 +5,11 @@
 // run three ways:
 //
 //  * single  — one in-process DesignSpaceExplorer::explore call;
-//  * sharded — run_sweep at shard counts {1, 2, 3, 7}, 2 worker
-//              processes, every merged report compared bit-for-bit
-//              against the single-process reference (mappings, scalars,
-//              winners, Pareto frontier);
+//  * merged  — run_sweep at worker counts {1, 2}, every merged report
+//              compared bit-for-bit against the single-process reference
+//              (mappings, scalars, winners, Pareto frontier). The 24 points
+//              form 8 shards of one objective run each; the 4 split-all
+//              delay/power points dominate the cost;
 //  * resumed — a checkpoint journal cut to its first half, resumed, and
 //              compared against the same reference, with the evaluation
 //              counter proving the journaled half was never re-run.
@@ -43,7 +44,6 @@ using namespace sunmap;
 constexpr mapping::Objective kObjectives[] = {mapping::Objective::kMinDelay,
                                               mapping::Objective::kMinArea,
                                               mapping::Objective::kMinPower};
-constexpr int kShardCounts[] = {1, 2, 3, 7};
 constexpr int kWorkerCounts[] = {1, 2};
 
 select::ExplorationRequest grid_request(
@@ -132,27 +132,8 @@ int run_probe(bench::Probe& probe) {
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   const std::size_t total = reference.results.size();
 
-  // ---- Merge bit-identity across shard counts. ----
+  // ---- Worker scaling, each merged report checked bit-for-bit. ----
   bool merge_identical = true;
-  {
-    util::Table table({"shards", "workers", "wall ms", "bit-identical"});
-    for (const int shards : kShardCounts) {
-      sweep::SweepOptions options;
-      options.num_workers = 2;
-      options.num_shards = shards;
-      sweep::SweepResult result;
-      const double ms = now_run_sweep_ms(request, options, &result);
-      const bool same = identical(reference, result.report);
-      merge_identical &= same;
-      probe.row("shard_counts_checked",
-                {{"shards", shards}, {"ms", ms}, {"bit_identical", same}});
-      table.add_row({std::to_string(shards), "2", util::Table::num(ms, 1),
-                     same ? "yes" : "NO"});
-    }
-    std::printf("%s", table.to_string().c_str());
-  }
-
-  // ---- Worker scaling. ----
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   std::vector<double> worker_ms;
   {
@@ -184,7 +165,6 @@ int run_probe(bench::Probe& probe) {
   {
     sweep::SweepOptions options;
     options.num_workers = 2;
-    options.num_shards = 3;
     options.checkpoint_path = journal_path;
     sweep::SweepResult full;
     (void)now_run_sweep_ms(request, options, &full);

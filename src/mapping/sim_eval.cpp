@@ -36,12 +36,7 @@ SimTierOptions sim_tier_options(const MapperConfig& config) {
 }
 
 SimEvaluator::SimEvaluator(SimTierOptions options)
-    : options_(std::move(options)) {
-  if (options_.cache_capacity < 1) {
-    throw std::invalid_argument(
-        "SimEvaluator: cache_capacity must be >= 1");
-  }
-}
+    : options_(std::move(options)) {}
 
 SimScore SimEvaluator::score(const CoreGraph& app,
                              const topo::Topology& topology,
@@ -95,20 +90,10 @@ SimScore SimEvaluator::score(const CoreGraph& app,
 
   auto [it, inserted] = cache_.try_emplace(&topology);
   Entry& entry = it->second;
-  entry.last_used = ++use_tick_;
   if (inserted) {
     entry.layout = sim::make_network_layout(topology);
     entry.simulator = std::make_unique<sim::Simulator>(
         topology, table, options_.config, entry.layout);
-    // Bounded LRU: evict the least-recently-scored topology beyond the
-    // capacity (never the entry just inserted).
-    while (cache_.size() > options_.cache_capacity) {
-      auto victim = cache_.begin();
-      for (auto c = cache_.begin(); c != cache_.end(); ++c) {
-        if (c->second.last_used < victim->second.last_used) victim = c;
-      }
-      cache_.erase(victim);
-    }
   } else {
     entry.simulator->bind(table);
   }

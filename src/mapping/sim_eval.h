@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <vector>
@@ -51,13 +51,6 @@ struct SimTierOptions {
   SimTraffic traffic = SimTraffic::kTrace;
   double burst_len = 50.0;
   double burst_duty = 0.3;
-  /// Capacity of the per-topology layout/simulator LRU cache. A sweep
-  /// library is usually a handful of topologies, but nothing bounds it in
-  /// principle, so the cache evicts least-recently-scored entries beyond
-  /// this (like the floorplan/metrics memo caches, which cap at a fixed
-  /// size; unlike them this cache is tiny and recency-ordered, so true LRU
-  /// is affordable).
-  std::size_t cache_capacity = 16;
 
   SimTierOptions() { config.distance_class_vcs = true; }
 };
@@ -73,10 +66,10 @@ struct SimTierOptions {
 /// the CLI's --sim-validate both use.
 ///
 /// Per-topology network layouts and simulator instances are cached across
-/// calls in a bounded LRU (repeated finalist scoring pays route-table
-/// binding only, never network construction; least-recently-scored
-/// topologies are evicted beyond cache_capacity), so one evaluator should
-/// be reused across a whole report.
+/// calls, one per topology scored (repeated finalist scoring pays
+/// route-table binding only, never network construction), so one evaluator
+/// should be reused across a whole report. The cache is unbounded: an
+/// evaluator lives for one report and sees at most its library.
 ///
 /// The evaluator also keeps the sim::InjectionSchedule of the last
 /// application trace it scored, keyed on the flow rates in commodity
@@ -114,7 +107,6 @@ class SimEvaluator {
   struct Entry {
     std::shared_ptr<const sim::NetworkLayout> layout;
     std::unique_ptr<sim::Simulator> simulator;
-    std::uint64_t last_used = 0;  ///< Recency tick for LRU eviction.
   };
 
   /// The last trace scored. Its flows name endpoint labels, not slots (see
@@ -127,7 +119,6 @@ class SimEvaluator {
 
   SimTierOptions options_;
   std::map<const topo::Topology*, Entry> cache_;
-  std::uint64_t use_tick_ = 0;
   Trace trace_;
 };
 

@@ -294,6 +294,10 @@ std::size_t ExplorationRequest::num_points() const {
          axis(objectives.size());
 }
 
+std::size_t ExplorationRequest::objective_run() const {
+  return std::max<std::size_t>(1, objectives.size());
+}
+
 std::string DesignPoint::label() const {
   std::string label = route::to_string(config.routing);
   label += "/";
@@ -349,7 +353,8 @@ std::vector<DesignPoint> DesignSpaceExplorer::expand(
     const ExplorationRequest& request) {
   // Objective varies fastest: consecutive points then differ only in the
   // cost function, which keeps the per-topology context's evaluation class
-  // stable and its metrics cache warm across the inner loop. Floorplan
+  // stable and its metrics cache warm across the inner loop (run_sweep's
+  // shards are these runs; see objective_run()). Floorplan
   // options vary slowest: they are the one axis whose move clears the
   // floorplan cache and incremental sessions on rebind. Fault sets sit
   // just inside them: a fault-spec move clears the metrics cache and the

@@ -119,6 +119,12 @@ struct ExplorationRequest {
 
   /// Number of design points the grid expands to.
   [[nodiscard]] std::size_t num_points() const;
+
+  /// Points per run of the grid's innermost axis, objective: expand()
+  /// emits each run consecutively, differing only in objective, so a run
+  /// shares each context's evaluation class. sweep::run_sweep deals the
+  /// grid in these runs.
+  [[nodiscard]] std::size_t objective_run() const;
 };
 
 /// One fully-resolved configuration of the grid, with its coordinates along

@@ -11,6 +11,7 @@
 
 #include "fault/fault.h"
 #include "fplan/floorplanner.h"
+#include "model/tech.h"
 
 namespace sunmap::sweep {
 
@@ -20,36 +21,6 @@ namespace {
                               const std::string& path) {
   throw std::runtime_error("sweep checkpoint: " + what + " " + path + ": " +
                            std::strerror(errno));
-}
-
-std::size_t read_exact(int fd, std::uint8_t* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::read(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(
-          std::string("sweep checkpoint: read failed: ") +
-          std::strerror(errno));
-    }
-    if (n == 0) break;
-    done += static_cast<std::size_t>(n);
-  }
-  return done;
-}
-
-void write_all(int fd, const std::uint8_t* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(
-          std::string("sweep checkpoint: write failed: ") +
-          std::strerror(errno));
-    }
-    done += static_cast<std::size_t>(n);
-  }
 }
 
 /// Incremental 64-bit FNV-1a over heterogeneous inputs.
@@ -83,6 +54,25 @@ void hash_floorplan_options(Fnv1a& fnv,
                             const fplan::Floorplanner::Options& options);
 void hash_fault_set(Fnv1a& fnv, const fault::FaultSet& faults);
 
+void hash_tech(Fnv1a& fnv, const model::TechParams& tech) {
+  fnv.f64(tech.feature_um);
+  fnv.f64(tech.vdd);
+  fnv.i64(tech.flit_width_bits);
+  fnv.i64(tech.buffer_depth_flits);
+  fnv.f64(tech.area_crossbar_per_bit2);
+  fnv.f64(tech.area_buffer_per_bit);
+  fnv.f64(tech.area_logic_per_port);
+  fnv.f64(tech.area_fixed);
+  fnv.f64(tech.energy_fixed_pj);
+  fnv.f64(tech.energy_per_port_pj);
+  fnv.f64(tech.energy_port2_pj);
+  fnv.f64(tech.static_fixed_mw);
+  fnv.f64(tech.static_per_port2_mw);
+  fnv.f64(tech.link_energy_pj_per_bit_mm);
+  fnv.f64(tech.link_delay_ps_per_mm);
+  fnv.f64(tech.clock_period_ps);
+}
+
 void hash_config(Fnv1a& fnv, const mapping::MapperConfig& config) {
   fnv.str(mapping::to_string(config.objective));
   fnv.str(route::to_string(config.routing));
@@ -106,8 +96,11 @@ void hash_config(Fnv1a& fnv, const mapping::MapperConfig& config) {
   fnv.f64(config.annealing_chain_move_prob);
   fnv.i64(config.reroute_passes);
   fnv.i64(config.split_chunks);
+  fnv.u64(config.bound_pruning ? 1 : 0);
+  fnv.u64(config.collect_explored ? 1 : 0);
   hash_floorplan_options(fnv, config.floorplan);
   hash_fault_set(fnv, config.faults);
+  hash_tech(fnv, config.tech);
 }
 
 void hash_floorplan_options(Fnv1a& fnv,
@@ -249,7 +242,10 @@ JournalWriter JournalWriter::create(const std::string& path,
                       0644);
   if (writer.fd_ < 0) throw_errno("cannot create", path);
   const auto bytes = encode_header(header);
-  write_all(writer.fd_, bytes.data(), bytes.size());
+  // A file write never reports EPIPE, so false cannot mean "reader gone".
+  if (!write_all(writer.fd_, bytes.data(), bytes.size())) {
+    throw_errno("cannot write", path);
+  }
   writer.sync();
   return writer;
 }

@@ -9,7 +9,7 @@
 
 namespace sunmap::sweep {
 
-/// Checkpoint journal format (version 2):
+/// Checkpoint journal format (version 3):
 ///
 ///   [8B magic "SWEEPJNL"][u32 version][u64 request fingerprint]
 ///   [u32 description length][description bytes]
@@ -24,8 +24,9 @@ namespace sunmap::sweep {
 inline constexpr char kJournalMagic[8] = {'S', 'W', 'E', 'E',
                                           'P', 'J', 'N', 'L'};
 /// Version 2 added split_chunks and annealing_chain_move_prob to the
-/// fingerprint, so a version-1 journal may hold other values of either.
-inline constexpr std::uint32_t kJournalVersion = 2;
+/// fingerprint, and version 3 the technology parameters, bound_pruning and
+/// collect_explored, so an older journal may hold other values of these.
+inline constexpr std::uint32_t kJournalVersion = 3;
 
 struct JournalHeader {
   std::uint32_t version = kJournalVersion;
@@ -89,9 +90,11 @@ class JournalWriter {
 /// the application (name, cores, commodities), the topology library, every
 /// sweep axis, and the base configuration (objective/routing/search,
 /// constraints, weights, annealing schedule and chain-move probability,
-/// split-all chunks, floorplan options, fault set).
-/// Deliberately excluded: thread counts and context pools — neither changes
-/// any result bit, so a resume may vary them freely.
+/// split-all chunks, bound pruning, explored-set collection, floorplan
+/// options, fault set, technology parameters).
+/// Deliberately excluded: thread counts, context pools and the incremental_*
+/// switches — none changes any result bit, so a resume may vary them
+/// freely — and the sim_* fields, since run_sweep rejects the sim tier.
 [[nodiscard]] std::uint64_t request_fingerprint(
     const select::ExplorationRequest& request);
 

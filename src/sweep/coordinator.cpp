@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "sweep/checkpoint.h"
-#include "sweep/shard.h"
 #include "sweep/wire.h"
 
 namespace sunmap::sweep {
@@ -29,8 +28,12 @@ namespace {
 std::atomic<bool> g_stop{false};
 static_assert(std::atomic<bool>::is_always_lock_free);
 
-/// One contiguous range of grid points handed to a worker. Initially the
-/// whole shard; after a crash, the unfinished remainder (retried == true).
+/// Seconds between --progress lines.
+constexpr double kProgressIntervalS = 1.0;
+
+/// One contiguous range of grid points handed to a worker: a shard's points
+/// the checkpoint lacks, or after a crash the unfinished remainder
+/// (retried == true).
 struct Assignment {
   int shard_index = 0;
   std::size_t begin = 0;
@@ -51,6 +54,9 @@ struct WorkerProc {
   /// crash-recovery cut: everything before it already reached the journal.
   std::size_t next_expected = 0;
   std::size_t points_done = 0;
+  /// Index of the block of shards this worker owns (a replacement worker
+  /// inherits its predecessor's).
+  std::size_t block = 0;
 };
 
 /// run_sweep ignores SIGPIPE for its duration (workers can die with frames
@@ -88,9 +94,6 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
                       const SweepOptions& options) {
   if (options.num_workers < 1) {
     throw std::invalid_argument("run_sweep: num_workers must be >= 1");
-  }
-  if (options.num_shards < 0) {
-    throw std::invalid_argument("run_sweep: num_shards must be >= 0");
   }
   if (options.resume && options.checkpoint_path.empty()) {
     throw std::invalid_argument(
@@ -160,19 +163,34 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
   }
 
   // ---- Work queue: per shard, the contiguous runs of missing points. ----
-  const int shard_count =
-      options.num_shards > 0 ? options.num_shards : options.num_workers;
-  std::deque<Assignment> queue;
-  for (const Shard& shard : plan_shards(total, shard_count)) {
-    std::size_t i = shard.begin;
-    while (i < shard.end) {
-      while (i < shard.end && have[i] != 0) ++i;
-      if (i >= shard.end) break;
-      std::size_t j = i;
-      while (j < shard.end && have[j] == 0) ++j;
-      queue.push_back(Assignment{shard.index, i, j, false});
-      i = j;
+  // A shard is one objective run: points that share an evaluation class,
+  // and so the metrics cache, of each context.
+  const std::size_t shard_points = request.objective_run();
+  std::vector<Assignment> queue;
+  for (std::size_t i = 0; i < total;) {
+    if (have[i] != 0) {
+      ++i;
+      continue;
     }
+    const std::size_t shard = i / shard_points;
+    const std::size_t shard_end =
+        std::min(total, (shard + 1) * shard_points);
+    std::size_t j = i;
+    while (j < shard_end && have[j] == 0) ++j;
+    queue.push_back(Assignment{static_cast<int>(shard), i, j, false});
+    i = j;
+  }
+  // Each worker owns one contiguous block of the queue and works it in grid
+  // order, so neighbouring shards, which share route classes and
+  // floorplans, stay on one worker's warm contexts. A worker whose block
+  // runs dry takes the last shard of the fullest block, so the few costly
+  // points (split-all routing, annealing) do not pin one worker while the
+  // others idle.
+  const std::size_t num_blocks = std::min<std::size_t>(
+      static_cast<std::size_t>(options.num_workers), queue.size());
+  std::vector<std::deque<Assignment>> blocks(num_blocks);
+  for (std::size_t k = 0; k < queue.size(); ++k) {
+    blocks[k * num_blocks / queue.size()].push_back(queue[k]);
   }
 
   ScopedSigpipeIgnore sigpipe_guard;
@@ -192,7 +210,7 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
     }
   };
 
-  const auto spawn_worker = [&]() -> WorkerProc& {
+  const auto spawn_worker = [&](std::size_t block) -> WorkerProc& {
     int cmd[2] = {-1, -1};
     int res[2] = {-1, -1};
     if (::pipe(cmd) != 0 || ::pipe(res) != 0) {
@@ -224,6 +242,7 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
     worker.cmd_fd = cmd[1];
     worker.res_fd = res[0];
     worker.alive = true;
+    worker.block = block;
     workers.push_back(worker);
     ++stats.workers_spawned;
     return workers.back();
@@ -243,12 +262,25 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
 
   dispatch = [&](WorkerProc& worker) {
     if (!worker.alive || worker.has_assignment) return;
-    if (queue.empty()) {
+    // The front of its own block, else the back of the fullest block.
+    auto& own = blocks[worker.block];
+    std::deque<Assignment>* from = &own;
+    if (own.empty()) {
+      for (auto& block : blocks) {
+        if (block.size() > from->size()) from = &block;
+      }
+    }
+    if (from->empty()) {
       send_shutdown(worker);
       return;
     }
-    const Assignment assignment = queue.front();
-    queue.pop_front();
+    const bool stolen = from != &own;
+    const Assignment assignment = stolen ? from->back() : from->front();
+    if (stolen) {
+      from->pop_back();
+    } else {
+      from->pop_front();
+    }
     worker.assignment = assignment;
     worker.has_assignment = true;
     worker.next_expected = assignment.begin;
@@ -289,17 +321,19 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
       Assignment retry = assignment;
       retry.begin = worker.next_expected;
       retry.retried = true;
-      queue.push_front(retry);
+      blocks[worker.block].push_front(retry);
       ++stats.shards_requeued;
     }
     // One recovery knob: unless the test asked for a persistent crash, the
     // re-queued range must succeed on the replacement worker.
     if (!hooks.crash_persistent) hooks.crash_at_point = -1;
-    dispatch(spawn_worker());
+    dispatch(spawn_worker(worker.block));
   };
 
   const auto any_assignment_pending = [&]() {
-    if (!queue.empty()) return true;
+    for (const auto& block : blocks) {
+      if (!block.empty()) return true;
+    }
     for (const auto& worker : workers) {
       if (worker.alive && worker.has_assignment) return true;
     }
@@ -316,7 +350,7 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
         std::chrono::duration<double>(now - start).count();
     if (!final_line &&
         std::chrono::duration<double>(now - last_progress).count() <
-            options.progress_interval_s) {
+            kProgressIntervalS) {
       return;
     }
     last_progress = now;
@@ -349,10 +383,7 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
   };
 
   try {
-    const int initial =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(options.num_workers), queue.size()));
-    for (int i = 0; i < initial; ++i) dispatch(spawn_worker());
+    for (std::size_t b = 0; b < num_blocks; ++b) dispatch(spawn_worker(b));
 
     while (any_assignment_pending()) {
       if (g_stop) {
@@ -395,21 +426,28 @@ SweepResult run_sweep(const select::ExplorationRequest& request,
                 decode_point_record(body.data(), body.size());
             const auto index =
                 static_cast<std::size_t>(record.point_index);
-            if (index < total && have[index] == 0) {
-              if (journal.is_open()) journal.append(record);
-              apply_record(record, &report.results[index]);
-              have[index] = 1;
-              ++have_count;
-              ++stats.points_evaluated;
+            // An assignment ends at its last index, so a record out of
+            // order would end it early and leave points unmerged.
+            if (!worker.has_assignment || index != worker.next_expected) {
+              throw std::runtime_error(
+                  "run_sweep: worker " + std::to_string(worker.id) +
+                  " sent point " + std::to_string(record.point_index) +
+                  " out of its assignment's order");
             }
             worker.next_expected = index + 1;
             ++worker.points_done;
+            // Deal the next shard before the journal's fsync, so the
+            // worker does not wait on the disk.
+            if (worker.next_expected == worker.assignment.end) {
+              worker.has_assignment = false;
+              dispatch(worker);
+            }
+            if (journal.is_open()) journal.append(record);
+            apply_record(record, &report.results[index]);
+            have[index] = 1;
+            ++have_count;
+            ++stats.points_evaluated;
             print_progress(false);
-            break;
-          }
-          case MsgType::kShardDone: {
-            worker.has_assignment = false;
-            dispatch(worker);
             break;
           }
           case MsgType::kError: {

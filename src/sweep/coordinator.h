@@ -16,10 +16,6 @@ struct SweepOptions {
   /// per-topology context pool and sends each point back over a pipe as
   /// soon as it is explored.
   int num_workers = 2;
-  /// Shards the grid is partitioned into; 0 (default) means one per
-  /// worker. More shards than workers gives finer-grained work stealing
-  /// and smaller re-queued ranges after a crash.
-  int num_shards = 0;
   /// Append-only journal of completed points (see checkpoint.h). Empty
   /// disables checkpointing.
   std::string checkpoint_path;
@@ -27,11 +23,9 @@ struct SweepOptions {
   /// points are folded in from the journal and only the remainder is
   /// assigned to workers. The journal's request fingerprint must match.
   bool resume = false;
-  /// Periodic progress lines on stderr (points done/total, rate, ETA,
+  /// Progress lines on stderr once a second (points done/total, rate, ETA,
   /// per-worker throughput).
   bool progress = false;
-  /// Seconds between progress lines.
-  double progress_interval_s = 1.0;
   /// Free-form tag recorded in a fresh journal's header.
   std::string description;
   /// Failure-injection knobs for the crash/kill tests (inherited by the
@@ -66,11 +60,16 @@ struct SweepResult {
 /// they send back, and finishes the merged report once with
 /// select::finish_report(), so it is bit-identical (winners, Pareto
 /// frontier, per-point scalars in grid order) to single-process
-/// DesignSpaceExplorer::explore() at any shard count and worker
-/// interleaving. Merged evaluations carry scalars and mappings only —
-/// floorplan geometry and route sets stay in the workers — so
-/// ExplorationReport::winner() floorplan rendering is a single-process-mode
-/// feature.
+/// DesignSpaceExplorer::explore() at any worker count and interleaving.
+///
+/// The grid is cut into shards of one objective run each
+/// (request.objective_run() points that differ only in objective), so
+/// point p belongs to shard p / objective_run(). Each worker owns a
+/// contiguous block of shards and works it in grid order; a worker whose
+/// block is empty takes the last shard of the fullest block. Merged
+/// evaluations carry scalars and mappings only — floorplan geometry and
+/// route sets stay in the workers — so ExplorationReport::winner()
+/// floorplan rendering is a single-process-mode feature.
 ///
 /// Worker crashes re-queue the lost remainder of the shard once; a second
 /// death on the same range throws std::runtime_error naming the shard and

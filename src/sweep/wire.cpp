@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace sunmap::sweep {
 
@@ -23,8 +24,12 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
-/// read()/write() wrappers that finish the whole count, retrying EINTR.
-/// read_exact returns the bytes actually read (short only at EOF).
+/// Encoded size of a candidate with an empty mapping: two flags, ten
+/// doubles and five u32 counts.
+constexpr std::size_t kCandidateBytes = 2 + 10 * 8 + 5 * 4;
+
+}  // namespace
+
 std::size_t read_exact(int fd, std::uint8_t* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
@@ -40,7 +45,6 @@ std::size_t read_exact(int fd, std::uint8_t* data, std::size_t size) {
   return done;
 }
 
-/// Returns false on EPIPE (reader gone), throws on other errors.
 bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
@@ -55,8 +59,6 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   }
   return true;
 }
-
-}  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
   static const auto table = make_crc_table();
@@ -167,8 +169,10 @@ PointRecord decode_point_record(const std::uint8_t* data, std::size_t size) {
   record.shard_index = static_cast<std::int32_t>(reader.get_u32());
   record.worker_id = static_cast<std::int32_t>(reader.get_u32());
   const std::uint32_t num_candidates = reader.get_u32();
-  if (num_candidates > kMaxFrameBytes / 8) {
-    throw std::runtime_error("sweep wire: implausible candidate count");
+  if (num_candidates > reader.remaining() / kCandidateBytes) {
+    throw std::runtime_error(
+        "sweep wire: point record claims " + std::to_string(num_candidates) +
+        " candidates in " + std::to_string(reader.remaining()) + " bytes");
   }
   record.candidates.resize(num_candidates);
   for (auto& candidate : record.candidates) {
@@ -190,8 +194,11 @@ PointRecord decode_point_record(const std::uint8_t* data, std::size_t size) {
     candidate.evaluated_mappings = static_cast<std::int32_t>(reader.get_u32());
     candidate.pruned_mappings = static_cast<std::int32_t>(reader.get_u32());
     const std::uint32_t cores = reader.get_u32();
-    if (cores > kMaxFrameBytes / 4) {
-      throw std::runtime_error("sweep wire: implausible mapping size");
+    if (cores > reader.remaining() / 4) {
+      throw std::runtime_error(
+          "sweep wire: point record claims " + std::to_string(cores) +
+          " mapped cores in " + std::to_string(reader.remaining()) +
+          " bytes");
     }
     candidate.core_to_slot.resize(cores);
     for (auto& slot : candidate.core_to_slot) {

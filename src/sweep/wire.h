@@ -23,9 +23,8 @@ enum class MsgType : std::uint8_t {
   kAssignShard = 1,  ///< u32 shard_index, u64 begin, u64 end (grid range).
   kShutdown = 2,     ///< No payload; worker exits 0.
   // worker -> coordinator
-  kPoint = 16,      ///< PointRecord (below).
-  kShardDone = 17,  ///< u32 shard_index: the assignment finished.
-  kError = 18,      ///< UTF-8 what() of the worker's fatal exception.
+  kPoint = 16,  ///< PointRecord (below); the range's last one ends it.
+  kError = 18,  ///< UTF-8 what() of the worker's fatal exception.
 };
 
 /// The result scalars of one (point, topology) cell — everything the merge
@@ -97,7 +96,9 @@ class PayloadReader {
     const PointRecord& record);
 
 /// Parses the encode_point_record layout; throws std::runtime_error on a
-/// malformed payload.
+/// malformed payload. Each claimed count is checked against the bytes left
+/// before anything is allocated for it, so a short payload cannot claim
+/// memory it does not carry.
 [[nodiscard]] PointRecord decode_point_record(const std::uint8_t* data,
                                               std::size_t size);
 
@@ -114,6 +115,15 @@ class PayloadReader {
 void apply_record(const PointRecord& record, select::PointResult* out);
 
 // ---- Framed pipe I/O ------------------------------------------------------
+
+/// read() until `size` bytes arrived or EOF, retrying EINTR; returns the
+/// bytes read (short only at EOF). Throws std::runtime_error on an error.
+std::size_t read_exact(int fd, std::uint8_t* data, std::size_t size);
+
+/// write() until all `size` bytes are out, retrying EINTR and partial
+/// writes. Returns false on EPIPE (the reader is gone); throws
+/// std::runtime_error on any other error.
+bool write_all(int fd, const std::uint8_t* data, std::size_t size);
 
 /// Writes one frame to fd, retrying on EINTR and partial writes. Returns
 /// false when the reader is gone (EPIPE) — how an orphaned worker learns

@@ -81,10 +81,6 @@ void run_worker_loop(const select::ExplorationRequest& request,
           _exit(3);
         }
       }
-
-      std::vector<std::uint8_t> done;
-      put_u32(done, static_cast<std::uint32_t>(shard_index));
-      if (!write_frame(res_fd, MsgType::kShardDone, done)) _exit(3);
     }
   } catch (const std::exception& e) {
     send_error(res_fd, e.what());

@@ -26,8 +26,8 @@ struct WorkerHooks {
 /// explores each assigned [begin, end) range one point at a time: a
 /// one-point request (base = the point's config, no axes, the request's
 /// num_threads) on one ExplorerContextPool that persists across every
-/// assignment this worker serves. Writes a kPoint frame after each point
-/// and a kShardDone frame after each range to res_fd.
+/// assignment this worker serves. Writes a kPoint frame to res_fd after
+/// each point; the coordinator counts a range done at its last point.
 /// Exits 0 on kShutdown or cmd EOF, 1 after sending kError for a fatal
 /// exception, 3 when the coordinator vanished mid-write (EPIPE).
 [[noreturn]] void run_worker_loop(const select::ExplorationRequest& request,

@@ -29,7 +29,7 @@ TEST(CoreGraph, BasicAccessors) {
 TEST(CoreGraph, CoreIndexByName) {
   const auto app = small();
   EXPECT_EQ(app.core_index("b"), 1);
-  EXPECT_THROW(app.core_index("nope"), std::out_of_range);
+  EXPECT_THROW((void)app.core_index("nope"), std::out_of_range);
 }
 
 TEST(CoreGraph, DuplicateNameThrows) {

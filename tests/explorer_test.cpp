@@ -161,6 +161,14 @@ TEST(Explorer, ExpandsGridObjectiveInnermostRoutingOutermost) {
   EXPECT_EQ(points[6].config.routing, route::RoutingKind::kMinPath);
   EXPECT_EQ(points[23].config.routing, route::RoutingKind::kSplitAll);
   EXPECT_EQ(points[23].config.objective, mapping::Objective::kMinPower);
+  // Each objective run differs only in objective (run_sweep's shards).
+  ASSERT_EQ(request.objective_run(), 3u);
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    const auto& first = points[p - p % 3].config;
+    auto config = points[p].config;
+    config.objective = first.objective;
+    EXPECT_EQ(config, first) << p;
+  }
   // Empty axes fall back to the base config.
   ExplorationRequest single;
   single.app = &app;
@@ -169,6 +177,7 @@ TEST(Explorer, ExpandsGridObjectiveInnermostRoutingOutermost) {
   const auto one = DesignSpaceExplorer::expand(single);
   ASSERT_EQ(one.size(), 1u);
   EXPECT_EQ(one[0].config.objective, mapping::Objective::kMinPower);
+  EXPECT_EQ(single.objective_run(), 1u);
 }
 
 // The acceptance bar of the batch API: a 3-objective x 4-routing sweep over

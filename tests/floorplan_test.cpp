@@ -51,8 +51,8 @@ TEST(Floorplan, CenterDistanceIsManhattan) {
   EXPECT_DOUBLE_EQ(fp.center_distance_mm(PlacedBlock::Kind::kCore, 0,
                                          PlacedBlock::Kind::kSwitch, 0),
                    3.0);
-  EXPECT_THROW(fp.center_distance_mm(PlacedBlock::Kind::kCore, 0,
-                                     PlacedBlock::Kind::kSwitch, 9),
+  EXPECT_THROW((void)fp.center_distance_mm(PlacedBlock::Kind::kCore, 0,
+                                           PlacedBlock::Kind::kSwitch, 9),
                std::out_of_range);
 }
 

@@ -76,9 +76,9 @@ TEST(SwitchModel, AsymmetricPortsUseMeanRadix) {
 
 TEST(SwitchModel, RejectsInvalidPorts) {
   SwitchModel model(TechParams::um100());
-  EXPECT_THROW(model.area_mm2(0, 4), std::invalid_argument);
-  EXPECT_THROW(model.energy_pj_per_bit(4, 0), std::invalid_argument);
-  EXPECT_THROW(model.area_mm2(4, 2000), std::invalid_argument);
+  EXPECT_THROW((void)model.area_mm2(0, 4), std::invalid_argument);
+  EXPECT_THROW((void)model.energy_pj_per_bit(4, 0), std::invalid_argument);
+  EXPECT_THROW((void)model.area_mm2(4, 2000), std::invalid_argument);
 }
 
 TEST(LinkModel, EnergyLinearInLength) {
@@ -93,7 +93,7 @@ TEST(LinkModel, PowerArithmetic) {
   LinkModel model(tech);
   // 1000 MB/s over 2 mm: 8e9 bit/s * 1.0 pJ = 8 mW.
   EXPECT_NEAR(model.power_mw(1000.0, 2.0), 8.0, 1e-9);
-  EXPECT_THROW(model.power_mw(-1.0, 1.0), std::invalid_argument);
+  EXPECT_THROW((void)model.power_mw(-1.0, 1.0), std::invalid_argument);
 }
 
 TEST(LinkModel, LatencyAtLeastOneCycle) {
@@ -124,8 +124,8 @@ TEST(AreaPowerLibrary, LookupMatchesDirectModel) {
 
 TEST(AreaPowerLibrary, OutOfRangeThrows) {
   AreaPowerLibrary library(TechParams::um100(), 8);
-  EXPECT_THROW(library.lookup(9, 4), std::out_of_range);
-  EXPECT_THROW(library.lookup(4, 0), std::out_of_range);
+  EXPECT_THROW((void)library.lookup(9, 4), std::out_of_range);
+  EXPECT_THROW((void)library.lookup(4, 0), std::out_of_range);
 }
 
 TEST(AreaPowerLibrary, AllEntriesComplete) {

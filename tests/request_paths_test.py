@@ -100,8 +100,7 @@ class RequestPathsTest(unittest.TestCase):
         self.assertEqual(len(json.loads(in_process)["points"]), 16)
         self.assertEqual(in_process, self.read("grid_call.json"))
 
-        self.ok(*GRID, "--workers", "2", "--shards", "3",
-                "--csv", self.path("grid_workers.csv"))
+        self.ok(*GRID, "--workers", "3", "--csv", self.path("grid_workers.csv"))
         diff = subprocess.run(
             [sys.executable, DIFF_REPORTS, self.path("grid.csv"),
              self.path("grid_workers.csv")], capture_output=True, text=True)
@@ -127,10 +126,9 @@ class RequestPathsTest(unittest.TestCase):
 
     def test_call_rejects_each_flag_it_cannot_honour(self):
         for flag in (["--file", self.path("app.cg")], ["--workers", "2"],
-                     ["--shards", "3"], ["--checkpoint", self.path("c")],
-                     ["--resume"], ["--progress"],
-                     ["--csv", self.path("x.csv")], ["--floorplan"],
-                     ["--out", self.path("out")]):
+                     ["--checkpoint", self.path("c")], ["--resume"],
+                     ["--progress"], ["--csv", self.path("x.csv")],
+                     ["--floorplan"], ["--out", self.path("out")]):
             with self.subTest(flag=flag[0]):
                 result = self.cli("--app", "vopd", "--sweep", "--call",
                                   self.socket, *flag)
@@ -139,12 +137,17 @@ class RequestPathsTest(unittest.TestCase):
         self.assertFalse(os.path.exists(self.path("x.csv")))
         self.assertFalse(os.path.exists(self.path("out")))
 
+    def test_shard_count_is_not_a_flag(self):
+        result = self.cli("--app", "vopd", "--sweep", "--workers", "2",
+                          "--shards", "3")
+        self.assertEqual(result.returncode, 2, result.stdout)
+        self.assertIn("unknown argument --shards", result.stderr)
+
     def test_bad_flags_exit_2_naming_flag_and_value(self):
         cases = [
             (["--threads", "abc"], ["threads", "abc"]),
             (["--threads", "99999999999"], ["threads", "99999999999"]),
             (["--sweep", "--workers", "abc"], ["--workers", "abc"]),
-            (["--sweep", "--shards", "x1"], ["--shards", "x1"]),
             (["--serve-requests", "many"], ["--serve-requests", "many"]),
             (["--serve-threads", "2.5"], ["--serve-threads", "2.5"]),
             (["--routing", "DO", "--routing", "MP"], ["routings"]),

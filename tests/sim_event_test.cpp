@@ -897,48 +897,6 @@ TEST(SimRank, IsAdditiveDeterministicAndCrownsAScoredFinalist) {
   EXPECT_THROW((void)explorer.explore(request), std::invalid_argument);
 }
 
-TEST(SimEvaluator, EvictsLeastRecentlyScoredBeyondCapacity) {
-  const auto app = apps::pip();
-  const auto library = topo::standard_library(app.num_cores());
-  select::TopologySelector selector;
-  const auto report = selector.select(app, library);
-  ASSERT_GE(report.candidates.size(), 3u);
-  const auto& a = report.candidates[0];
-  const auto& b = report.candidates[1];
-  const auto& c = report.candidates[2];
-
-  mapping::SimTierOptions options;
-  options.cache_capacity = 2;
-  mapping::SimEvaluator evaluator(options);
-  const auto first = evaluator.score(app, *a.topology, a.result);
-  (void)evaluator.score(app, *b.topology, b.result);
-  EXPECT_EQ(evaluator.cached_layouts(), 2u);
-  // Third topology evicts the least-recently-scored entry (a).
-  (void)evaluator.score(app, *c.topology, c.result);
-  EXPECT_EQ(evaluator.cached_layouts(), 2u);
-  // Re-scoring the evicted topology rebuilds it and reproduces the score
-  // bit for bit — eviction can never change results.
-  const auto rebuilt = evaluator.score(app, *a.topology, a.result);
-  EXPECT_EQ(evaluator.cached_layouts(), 2u);
-  EXPECT_EQ(first.stats.avg_latency_cycles, rebuilt.stats.avg_latency_cycles);
-  EXPECT_EQ(first.stats.flit_events, rebuilt.stats.flit_events);
-  EXPECT_EQ(first.stats.cycles, rebuilt.stats.cycles);
-
-  // Recency, not insertion order: touching the oldest entry saves it.
-  mapping::SimEvaluator lru(options);
-  (void)lru.score(app, *a.topology, a.result);
-  (void)lru.score(app, *b.topology, b.result);
-  (void)lru.score(app, *a.topology, a.result);  // refresh a
-  (void)lru.score(app, *c.topology, c.result);  // must evict b, not a
-  const auto before = lru.cached_layouts();
-  (void)lru.score(app, *a.topology, a.result);  // cache hit
-  EXPECT_EQ(lru.cached_layouts(), before);
-
-  mapping::SimTierOptions bad;
-  bad.cache_capacity = 0;
-  EXPECT_THROW(mapping::SimEvaluator{bad}, std::invalid_argument);
-}
-
 TEST(SimSeed, DecouplesSimulatorPrngFromSearchSeed) {
   // sim_tier_options carries the dedicated simulator seed (and the traffic
   // shape) into the tier; the default reproduces the historical behavior

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/apps.h"
+#include "model/tech.h"
 #include "select/explorer.h"
 #include "sweep/checkpoint.h"
 #include "sweep/coordinator.h"
@@ -155,9 +156,10 @@ TEST(Checkpoint, RejectsForeignMagicAndFutureVersion) {
     auto writer = JournalWriter::create(path, JournalHeader{});
     writer.close();
   }
-  // Version 1 predates the fingerprint's split_chunks and chain-move
-  // fields, so it is refused like a future version.
-  for (const char version : {1, 99}) {
+  // Versions 1 and 2 predate fingerprint fields (split_chunks and the
+  // chain-move probability; the technology parameters, bound_pruning and
+  // collect_explored), so they are refused like a future version.
+  for (const char version : {1, 2, 99}) {
     auto bytes = slurp(path);
     bytes[8] = version;  // Version field (little-endian u32 after the magic).
     dump(path, bytes);
@@ -205,6 +207,45 @@ TEST(Checkpoint, FingerprintCoversResultAffectingFieldsOnly) {
   auto different_chain = request;
   different_chain.base.annealing_chain_move_prob = 0.25;
   EXPECT_NE(request_fingerprint(different_chain), base_print);
+
+  // Pruning and explored-set collection change each cell's pruned count,
+  // and every technology parameter moves areas, powers or delays.
+  auto no_pruning = request;
+  no_pruning.base.bound_pruning = false;
+  EXPECT_NE(request_fingerprint(no_pruning), base_print);
+  auto collecting = request;
+  collecting.base.collect_explored = true;
+  EXPECT_NE(request_fingerprint(collecting), base_print);
+  int field = 0;  // Names the field of a failing check, in listed order.
+  for (double model::TechParams::*member :
+       {&model::TechParams::feature_um, &model::TechParams::vdd,
+        &model::TechParams::area_crossbar_per_bit2,
+        &model::TechParams::area_buffer_per_bit,
+        &model::TechParams::area_logic_per_port,
+        &model::TechParams::area_fixed, &model::TechParams::energy_fixed_pj,
+        &model::TechParams::energy_per_port_pj,
+        &model::TechParams::energy_port2_pj,
+        &model::TechParams::static_fixed_mw,
+        &model::TechParams::static_per_port2_mw,
+        &model::TechParams::link_energy_pj_per_bit_mm,
+        &model::TechParams::link_delay_ps_per_mm,
+        &model::TechParams::clock_period_ps}) {
+    auto different_tech = request;
+    different_tech.base.tech.*member *= 4.0;
+    EXPECT_NE(request_fingerprint(different_tech), base_print)
+        << "double field " << field;
+    ++field;
+  }
+  field = 0;
+  for (int model::TechParams::*member :
+       {&model::TechParams::flit_width_bits,
+        &model::TechParams::buffer_depth_flits}) {
+    auto different_tech = request;
+    different_tech.base.tech.*member *= 2;
+    EXPECT_NE(request_fingerprint(different_tech), base_print)
+        << "int field " << field;
+    ++field;
+  }
 }
 
 TEST(Checkpoint, ResumeRejectsMismatchedFingerprintNamingBoth) {
@@ -258,7 +299,6 @@ TEST(Checkpoint, SigkillMidSweepResumesBitIdentically) {
   if (child == 0) {
     SweepOptions options;
     options.num_workers = 2;
-    options.num_shards = 3;
     options.checkpoint_path = path;
     options.hooks.sleep_ms_per_point = 150;
     try {
@@ -291,7 +331,6 @@ TEST(Checkpoint, SigkillMidSweepResumesBitIdentically) {
 
   SweepOptions options;
   options.num_workers = 2;
-  options.num_shards = 3;
   options.checkpoint_path = path;
   options.resume = true;
   const auto resumed = run_sweep(request, options);

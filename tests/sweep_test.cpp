@@ -22,7 +22,6 @@
 #include "sweep/checkpoint.h"
 #include "sweep/coordinator.h"
 #include "sweep/daemon.h"
-#include "sweep/shard.h"
 #include "sweep/wire.h"
 #include "topo/library.h"
 
@@ -107,31 +106,6 @@ void expect_merged_identical(const select::ExplorationReport& reference,
   }
 }
 
-TEST(ShardPlanner, PartitionsContiguouslyAndBalanced) {
-  const auto shards = plan_shards(10, 3);
-  ASSERT_EQ(shards.size(), 3u);
-  EXPECT_EQ(shards[0].begin, 0u);
-  EXPECT_EQ(shards[0].end, 4u);
-  EXPECT_EQ(shards[1].begin, 4u);
-  EXPECT_EQ(shards[1].end, 7u);
-  EXPECT_EQ(shards[2].begin, 7u);
-  EXPECT_EQ(shards[2].end, 10u);
-  for (const auto& shard : shards) {
-    EXPECT_GE(shard.size(), 3u);
-    EXPECT_LE(shard.size(), 4u);
-  }
-}
-
-TEST(ShardPlanner, ClampsToGridAndRejectsBadCounts) {
-  EXPECT_EQ(plan_shards(2, 7).size(), 2u);  // Never an empty shard.
-  EXPECT_TRUE(plan_shards(0, 3).empty());
-  EXPECT_THROW(plan_shards(5, 0), std::invalid_argument);
-  const auto one = plan_shards(5, 1);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].begin, 0u);
-  EXPECT_EQ(one[0].end, 5u);
-}
-
 TEST(Wire, PointRecordRoundTripsExactly) {
   PointRecord record;
   record.point_index = 42;
@@ -169,9 +143,43 @@ TEST(Wire, DecodeRejectsTruncatedPayload) {
                std::runtime_error);
 }
 
-TEST(Sweep, MergedReportBitIdenticalAtEveryShardCount) {
-  // Two figure workloads (the paper's VOPD and MWD graphs), shard counts
-  // {1, 2, 3, 7} — the subsystem's core invariant from ISSUE/ROADMAP.
+TEST(Wire, DecodeRejectsCountsThePayloadCannotHold) {
+  // A 20-byte header claiming 8,388,608 candidates: refused by name before
+  // any candidate is allocated (each takes at least 102 payload bytes).
+  std::vector<std::uint8_t> bytes;
+  put_u64(bytes, 0);
+  put_u32(bytes, 0);
+  put_u32(bytes, 0);
+  put_u32(bytes, 8388608u);
+  ASSERT_EQ(bytes.size(), 20u);
+  try {
+    (void)decode_point_record(bytes.data(), bytes.size());
+    FAIL() << "expected an implausible candidate count error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("8388608 candidates"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The same check guards each candidate's mapping.
+  PointRecord record;
+  record.candidates.resize(1);
+  bytes = encode_point_record(record);
+  bytes.resize(bytes.size() - 4);
+  put_u32(bytes, 1000000u);
+  try {
+    (void)decode_point_record(bytes.data(), bytes.size());
+    FAIL() << "expected an implausible mapping size error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("1000000 mapped cores"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Sweep, MergedReportBitIdenticalAtEveryWorkerCount) {
+  // Two figure workloads (the paper's VOPD and MWD graphs) at worker counts
+  // {1, 2, 3}: the merge is bit-identical however the shards interleave.
   struct Workload {
     const char* name;
     mapping::CoreGraph app;
@@ -182,16 +190,16 @@ TEST(Sweep, MergedReportBitIdenticalAtEveryShardCount) {
     const auto request = figure_request(workload.app, library);
     select::DesignSpaceExplorer explorer;
     const auto reference = explorer.explore(request);
-    for (const int shards : {1, 2, 3, 7}) {
+    for (const int workers : {1, 2, 3}) {
       SweepOptions options;
-      options.num_workers = 2;
-      options.num_shards = shards;
+      options.num_workers = workers;
       const auto result = run_sweep(request, options);
       EXPECT_EQ(result.stats.points_evaluated, reference.results.size());
+      EXPECT_EQ(result.stats.workers_spawned, workers);
       EXPECT_EQ(result.stats.worker_crashes, 0);
       expect_merged_identical(
           reference, result.report,
-          std::string(workload.name) + " shards=" + std::to_string(shards));
+          std::string(workload.name) + " workers=" + std::to_string(workers));
     }
   }
 }
@@ -202,13 +210,18 @@ TEST(Sweep, ProvenanceColumnsRecordShardAndWorker) {
   const auto request = figure_request(app, library);
   SweepOptions options;
   options.num_workers = 2;
-  options.num_shards = 3;
   const auto result = run_sweep(request, options);
-  for (const auto& point : result.report.results) {
-    EXPECT_GE(point.shard_index, 0);
-    EXPECT_LT(point.shard_index, 3);
+  // One shard per objective run: the three objectives of each routing.
+  for (std::size_t p = 0; p < result.report.results.size(); ++p) {
+    const auto& point = result.report.results[p];
+    EXPECT_EQ(point.shard_index, static_cast<int>(p / 3)) << p;
     EXPECT_GE(point.worker_id, 0);
+    EXPECT_LT(point.worker_id, 2);
   }
+  // Each worker starts on its own half of the grid: shards 0-1 belong to
+  // worker 0, shards 2-3 to worker 1.
+  EXPECT_EQ(result.report.results[0].worker_id, 0);
+  EXPECT_EQ(result.report.results[6].worker_id, 1);
   const auto csv = io::exploration_report_csv(result.report);
   EXPECT_NE(csv.find("point,shard,worker,routing"), std::string::npos);
   EXPECT_NE(csv.find("0,0,"), std::string::npos);
@@ -226,12 +239,17 @@ TEST(Sweep, WorkerCrashRequeuesRemainderOnce) {
 
   SweepOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
-  options.hooks.crash_at_point = 2;  // Mid-shard, not a boundary.
+  // Mid-shard: shard 0 is points [0, 3), worker 0's first.
+  options.hooks.crash_at_point = 1;
   const auto result = run_sweep(request, options);
   EXPECT_EQ(result.stats.worker_crashes, 1);
   EXPECT_EQ(result.stats.shards_requeued, 1);
-  EXPECT_GT(result.stats.workers_spawned, 2);
+  EXPECT_EQ(result.stats.workers_spawned, 3);
+  // Worker 0 sent point 0 and died; only [1, 3) ran again, on worker 2.
+  EXPECT_EQ(result.stats.points_evaluated, reference.results.size());
+  EXPECT_EQ(result.report.results[0].worker_id, 0);
+  EXPECT_EQ(result.report.results[1].worker_id, 2);
+  EXPECT_EQ(result.report.results[2].worker_id, 2);
   expect_merged_identical(reference, result.report, "after crash recovery");
 }
 
@@ -241,16 +259,16 @@ TEST(Sweep, PersistentCrashFailsWithNamedError) {
   const auto request = figure_request(app, library);
   SweepOptions options;
   options.num_workers = 2;
-  options.num_shards = 2;
-  options.hooks.crash_at_point = 2;
+  options.hooks.crash_at_point = 1;
   options.hooks.crash_persistent = true;
   try {
     (void)run_sweep(request, options);
     FAIL() << "expected a named double-death error";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
-    EXPECT_NE(what.find("died twice"), std::string::npos) << what;
-    EXPECT_NE(what.find("shard"), std::string::npos) << what;
+    EXPECT_NE(what.find("died twice on shard 0 points [1, 3)"),
+              std::string::npos)
+        << what;
   }
 }
 

@@ -141,11 +141,10 @@ void usage() {
   --json <path>       write the exploration report as JSON (sweep only)
 
 Distributed sweeps (with --sweep; see README "Distributed sweeps"):
-  --workers <n>       distribute the sweep across n worker processes; the
-                      merged report is bit-identical to the single-process
-                      explorer at any worker/shard count
-  --shards <n>        shards the grid is split into (default: one per
-                      worker; more shards = finer crash-recovery granules)
+  --workers <n>       distribute the sweep across n worker processes, one
+                      objective run of the grid at a time; the merged
+                      report is bit-identical to the single-process
+                      explorer at any worker count
   --checkpoint <path> append-only journal of completed points; a killed
                       sweep resumes from it with --resume
   --resume            fold the checkpoint's completed points in and only
@@ -179,11 +178,10 @@ struct LocalOptions {
   std::string out_dir;
   std::string csv_path;
   std::string json_path;
-  /// Distributed-sweep options (--workers/--shards/--checkpoint/--resume/
+  /// Distributed-sweep options (--workers/--checkpoint/--resume/
   /// --progress). workers == 0 and an empty checkpoint keep the sweep
   /// in-process.
   int workers = 0;
-  int shards = 0;
   std::string checkpoint_path;
   bool resume = false;
   bool progress = false;
@@ -231,7 +229,6 @@ int run_sweep(select::ExplorationRequest& request, bool extensions,
   if (distributed) {
     sweep::SweepOptions options;
     options.num_workers = std::max(1, args.workers);
-    options.num_shards = args.shards;
     options.checkpoint_path = args.checkpoint_path;
     options.resume = args.resume;
     options.progress = args.progress;
@@ -466,8 +463,8 @@ constexpr RequestFlag kRequestFlags[] = {
 /// The flags --call cannot honour: the daemon reads no local files and
 /// answers with its JSON report only.
 constexpr const char* kLocalOnlyFlags[] = {
-    "--file",     "--workers", "--shards",    "--checkpoint", "--resume",
-    "--progress", "--csv",     "--floorplan", "--out"};
+    "--file",     "--workers", "--checkpoint", "--resume",
+    "--progress", "--csv",     "--floorplan",  "--out"};
 
 int run(int argc, char** argv) {
   std::string request_text;
@@ -511,8 +508,6 @@ int run(int argc, char** argv) {
       local.sweep = true;
     } else if (arg == "--workers") {
       local.workers = io::parse_int(arg, need_value(i));
-    } else if (arg == "--shards") {
-      local.shards = io::parse_int(arg, need_value(i));
     } else if (arg == "--checkpoint") {
       local.checkpoint_path = need_value(i);
     } else if (arg == "--resume") {
@@ -583,10 +578,10 @@ int run(int argc, char** argv) {
     return 2;
   }
   if (!local.sweep &&
-      (local.workers > 0 || local.shards > 0 ||
-       !local.checkpoint_path.empty() || local.resume || local.progress)) {
-    std::cerr << "--workers/--shards/--checkpoint/--resume/--progress "
-                 "require --sweep\n";
+      (local.workers > 0 || !local.checkpoint_path.empty() || local.resume ||
+       local.progress)) {
+    std::cerr << "--workers/--checkpoint/--resume/--progress require "
+                 "--sweep\n";
     return 2;
   }
   select::ExplorationRequest& request = decoded.request;
