@@ -23,18 +23,15 @@ void FaultSet::validate() const {
     throw std::invalid_argument("FaultSet: " + what);
   };
   // +inf passes a plain range check but turns every faulty cost into inf,
-  // which still ranks as a feasible winner; so each value must be finite.
+  // which still ranks as a feasible winner; so the penalty must be finite.
   if (!(infeasible_penalty >= 1.0) || !std::isfinite(infeasible_penalty)) {
     fail("infeasible_penalty must be finite and >= 1, got " +
          std::to_string(infeasible_penalty));
   }
-  if (!(fault_free_weight >= 0.0) || !std::isfinite(fault_free_weight)) {
-    fail("fault_free_weight must be finite and >= 0, got " +
-         std::to_string(fault_free_weight));
-  }
   if (spec.kind == FaultSpec::Kind::kRandom) {
-    if (spec.num_scenarios < 1) {
-      fail("random num_scenarios must be >= 1, got " +
+    if (spec.num_scenarios < 1 || spec.num_scenarios > kMaxRandomScenarios) {
+      fail("random num_scenarios must be in [1, " +
+           std::to_string(kMaxRandomScenarios) + "], got " +
            std::to_string(spec.num_scenarios));
     }
     if (spec.faults_per_scenario < 1) {
@@ -43,13 +40,7 @@ void FaultSet::validate() const {
     }
   }
   if (spec.kind == FaultSpec::Kind::kExplicit) {
-    double weight_total = fault_free_weight;
     for (const auto& scenario : spec.scenarios) {
-      if (!(scenario.weight >= 0.0) || !std::isfinite(scenario.weight)) {
-        fail("scenario weight must be finite and >= 0, got " +
-             std::to_string(scenario.weight));
-      }
-      weight_total += scenario.weight;
       for (const auto& link : scenario.links) {
         if (link.a < 0 || link.b < 0) {
           fail("link fault endpoints must be >= 0, got " +
@@ -61,11 +52,6 @@ void FaultSet::validate() const {
           fail("switch fault id must be >= 0, got " + std::to_string(sw));
         }
       }
-    }
-    if (aggregation == Aggregation::kWeighted && !spec.scenarios.empty() &&
-        !(weight_total > 0.0)) {
-      fail("weighted aggregation needs a positive total weight, got " +
-           std::to_string(weight_total));
     }
   }
 }
@@ -181,7 +167,6 @@ std::vector<FaultScenario> materialize(const FaultSpec& spec,
         const auto& user = spec.scenarios[i];
         FaultScenario scenario;
         scenario.name = "user" + std::to_string(i);
-        scenario.weight = user.weight;
         for (const auto& link : user.links) {
           add_link_edges(topology, link, scenario);
         }

@@ -21,14 +21,18 @@ struct LinkFault {
 };
 
 /// One user-listed fault scenario, described independently of any concrete
-/// topology: links by endpoint switch ids, dead switches by id, plus the
-/// scenario's weight under the weighted-across-scenarios aggregation.
+/// topology: links by endpoint switch ids and dead switches by id.
 struct ScenarioSpec {
   std::vector<LinkFault> links;
   std::vector<graph::NodeId> switches;
-  double weight = 1.0;
   [[nodiscard]] bool operator==(const ScenarioSpec&) const = default;
 };
+
+/// Most scenarios a random spec may draw. Each materialized scenario costs
+/// every context its masked-BFS tables (tens of KB), so the cap bounds the
+/// memory one request can claim; it is over twice the 420-channel N-1 set
+/// of a 15x15 mesh.
+inline constexpr int kMaxRandomScenarios = 1024;
 
 /// Topology-independent description of a whole fault-scenario family. The
 /// spec — not a list of concrete edge ids — is what MapperConfig carries,
@@ -55,7 +59,7 @@ struct FaultSpec {
 /// minimises.
 enum class Aggregation {
   kWorstCase,  ///< max(fault-free cost, every scenario cost).
-  kWeighted,   ///< Weight-normalised mean of fault-free + scenario costs.
+  kWeighted,   ///< Mean of the fault-free and every scenario cost.
 };
 
 const char* to_string(Aggregation aggregation);
@@ -67,8 +71,6 @@ const char* to_string(Aggregation aggregation);
 struct FaultSet {
   FaultSpec spec;
   Aggregation aggregation = Aggregation::kWorstCase;
-  /// Weight of the fault-free cost under Aggregation::kWeighted.
-  double fault_free_weight = 1.0;
   /// Cost multiplier applied to the fault-free cost when a scenario
   /// disconnects a commodity (or kills an attachment switch). Must be >= 1
   /// so the aggregate can never drop below the fault-free cost's admissible
@@ -80,8 +82,8 @@ struct FaultSet {
   }
   [[nodiscard]] bool operator==(const FaultSet&) const = default;
 
-  /// Topology-independent sanity checks (penalty/weight ranges, random
-  /// generator parameters). Throws std::invalid_argument naming the
+  /// Topology-independent sanity checks (penalty range, random generator
+  /// parameters, explicit fault ids). Throws std::invalid_argument naming the
   /// offending value. Called from MapperConfig::validate().
   void validate() const;
 };
@@ -97,7 +99,6 @@ struct FaultScenario {
   std::vector<graph::EdgeId> failed_edges;
   std::vector<graph::NodeId> failed_switches;
   std::string name;
-  double weight = 1.0;
 };
 
 /// The physical channel list faults quantify over: each bidirectional

@@ -42,10 +42,6 @@ class Floorplanner {
     Engine engine = Engine::kLongestPath;
     /// Coordinate-descent passes over all soft blocks.
     int sizing_passes = 2;
-    /// Candidate aspect ratios (w/h) tried for each soft block, clipped to
-    /// the block's own [min_aspect, max_aspect] range.
-    std::vector<double> aspect_candidates = {1.0 / 3.0, 0.5,  2.0 / 3.0, 1.0,
-                                             1.5,       2.0,  3.0};
     /// Clearance inserted between neighbouring blocks (routing channels).
     double spacing_mm = 0.1;
 

@@ -1,6 +1,7 @@
 #include "fplan/session.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,6 +13,11 @@ namespace sunmap::fplan {
 namespace {
 
 using Mode = topo::RelativePlacement::Mode;
+
+/// Candidate aspect ratios (w/h) the sizing descent tries for each soft
+/// block, clipped to the block's own [min_aspect, max_aspect] range.
+constexpr std::array<double, 7> kAspectCandidates = {
+    1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 3.0};
 
 /// The literal LP engine over already-sized items (the paper's formulation
 /// [21]): minimise W + H subject to the relative-position ordering and
@@ -160,11 +166,11 @@ int FloorplanSession::resolve_shape(const BlockShape& shape) {
   if (shape.soft) {
     resolved.init_w = std::sqrt(shape.area_mm2);
     resolved.init_h = resolved.init_w;
-    // The descent's candidate dims in trial order: the option aspects, then
+    // The descent's candidate dims in trial order: kAspectCandidates, then
     // the shape's own min and max, each clipped to the shape's range;
     // clip-collapsed duplicates dropped (an identical (w, h) re-derives an
     // identical chip, which can never pass the strict improvement test).
-    resolved.candidate_dims.reserve(options_.aspect_candidates.size() + 2);
+    resolved.candidate_dims.reserve(kAspectCandidates.size() + 2);
     const auto try_aspect = [&](double aspect) {
       const double clipped =
           std::clamp(aspect, shape.min_aspect, shape.max_aspect);
@@ -175,7 +181,7 @@ int FloorplanSession::resolve_shape(const BlockShape& shape) {
       }
       resolved.candidate_dims.emplace_back(w, h);
     };
-    for (double aspect : options_.aspect_candidates) try_aspect(aspect);
+    for (const double aspect : kAspectCandidates) try_aspect(aspect);
     try_aspect(shape.min_aspect);
     try_aspect(shape.max_aspect);
   } else {

@@ -142,7 +142,7 @@ class FloorplanSession {
  private:
   /// One distinct block shape's resolution against the session options: the
   /// stage-1 (pre-sizing) dimensions and, for soft blocks, the candidate
-  /// (w, h) pairs of the sizing descent — the option aspects clipped to the
+  /// (w, h) pairs of the sizing descent — the candidate aspects clipped to the
   /// shape's range, duplicates dropped (a duplicate re-derives an identical
   /// chip and can never pass the strict improvement test). Depends only on
   /// (shape, options), so the session interns one entry per distinct shape

@@ -59,9 +59,6 @@ constexpr Spelling<fault::Aggregation> kFaultModes[] = {
     {"worst", fault::Aggregation::kWorstCase},
     {"weighted", fault::Aggregation::kWeighted},
     {"worst-case", fault::Aggregation::kWorstCase}};
-constexpr Spelling<sim::SimEngine> kSimEngines[] = {
-    {"event", sim::SimEngine::kEventDriven},
-    {"cycle", sim::SimEngine::kCycleStepped}};
 constexpr Spelling<mapping::SimTraffic> kSimTraffics[] = {
     {"trace", mapping::SimTraffic::kTrace},
     {"bursty", mapping::SimTraffic::kBursty}};
@@ -377,7 +374,6 @@ void each_key(Archive& v, DecodedRequest& decoded) {
   v.scalar("w_delay", base.weights.delay);
   v.scalar("w_area", base.weights.area);
   v.scalar("w_power", base.weights.power);
-  v.scalar("sim_engine", base.sim_engine, words(kSimEngines));
   v.sim_tier("sim_finalists", "sim_validate", "sim_rank", r.sim_finalists,
              r.sim_rank);
   v.scalar("sim_seed", base.sim_seed);
@@ -394,8 +390,8 @@ bool same_request(const DecodedRequest& a, const DecodedRequest& b) {
   return a.app == b.app && a.extensions == b.extensions && x.base == y.base &&
          x.objectives == y.objectives && x.routings == y.routings &&
          x.link_bandwidths_mbps == y.link_bandwidths_mbps &&
-         x.max_areas_mm2 == y.max_areas_mm2 && x.weight_sets == y.weight_sets &&
-         x.searches == y.searches && x.restart_counts == y.restart_counts &&
+         x.max_areas_mm2 == y.max_areas_mm2 && x.searches == y.searches &&
+         x.restart_counts == y.restart_counts &&
          x.floorplan_options == y.floorplan_options &&
          x.swap_passes == y.swap_passes && x.fault_sets == y.fault_sets &&
          x.num_threads == y.num_threads &&

@@ -30,8 +30,8 @@ struct DecodedRequest {
 /// from a default request's, in a fixed key order, in the short spellings,
 /// with every double in its shortest exact form. decode_request() of the
 /// text reproduces `request` field for field. Throws std::invalid_argument
-/// when the request sets a field no key carries (weight sets, the annealing
-/// schedule, floorplan options that are not an engine x sizing-pass grid).
+/// when the request sets a field no key carries (the annealing budget,
+/// floorplan options that are not an engine x sizing-pass grid).
 [[nodiscard]] std::string encode_request(const DecodedRequest& request);
 
 /// Parses the whole of `text` as an int; throws std::invalid_argument

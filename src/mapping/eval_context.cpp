@@ -28,7 +28,6 @@ std::atomic<std::uint64_t> g_floorplan_misses{0};
 /// split-across-all-paths, where it caps per-chunk spreading.
 bool same_evaluation_class(const MapperConfig& a, const MapperConfig& b) {
   if (a.routing != b.routing) return false;
-  if (a.split_chunks != b.split_chunks) return false;
   if (a.reroute_passes != b.reroute_passes) return false;
   if (a.routing == route::RoutingKind::kSplitAll &&
       a.link_bandwidth_mbps != b.link_bandwidth_mbps) {
@@ -154,7 +153,7 @@ void EvalContext::bind(const MapperConfig& config,
   config_ = config;
 
   route::RoutingEngine::Options engine_options;
-  engine_options.split_chunks = config_.split_chunks;
+  engine_options.split_chunks = MapperConfig::split_chunks;
   engine_options.capacity_hint_mbps = config_.link_bandwidth_mbps;
   if (config_.routing == route::RoutingKind::kMinPath) {
     // Topology-only: built on the first minimum-path bind, reused forever.
@@ -260,7 +259,7 @@ void EvalContext::apply_config_dependent(Evaluation& eval,
       eval.max_link_load_mbps <= config_.link_bandwidth_mbps + 1e-9;
   eval.area_feasible =
       eval.design_area_mm2 <= config_.max_area_mm2 + 1e-9 &&
-      floorplan_aspect <= config_.max_design_aspect + 1e-9;
+      floorplan_aspect <= kMaxDesignAspect + 1e-9;
 
   // ---- Fig 5 step 8: objective cost. ----
   switch (config_.objective) {
@@ -273,13 +272,11 @@ void EvalContext::apply_config_dependent(Evaluation& eval,
     case Objective::kMinPower:
       eval.cost = eval.design_power_mw;
       break;
-    case Objective::kWeighted: {
-      const auto& w = config_.weights;
-      eval.cost = w.delay * eval.avg_switch_hops / w.ref_hops +
-                  w.area * eval.design_area_mm2 / w.ref_area_mm2 +
-                  w.power * eval.design_power_mw / w.ref_power_mw;
+    case Objective::kWeighted:
+      eval.cost = config_.weights.cost(eval.avg_switch_hops,
+                                       eval.design_area_mm2,
+                                       eval.design_power_mw);
       break;
-    }
   }
   // Fold the raw degraded metrics (cached alongside the fault-free ones)
   // into the per-scenario and aggregated costs. Shared code with the
@@ -520,7 +517,6 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       const fault::ScenarioMask& mask = fault_masks_[s];
       auto& outcome = eval.fault_outcomes[s];
       outcome = Evaluation::FaultScenarioOutcome{};
-      outcome.weight = fault_scenarios_[s].weight;
       double fault_hops = 0.0;
       double fault_power_mw = 0.0;
       for (std::size_t k = 0; k < num_commodities; ++k) {
@@ -1556,14 +1552,10 @@ bool EvalContext::prunable(const std::vector<int>& core_to_slot,
                  incumbent.cost + strict;
     case Objective::kWeighted: {
       if (!power_bound_valid_ || !envelope_.valid) return false;
-      const auto& w = config_.weights;
-      const double bound =
-          w.delay * hop_cost_lower_bound(core_to_slot) / w.ref_hops +
-          w.area * area_lb / w.ref_area_mm2 +
-          w.power *
-              power_lower_bound_impl(core_to_slot, scratch,
-                                     /*floors_filled=*/true) /
-              w.ref_power_mw;
+      const double bound = config_.weights.cost(
+          hop_cost_lower_bound(core_to_slot), area_lb,
+          power_lower_bound_impl(core_to_slot, scratch,
+                                 /*floors_filled=*/true));
       return bound >= incumbent.cost + strict;
     }
   }

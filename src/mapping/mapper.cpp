@@ -68,13 +68,12 @@ void apply_fault_objective(Evaluation& eval, const MapperConfig& config) {
   // pristine topology, so degraded hops >= the minimal-hop bound and
   // degraded power (same wire arithmetic) >= the energy bound; the area is
   // fault-invariant; a disconnected scenario contributes penalty x base
-  // with penalty >= 1 (validated); and both max() and a weighted mean of
-  // terms each >= the bound stay >= the bound.
+  // with penalty >= 1 (validated); and both max() and the mean of terms
+  // each >= the bound stay >= the bound.
   const double base_cost = eval.cost;
   double worst = base_cost;
   double worst_scenario = 0.0;
-  double weighted_sum = config.faults.fault_free_weight * base_cost;
-  double weight_total = config.faults.fault_free_weight;
+  double sum = base_cost;
   for (auto& outcome : eval.fault_outcomes) {
     double cost = 0.0;
     if (!outcome.connected) {
@@ -91,29 +90,22 @@ void apply_fault_objective(Evaluation& eval, const MapperConfig& config) {
         case Objective::kMinPower:
           cost = outcome.dynamic_power_mw + eval.static_power_mw;
           break;
-        case Objective::kWeighted: {
-          const auto& w = config.weights;
-          cost = w.delay * outcome.avg_switch_hops / w.ref_hops +
-                 w.area * eval.design_area_mm2 / w.ref_area_mm2 +
-                 w.power * (outcome.dynamic_power_mw + eval.static_power_mw) /
-                     w.ref_power_mw;
+        case Objective::kWeighted:
+          cost = config.weights.cost(
+              outcome.avg_switch_hops, eval.design_area_mm2,
+              outcome.dynamic_power_mw + eval.static_power_mw);
           break;
-        }
       }
     }
     outcome.cost = cost;
     worst_scenario = std::max(worst_scenario, cost);
     worst = std::max(worst, cost);
-    weighted_sum += outcome.weight * cost;
-    weight_total += outcome.weight;
+    sum += cost;
   }
   eval.worst_fault_cost = worst_scenario;
-  if (config.faults.aggregation == fault::Aggregation::kWeighted &&
-      weight_total > 0.0) {
-    eval.cost = weighted_sum / weight_total;
-  } else {
-    eval.cost = worst;
-  }
+  eval.cost = config.faults.aggregation == fault::Aggregation::kWeighted
+                  ? sum / static_cast<double>(eval.fault_outcomes.size() + 1)
+                  : worst;
 }
 
 void MapperConfig::validate() const {
@@ -130,47 +122,33 @@ void MapperConfig::validate() const {
   if (!(max_area_mm2 > 0.0)) {
     fail("max_area_mm2 must be positive, got " + num(max_area_mm2));
   }
-  if (!(max_design_aspect >= 1.0)) {
-    fail("max_design_aspect must be >= 1, got " + num(max_design_aspect));
-  }
   if (swap_passes < 0) {
     fail("swap_passes must be >= 0, got " + std::to_string(swap_passes));
   }
   if (reroute_passes < 0) {
     fail("reroute_passes must be >= 0, got " + std::to_string(reroute_passes));
   }
-  if (split_chunks < 1) {
-    fail("split_chunks must be >= 1, got " + std::to_string(split_chunks));
-  }
   if (annealing_iterations < 0) {
     fail("annealing_iterations must be >= 0, got " +
          std::to_string(annealing_iterations));
   }
-  if (!(annealing_t0 >= 0.0) || !std::isfinite(annealing_t0)) {
-    fail("annealing_t0 must be finite and >= 0, got " + num(annealing_t0));
-  }
-  if (!(annealing_cooling > 0.0 && annealing_cooling <= 1.0)) {
-    fail("annealing_cooling must be in (0, 1], got " + num(annealing_cooling));
-  }
   if (annealing_restarts < 1) {
     fail("annealing_restarts must be >= 1, got " +
+         std::to_string(annealing_restarts));
+  }
+  // Each restart holds a chain outcome; a chain past the budget would run
+  // no iteration, so the budget bounds the memory one request can claim.
+  if (annealing_restarts > std::max(1, annealing_iterations)) {
+    fail("annealing_restarts must be <= max(1, annealing_iterations) = " +
+         std::to_string(std::max(1, annealing_iterations)) + ", got " +
          std::to_string(annealing_restarts));
   }
   if (annealing_reheats < 0) {
     fail("annealing_reheats must be >= 0, got " +
          std::to_string(annealing_reheats));
   }
-  if (!(annealing_chain_move_prob >= 0.0 && annealing_chain_move_prob <= 1.0)) {
-    fail("annealing_chain_move_prob must be in [0, 1], got " +
-         num(annealing_chain_move_prob));
-  }
   if (num_threads < 1) {
     fail("num_threads must be >= 1, got " + std::to_string(num_threads));
-  }
-  if (!(sim_flits_per_cycle_per_gbps > 0.0) ||
-      !std::isfinite(sim_flits_per_cycle_per_gbps)) {
-    fail("sim_flits_per_cycle_per_gbps must be finite and positive, got " +
-         num(sim_flits_per_cycle_per_gbps));
   }
   if (sim_seed == 0) {
     fail("sim_seed must be >= 1 (0 is reserved as \"not a seed\"), got 0");
@@ -196,12 +174,6 @@ void MapperConfig::validate() const {
     fail("objective weights must be finite and >= 0, got delay=" +
          num(weights.delay) + " area=" + num(weights.area) +
          " power=" + num(weights.power));
-  }
-  if (!(weights.ref_hops > 0.0 && weights.ref_area_mm2 > 0.0 &&
-        weights.ref_power_mw > 0.0)) {
-    fail("objective weight reference scales must be positive, got ref_hops=" +
-         num(weights.ref_hops) + " ref_area_mm2=" + num(weights.ref_area_mm2) +
-         " ref_power_mw=" + num(weights.ref_power_mw));
   }
   faults.validate();
 }
@@ -240,7 +212,7 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
   // ---- Fig 5 steps 2-6: route commodities in decreasing value order. ----
   const auto commodities = commodities_by_value(app);
   route::RoutingEngine::Options engine_options;
-  engine_options.split_chunks = config_.split_chunks;
+  engine_options.split_chunks = MapperConfig::split_chunks;
   engine_options.capacity_hint_mbps = config_.link_bandwidth_mbps;
   route::RoutingEngine engine(topology, config_.routing, engine_options);
   route::LoadMap loads(topology.switch_graph().num_edges());
@@ -319,7 +291,7 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
   eval.design_area_mm2 = eval.floorplan.area_mm2();
   eval.area_feasible =
       eval.design_area_mm2 <= config_.max_area_mm2 + 1e-9 &&
-      eval.floorplan.aspect() <= config_.max_design_aspect + 1e-9;
+      eval.floorplan.aspect() <= kMaxDesignAspect + 1e-9;
 
   // Power: every commodity contributes rate x (switch energies + link wire
   // energies) along each of its weighted paths, including the core-to-switch
@@ -391,7 +363,6 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
       fault::make_mask(g, fault_scenarios[s], mask);
       auto& outcome = eval.fault_outcomes[s];
       outcome = Evaluation::FaultScenarioOutcome{};
-      outcome.weight = fault_scenarios[s].weight;
       fault_loads.assign(static_cast<std::size_t>(g.num_edges()), 0.0);
       double fault_hops = 0.0;
       double fault_power_mw = 0.0;
@@ -452,13 +423,11 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
     case Objective::kMinPower:
       eval.cost = eval.design_power_mw;
       break;
-    case Objective::kWeighted: {
-      const auto& w = config_.weights;
-      eval.cost = w.delay * eval.avg_switch_hops / w.ref_hops +
-                  w.area * eval.design_area_mm2 / w.ref_area_mm2 +
-                  w.power * eval.design_power_mw / w.ref_power_mw;
+    case Objective::kWeighted:
+      eval.cost = config_.weights.cost(eval.avg_switch_hops,
+                                       eval.design_area_mm2,
+                                       eval.design_power_mw);
       break;
-    }
   }
   apply_fault_objective(eval, config_);
   return eval;
@@ -515,7 +484,9 @@ std::vector<int> Mapper::greedy_initial_mapping(
       }
     }
 
-    // Slot minimising communication-weighted hop distance to placed cores.
+    // Slot minimising communication-weighted hop distance to placed cores;
+    // the first free slot when every cost is +inf (rates near DBL_MAX
+    // overflow the product), so a placement always exists.
     int best_slot = -1;
     double best_cost = std::numeric_limits<double>::infinity();
     for (int s = 0; s < num_slots; ++s) {
@@ -535,7 +506,7 @@ std::vector<int> Mapper::greedy_initial_mapping(
                 topology.min_switch_hops(
                     core_to_slot[static_cast<std::size_t>(other)], s);
       }
-      if (cost < best_cost) {
+      if (best_slot < 0 || cost < best_cost) {
         best_cost = cost;
         best_slot = s;
       }

@@ -9,7 +9,6 @@
 #include "mapping/core_graph.h"
 #include "model/library.h"
 #include "route/routing.h"
-#include "sim/simulator.h"
 #include "topo/topology.h"
 
 namespace sunmap::mapping {
@@ -22,18 +21,32 @@ enum class Objective { kMinDelay, kMinArea, kMinPower, kWeighted };
 
 const char* to_string(Objective objective);
 
-/// Weights of the combined objective. Each term is normalised by a
+/// Weights of the combined objective. Each term is normalised by a fixed
 /// reference scale so the weights are dimensionless: cost =
-/// delay*hops/ref_hops + area*mm2/ref_area + power*mW/ref_power.
+/// delay*hops/kRefHops + area*mm2/kRefAreaMm2 + power*mW/kRefPowerMw.
 struct ObjectiveWeights {
+  static constexpr double kRefHops = 3.0;
+  static constexpr double kRefAreaMm2 = 60.0;
+  static constexpr double kRefPowerMw = 400.0;
+
   double delay = 1.0;
   double area = 1.0;
   double power = 1.0;
-  double ref_hops = 3.0;
-  double ref_area_mm2 = 60.0;
-  double ref_power_mw = 400.0;
+
+  /// The combined cost of one (hops, area, power) triple — the single
+  /// formula the evaluations, the fault aggregation and the pruning bound
+  /// share.
+  [[nodiscard]] double cost(double hops, double area_mm2,
+                            double power_mw) const {
+    return delay * hops / kRefHops + area * area_mm2 / kRefAreaMm2 +
+           power * power_mw / kRefPowerMw;
+  }
   bool operator==(const ObjectiveWeights&) const = default;
 };
+
+/// Maximum allowed design aspect ratio (max(W/H, H/W)) of a feasible
+/// floorplan.
+inline constexpr double kMaxDesignAspect = 2.5;
 
 /// Which mapping-search strategy Mapper runs after the greedy initial
 /// placement: the paper's pairwise-swap pass (hill climbing), a
@@ -66,8 +79,6 @@ struct MapperConfig {
 
   /// Area constraint: maximum floorplanned design area (mm^2).
   double max_area_mm2 = std::numeric_limits<double>::infinity();
-  /// Maximum allowed design aspect ratio (max(W/H, H/W)).
-  double max_design_aspect = 2.5;
 
   /// Weights used when objective == Objective::kWeighted.
   ObjectiveWeights weights;
@@ -79,39 +90,29 @@ struct MapperConfig {
   /// one pass reproduces the paper, more passes strictly dominate).
   int swap_passes = 2;
 
-  /// Simulated-annealing parameters (search == kAnnealing or
+  /// Simulated-annealing budget (search == kAnnealing or
   /// kRestartAnnealing): random pairwise swaps accepted with the Metropolis
-  /// criterion under geometric cooling. `annealing_iterations` is the TOTAL
-  /// iteration budget of the search; the restart annealer divides it across
-  /// its restarts so restart counts are comparable at equal cost.
+  /// criterion under geometric cooling (search_strategy.cpp holds the
+  /// schedule's constants). `annealing_iterations` is the TOTAL iteration
+  /// budget of the search; the restart annealer divides it across its
+  /// restarts so restart counts are comparable at equal cost.
   int annealing_iterations = 2000;
-  double annealing_t0 = 0.3;       ///< Initial temperature (relative cost).
-  double annealing_cooling = 0.995;
-  std::uint64_t annealing_seed = 1;
 
   /// Independent annealing chains of the restart annealer (search ==
-  /// kRestartAnnealing). Chain r is seeded with annealing_seed + r and all
-  /// chains start from the greedy initial mapping; the best-of-restarts
-  /// result (ties to the lowest restart index) is kept. Chains run on
-  /// num_threads workers and are committed in seed order, so any thread
-  /// count returns the identical result.
+  /// kRestartAnnealing). Chain r is seeded with 1 + r and all chains start
+  /// from the greedy initial mapping; the best-of-restarts result (ties to
+  /// the lowest restart index) is kept. Chains run on num_threads workers
+  /// and are committed in seed order, so any thread count returns the
+  /// identical result. At most max(1, annealing_iterations): a chain past
+  /// the budget would run no iteration.
   int annealing_restarts = 4;
 
   /// Temperature re-heats per annealing chain: the chain is split into
   /// (annealing_reheats + 1) equal segments and the temperature is reset to
-  /// annealing_t0 x the current energy at each segment start, letting a
-  /// cold chain escape the local minimum it converged into. 0 (the default)
-  /// reproduces the plain geometric schedule.
+  /// the initial relative temperature x the current energy at each segment
+  /// start, letting a cold chain escape the local minimum it converged
+  /// into. 0 (the default) reproduces the plain geometric schedule.
   int annealing_reheats = 0;
-
-  /// Probability that an annealing move is a 2-opt chain — a 3-cycle of
-  /// slots applied as the batched move {(a,b), (b,c)} through one
-  /// DeltaTxn::begin_moves transaction — instead of a plain pairwise swap.
-  /// Chain moves reach mappings two swaps away in one Metropolis decision,
-  /// which plain-swap walks only reach through an uphill intermediate. 0
-  /// (the default) draws no extra random numbers, so default-configured
-  /// annealing walks are bit-identical to the pre-chain implementation.
-  double annealing_chain_move_prob = 0.0;
 
   /// Master switch for bound-based candidate pruning (the two-phase swap
   /// evaluation). On by default; the pruning admissibility tests flip it
@@ -157,7 +158,7 @@ struct MapperConfig {
   bool incremental_routing = true;
 
   /// Sub-flows for split-across-all-paths routing.
-  int split_chunks = 16;
+  static constexpr int split_chunks = 16;
 
   /// Rip-up-and-reroute refinement rounds for the load-adaptive routing
   /// functions (MP and SA): after the initial decreasing-order pass each
@@ -179,14 +180,8 @@ struct MapperConfig {
 
   /// Settings of the simulator-backed finalist tier, which
   /// ExplorationRequest::sim_finalists and sim_rank switch on (Mapper::map
-  /// reads none of them). Simulation engine for the finalist tier and
-  /// --sim-validate: the event-driven engine (default) or the cycle-stepped
-  /// reference. Both are bit-identical; the choice exists for A/B checks
-  /// and perf probes.
-  sim::SimEngine sim_engine = sim::SimEngine::kEventDriven;
-  /// MB/s -> flits/cycle conversion for the simulated application trace
-  /// (sim::TraceTraffic's scaling knob).
-  double sim_flits_per_cycle_per_gbps = 0.05;
+  /// reads none of them); the tier's engine and trace scaling are the
+  /// mapping::SimTierOptions defaults.
   /// PRNG seed of the finalist-tier simulator, decoupled from the mapping
   /// search's seed so the two streams can be varied independently
   /// (--sim-seed). 1 — the default — reproduces the historical behavior
@@ -247,7 +242,7 @@ struct Evaluation {
   double switch_area_mm2 = 0.0;
   /// Objective-function value (lower is better); infeasible mappings rank
   /// by max link overload. With fault scenarios configured this is the
-  /// aggregated (worst-case or weighted) degraded cost; without, the plain
+  /// aggregated (worst-case or mean) degraded cost; without, the plain
   /// fault-free objective value.
   double cost = std::numeric_limits<double>::infinity();
 
@@ -264,8 +259,7 @@ struct Evaluation {
     bool connected = true;
     double avg_switch_hops = 0.0;  ///< Over the commodities still routable.
     double dynamic_power_mw = 0.0;
-    double weight = 1.0;  ///< From the scenario, for kWeighted aggregation.
-    double cost = 0.0;    ///< Per-scenario objective value (config-derived).
+    double cost = 0.0;  ///< Per-scenario objective value (config-derived).
     /// Max degraded link load; filled on materialized evaluations only.
     double max_link_load_mbps = 0.0;
   };

@@ -15,6 +15,13 @@ namespace sunmap::mapping {
 
 namespace {
 
+/// The annealing schedule: the initial temperature relative to the
+/// starting energy, the geometric cooling factor per iteration, and the
+/// seed of the single chain (restart chain r takes kAnnealingSeed + r).
+constexpr double kAnnealingT0 = 0.3;
+constexpr double kAnnealingCooling = 0.995;
+constexpr std::uint64_t kAnnealingSeed = 1;
+
 /// Outcome of one speculatively evaluated swap candidate.
 struct SwapOutcome {
   enum class State : std::uint8_t { kSkipped, kPruned, kEvaluated };
@@ -54,16 +61,10 @@ struct ChainOutcome {
 /// from the wreckage of a rejected candidate. The best *feasible-ranked*
 /// mapping seen (under better_than) is what the chain returns.
 ///
-/// Moves are pairwise swaps, with probability
-/// config.annealing_chain_move_prob of a 2-opt chain instead: a slot
-/// 3-cycle a->b->c->a applied through begin_moves({(a,b), (b,c)}), reaching
-/// mappings two swaps away in one Metropolis decision. At probability 0 (the
-/// default) no chain-related random numbers are drawn, so the walk is
-/// bit-identical to the plain-swap implementation.
-///
 /// With config.annealing_reheats > 0 the chain is split into equal segments
-/// and the temperature is reset to t0 x the current energy at each segment
-/// start; reheats = 0 reproduces the plain geometric schedule bit-for-bit.
+/// and the temperature is reset to kAnnealingT0 x the current energy at each
+/// segment start; reheats = 0 reproduces the plain geometric schedule
+/// bit-for-bit.
 ChainOutcome run_annealing_chain(const EvalContext& ctx,
                                  const std::vector<int>& initial_mapping,
                                  const Evaluation& initial_eval,
@@ -80,7 +81,7 @@ ChainOutcome run_annealing_chain(const EvalContext& ctx,
   util::Prng prng(seed);
   auto current = initial_mapping;
   auto current_eval = initial_eval;
-  double temperature = cfg.annealing_t0 * annealing_energy(current_eval, cfg);
+  double temperature = kAnnealingT0 * annealing_energy(current_eval, cfg);
   std::vector<int> slot_to_core(static_cast<std::size_t>(topology.num_slots()),
                                 -1);
   for (int c = 0; c < ctx.app().num_cores(); ++c) {
@@ -105,43 +106,22 @@ ChainOutcome run_annealing_chain(const EvalContext& ctx,
     }
   }
   std::size_t next_reheat = 0;
-  std::vector<SlotMove> moves;
 
   for (int iter = 0; iter < iterations; ++iter) {
     if (next_reheat < reheat_points.size() &&
         iter == reheat_points[next_reheat]) {
-      temperature = cfg.annealing_t0 * annealing_energy(current_eval, cfg);
+      temperature = kAnnealingT0 * annealing_energy(current_eval, cfg);
       ++next_reheat;
     }
     const int a = prng.next_int(0, topology.num_slots() - 1);
     int b = prng.next_int(0, topology.num_slots() - 2);
     if (b >= a) ++b;
-    moves.clear();
-    moves.emplace_back(a, b);
-    // The prob > 0 short-circuit is what keeps default walks bit-identical:
-    // no chance() (or c) draw ever perturbs the Prng stream at prob 0.
-    if (cfg.annealing_chain_move_prob > 0.0 && topology.num_slots() >= 3 &&
-        prng.chance(cfg.annealing_chain_move_prob)) {
-      // Third distinct slot, uniform over [0, n) \ {a, b}: the 3-cycle
-      // a->b->c->a decomposes into the transpositions (a,b) then (b,c).
-      int c = prng.next_int(0, topology.num_slots() - 3);
-      const int lo = std::min(a, b);
-      const int hi = std::max(a, b);
-      if (c >= lo) ++c;
-      if (c >= hi) ++c;
-      moves.emplace_back(b, c);
+    if (slot_to_core[static_cast<std::size_t>(a)] < 0 &&
+        slot_to_core[static_cast<std::size_t>(b)] < 0) {
+      continue;  // both slots empty: no-op
     }
-    bool touches_core = false;
-    for (const auto& [x, y] : moves) {
-      if (slot_to_core[static_cast<std::size_t>(x)] >= 0 ||
-          slot_to_core[static_cast<std::size_t>(y)] >= 0) {
-        touches_core = true;
-        break;
-      }
-    }
-    if (!touches_core) continue;  // every touched slot empty: no-op
 
-    txn.begin_moves(moves);
+    txn.begin_swap(a, b);
     auto eval = txn.evaluate(/*materialize=*/false);
     ++out.evaluated;
     if (cfg.collect_explored) {
@@ -353,9 +333,8 @@ void AnnealingSearch::improve(const EvalContext& ctx, MappingResult& result,
                               EvalScratch& scratch) const {
   const MapperConfig& cfg = ctx.config();
   commit_chain(run_annealing_chain(ctx, result.core_to_slot, result.eval,
-                                   cfg.annealing_seed,
-                                   cfg.annealing_iterations,
-                                   cfg.annealing_cooling, &scratch),
+                                   kAnnealingSeed, cfg.annealing_iterations,
+                                   kAnnealingCooling, &scratch),
                result);
 }
 
@@ -382,14 +361,14 @@ void RestartAnnealingSearch::improve(const EvalContext& ctx,
   std::vector<ChainOutcome> outcomes(static_cast<std::size_t>(restarts));
   const auto run_chain = [&](int r, EvalScratch* chain_scratch) {
     const int budget = budgets[static_cast<std::size_t>(r)];
-    double cooling = cfg.annealing_cooling;
+    double cooling = kAnnealingCooling;
     if (budget > 0 && budget < total) {
-      cooling = std::pow(cfg.annealing_cooling,
-                         static_cast<double>(total) / budget);
+      cooling =
+          std::pow(kAnnealingCooling, static_cast<double>(total) / budget);
     }
     outcomes[static_cast<std::size_t>(r)] = run_annealing_chain(
         ctx, result.core_to_slot, result.eval,
-        cfg.annealing_seed + static_cast<std::uint64_t>(r), budget, cooling,
+        kAnnealingSeed + static_cast<std::uint64_t>(r), budget, cooling,
         chain_scratch);
   };
 

@@ -69,7 +69,7 @@ class AnnealingSearch final : public SearchStrategy {
 };
 
 /// Multi-restart simulated annealing: config.annealing_restarts independent
-/// chains (seed annealing_seed + r), each starting from the initial mapping
+/// chains (seed 1 + r), each starting from the initial mapping
 /// and running an equal share of the total iteration budget under a
 /// compressed cooling schedule, best-of-restarts kept. Restarts run on
 /// config.num_threads workers and are committed in seed order, so any

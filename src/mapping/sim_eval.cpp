@@ -26,9 +26,7 @@ std::unique_ptr<sim::TrafficModel> make_traffic(
 
 SimTierOptions sim_tier_options(const MapperConfig& config) {
   SimTierOptions options;
-  options.config.engine = config.sim_engine;
   options.config.seed = config.sim_seed;
-  options.flits_per_cycle_per_gbps = config.sim_flits_per_cycle_per_gbps;
   options.traffic = config.sim_traffic;
   options.burst_len = config.sim_burst_len;
   options.burst_duty = config.sim_burst_duty;

@@ -55,9 +55,10 @@ struct SimTierOptions {
   SimTierOptions() { config.distance_class_vcs = true; }
 };
 
-/// Maps a MapperConfig's sim_* knobs (engine choice, simulator seed,
-/// traffic model, trace scaling) onto the simulation tier's options — the
-/// one translation the explorer and the CLI both need.
+/// Maps a MapperConfig's sim_* knobs (simulator seed, traffic model, burst
+/// shape) onto the simulation tier's options, the rest keeping their
+/// defaults (the event-driven engine, 0.05 flits/cycle per GB/s) — the one
+/// translation the explorer and the CLI both need.
 [[nodiscard]] SimTierOptions sim_tier_options(const MapperConfig& config);
 
 /// Simulator-backed evaluation of mapped designs: binds a MappingResult's

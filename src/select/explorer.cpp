@@ -42,35 +42,19 @@ void run_worker_pool(int num_workers, const std::function<void()>& worker) {
   for (auto& thread : pool) thread.join();
 }
 
-/// The distinct (objective, weights_index) groups of a request, in axis
-/// order — the single grouping rule shared by WinnerTracker, the finalist
-/// tier, and the sim re-rank: a swept kWeighted objective splits per weight
-/// set (costs under different weight vectors are not comparable), the plain
-/// objectives pool across weight sets (weights_index == -1).
-std::vector<std::pair<mapping::Objective, int>> objective_groups(
+/// The distinct objectives of a request, in axis order — the one winner
+/// grouping WinnerTracker, the finalist tier, and the sim re-rank share.
+std::vector<mapping::Objective> distinct_objectives(
     const ExplorationRequest& request) {
-  const auto objectives_axis =
-      request.objectives.empty()
-          ? std::vector<mapping::Objective>{request.base.objective}
-          : request.objectives;
-  const int num_weight_sets =
-      static_cast<int>(std::max<std::size_t>(1, request.weight_sets.size()));
-  std::vector<std::pair<mapping::Objective, int>> groups;
-  for (const auto objective : objectives_axis) {
-    const int splits =
-        objective == mapping::Objective::kWeighted ? num_weight_sets : 1;
-    for (int w = 0; w < splits; ++w) {
-      const int weights_index =
-          objective == mapping::Objective::kWeighted && num_weight_sets > 1
-              ? w
-              : -1;
-      const auto group = std::make_pair(objective, weights_index);
-      if (std::find(groups.begin(), groups.end(), group) == groups.end()) {
-        groups.push_back(group);
-      }
+  std::vector<mapping::Objective> objectives;
+  for (const auto objective : request.objectives) {
+    if (std::find(objectives.begin(), objectives.end(), objective) ==
+        objectives.end()) {
+      objectives.push_back(objective);
     }
   }
-  return groups;
+  if (objectives.empty()) objectives.push_back(request.base.objective);
+  return objectives;
 }
 
 /// One finalist cell: a feasible (point, topology) coordinate with its
@@ -81,18 +65,15 @@ struct FinalistCell {
   std::size_t topology = 0;
 };
 
-/// The analytical prefilter: the top-K feasible cells of one objective
-/// group by mapping cost, ties to the earlier grid coordinate.
-std::vector<FinalistCell> group_finalists(
-    const ExplorationRequest& request, const ExplorationReport& report,
-    mapping::Objective objective, int weights_index) {
+/// The analytical prefilter: the top-K feasible cells of one objective by
+/// mapping cost, ties to the earlier grid coordinate.
+std::vector<FinalistCell> objective_finalists(const ExplorationRequest& request,
+                                          const ExplorationReport& report,
+                                          mapping::Objective objective) {
   std::vector<FinalistCell> cells;
   for (std::size_t p = 0; p < report.results.size(); ++p) {
     const auto& result = report.results[p];
     if (result.point.config.objective != objective) continue;
-    if (weights_index >= 0 && result.point.weights_index != weights_index) {
-      continue;
-    }
     for (std::size_t t = 0; t < result.selection.candidates.size(); ++t) {
       const auto& candidate = result.selection.candidates[t];
       if (!candidate.feasible()) continue;
@@ -124,9 +105,8 @@ void simulate_finalists(const ExplorationRequest& request,
   // the deterministic work list. std::set both dedups cells shared between
   // groups and fixes the order.
   std::set<std::pair<std::size_t, std::size_t>> finalist_set;
-  for (const auto& [objective, weights_index] : objective_groups(request)) {
-    for (const auto& cell :
-         group_finalists(request, report, objective, weights_index)) {
+  for (const auto objective : distinct_objectives(request)) {
+    for (const auto& cell : objective_finalists(request, report, objective)) {
       finalist_set.emplace(cell.point, cell.topology);
     }
   }
@@ -177,10 +157,9 @@ void simulate_finalists(const ExplorationRequest& request,
 std::vector<ObjectiveBest> rank_sim_winners(const ExplorationRequest& request,
                                             const ExplorationReport& report) {
   std::vector<ObjectiveBest> winners;
-  for (const auto& [objective, weights_index] : objective_groups(request)) {
+  for (const auto objective : distinct_objectives(request)) {
     ObjectiveBest best;
     best.objective = objective;
-    best.weights_index = weights_index;
     // Re-rank the group's own finalists (the analytical prefilter) by
     // simulated delay: drained runs outrank saturated ones (a saturated
     // latency is only a lower bound), then lower simulated latency, then
@@ -189,8 +168,7 @@ std::vector<ObjectiveBest> rank_sim_winners(const ExplorationRequest& request,
     double best_latency = 0.0;
     bool best_drained = false;
     double best_cost = 0.0;
-    for (const auto& cell :
-         group_finalists(request, report, objective, weights_index)) {
+    for (const auto& cell : objective_finalists(request, report, objective)) {
       const auto& candidate =
           report.results[cell.point].selection.candidates[cell.topology];
       if (!candidate.sim.has_value()) continue;
@@ -232,10 +210,9 @@ int best_feasible_index(const std::vector<TopologyCandidate>& candidates) {
 }
 
 WinnerTracker::WinnerTracker(const ExplorationRequest& request) {
-  for (const auto& [objective, weights_index] : objective_groups(request)) {
+  for (const auto objective : distinct_objectives(request)) {
     ObjectiveBest best;
     best.objective = objective;
-    best.weights_index = weights_index;
     winners_.push_back(best);
     best_costs_.push_back(0.0);
   }
@@ -245,10 +222,6 @@ void WinnerTracker::consider(const PointResult& result, int point_index) {
   for (std::size_t g = 0; g < winners_.size(); ++g) {
     auto& best = winners_[g];
     if (result.point.config.objective != best.objective) continue;
-    if (best.weights_index >= 0 &&
-        result.point.weights_index != best.weights_index) {
-      continue;
-    }
     for (std::size_t t = 0; t < result.selection.candidates.size(); ++t) {
       const auto& candidate = result.selection.candidates[t];
       if (!candidate.feasible()) continue;
@@ -289,7 +262,7 @@ std::size_t ExplorationRequest::num_points() const {
   return axis(floorplan_options.size()) * axis(fault_sets.size()) *
          axis(routings.size()) *
          axis(link_bandwidths_mbps.size()) * axis(max_areas_mm2.size()) *
-         axis(weight_sets.size()) * axis(searches.size()) *
+         axis(searches.size()) *
          axis(restart_counts.size()) * axis(swap_passes.size()) *
          axis(objectives.size());
 }
@@ -307,10 +280,6 @@ std::string DesignPoint::label() const {
   if (std::isfinite(config.max_area_mm2)) {
     label += "/area<=";
     label += format_number(config.max_area_mm2);
-  }
-  if (weights_index > 0) {
-    label += "/w";
-    label += std::to_string(weights_index);
   }
   if (config.search != mapping::SearchKind::kGreedySwaps) {
     label += "/";
@@ -368,7 +337,6 @@ std::vector<DesignPoint> DesignSpaceExplorer::expand(
   const std::size_t nb =
       std::max<std::size_t>(1, request.link_bandwidths_mbps.size());
   const std::size_t na = std::max<std::size_t>(1, request.max_areas_mm2.size());
-  const std::size_t nw = std::max<std::size_t>(1, request.weight_sets.size());
   const std::size_t ns = std::max<std::size_t>(1, request.searches.size());
   const std::size_t nc =
       std::max<std::size_t>(1, request.restart_counts.size());
@@ -379,57 +347,51 @@ std::vector<DesignPoint> DesignSpaceExplorer::expand(
     for (std::size_t r = 0; r < nr; ++r) {
       for (std::size_t b = 0; b < nb; ++b) {
         for (std::size_t a = 0; a < na; ++a) {
-          for (std::size_t w = 0; w < nw; ++w) {
-            for (std::size_t s = 0; s < ns; ++s) {
-              for (std::size_t c = 0; c < nc; ++c) {
-                for (std::size_t p = 0; p < np; ++p) {
-                  for (std::size_t o = 0; o < no; ++o) {
-                    DesignPoint point;
-                    point.config = request.base;
-                    if (!request.floorplan_options.empty()) {
-                      point.config.floorplan = request.floorplan_options[f];
-                    }
-                    if (!request.fault_sets.empty()) {
-                      point.config.faults = request.fault_sets[x];
-                    }
-                    if (!request.routings.empty()) {
-                      point.config.routing = request.routings[r];
-                    }
-                    if (!request.link_bandwidths_mbps.empty()) {
-                      point.config.link_bandwidth_mbps =
-                          request.link_bandwidths_mbps[b];
-                    }
-                    if (!request.max_areas_mm2.empty()) {
-                      point.config.max_area_mm2 = request.max_areas_mm2[a];
-                    }
-                    if (!request.weight_sets.empty()) {
-                      point.config.weights = request.weight_sets[w];
-                    }
-                    if (!request.searches.empty()) {
-                      point.config.search = request.searches[s];
-                    }
-                    if (!request.restart_counts.empty()) {
-                      point.config.annealing_restarts =
-                          request.restart_counts[c];
-                    }
-                    if (!request.swap_passes.empty()) {
-                      point.config.swap_passes = request.swap_passes[p];
-                    }
-                    if (!request.objectives.empty()) {
-                      point.config.objective = request.objectives[o];
-                    }
-                    point.fplan_index = static_cast<int>(f);
-                    point.fault_index = static_cast<int>(x);
-                    point.routing_index = static_cast<int>(r);
-                    point.bandwidth_index = static_cast<int>(b);
-                    point.area_index = static_cast<int>(a);
-                    point.weights_index = static_cast<int>(w);
-                    point.search_index = static_cast<int>(s);
-                    point.restarts_index = static_cast<int>(c);
-                    point.swap_passes_index = static_cast<int>(p);
-                    point.objective_index = static_cast<int>(o);
-                    points.push_back(std::move(point));
+          for (std::size_t s = 0; s < ns; ++s) {
+            for (std::size_t c = 0; c < nc; ++c) {
+              for (std::size_t p = 0; p < np; ++p) {
+                for (std::size_t o = 0; o < no; ++o) {
+                  DesignPoint point;
+                  point.config = request.base;
+                  if (!request.floorplan_options.empty()) {
+                    point.config.floorplan = request.floorplan_options[f];
                   }
+                  if (!request.fault_sets.empty()) {
+                    point.config.faults = request.fault_sets[x];
+                  }
+                  if (!request.routings.empty()) {
+                    point.config.routing = request.routings[r];
+                  }
+                  if (!request.link_bandwidths_mbps.empty()) {
+                    point.config.link_bandwidth_mbps =
+                        request.link_bandwidths_mbps[b];
+                  }
+                  if (!request.max_areas_mm2.empty()) {
+                    point.config.max_area_mm2 = request.max_areas_mm2[a];
+                  }
+                  if (!request.searches.empty()) {
+                    point.config.search = request.searches[s];
+                  }
+                  if (!request.restart_counts.empty()) {
+                    point.config.annealing_restarts =
+                        request.restart_counts[c];
+                  }
+                  if (!request.swap_passes.empty()) {
+                    point.config.swap_passes = request.swap_passes[p];
+                  }
+                  if (!request.objectives.empty()) {
+                    point.config.objective = request.objectives[o];
+                  }
+                  point.fplan_index = static_cast<int>(f);
+                  point.fault_index = static_cast<int>(x);
+                  point.routing_index = static_cast<int>(r);
+                  point.bandwidth_index = static_cast<int>(b);
+                  point.area_index = static_cast<int>(a);
+                  point.search_index = static_cast<int>(s);
+                  point.restarts_index = static_cast<int>(c);
+                  point.swap_passes_index = static_cast<int>(p);
+                  point.objective_index = static_cast<int>(o);
+                  points.push_back(std::move(point));
                 }
               }
             }

@@ -54,7 +54,6 @@ struct ExplorationRequest {
   std::vector<route::RoutingKind> routings;
   std::vector<double> link_bandwidths_mbps;
   std::vector<double> max_areas_mm2;
-  std::vector<mapping::ObjectiveWeights> weight_sets;
   /// Search-schedule axes (ROADMAP follow-on): which strategy runs each
   /// point's mapping search, and — for the restart annealer — how many
   /// restarts split the annealing budget. Like every other axis, empty
@@ -137,7 +136,6 @@ struct DesignPoint {
   int routing_index = 0;
   int bandwidth_index = 0;
   int area_index = 0;
-  int weights_index = 0;
   int search_index = 0;
   int restarts_index = 0;
   int swap_passes_index = 0;
@@ -172,14 +170,9 @@ struct PointResult {
     const std::vector<TopologyCandidate>& candidates);
 
 /// The best feasible (point, topology) cell for one swept objective;
-/// point_index < 0 when no cell under that objective was feasible. Costs
-/// computed under different weight vectors are not on a common scale, so a
-/// swept kWeighted objective yields one entry per weight set
-/// (weights_index >= 0); the plain objectives pool across weight sets
-/// (weights_index == -1, their costs ignore the weights).
+/// point_index < 0 when no cell under that objective was feasible.
 struct ObjectiveBest {
   mapping::Objective objective = mapping::Objective::kMinDelay;
-  int weights_index = -1;
   int point_index = -1;
   int topology_index = -1;
 
@@ -188,9 +181,7 @@ struct ObjectiveBest {
 
 /// Incremental per-objective winner accumulation, the rule finish_report()
 /// applies: points must be fed in report (grid) order, so ties resolve to
-/// the earliest grid coordinate. Weighted costs are only comparable under
-/// one weight vector, so kWeighted gets one winner per swept weight set;
-/// the plain objectives pool across weight sets.
+/// the earliest grid coordinate.
 class WinnerTracker {
  public:
   explicit WinnerTracker(const ExplorationRequest& request);
@@ -199,7 +190,7 @@ class WinnerTracker {
   /// increasing point_index order.
   void consider(const PointResult& result, int point_index);
 
-  /// The accumulated winners, one entry per distinct objective group.
+  /// The accumulated winners, one entry per distinct objective.
   [[nodiscard]] std::vector<ObjectiveBest> take();
 
  private:
@@ -209,8 +200,8 @@ class WinnerTracker {
 
 /// Outcome of a batched exploration. `results` is ordered deterministically
 /// by grid coordinates — floorplan options outermost, then fault sets,
-/// routing, bandwidth, area cap, weight set, search strategy, restart
-/// count, swap passes, and objective innermost — regardless of how many
+/// routing, bandwidth, area cap, search strategy, restart count, swap
+/// passes, and objective innermost — regardless of how many
 /// worker threads ran the sweep. (Objective varies fastest so that consecutive points
 /// share the evaluation-metrics cache of the per-topology context;
 /// floorplan options vary slowest so the floorplan cache and sessions are
@@ -230,9 +221,7 @@ struct ExplorationReport {
   std::vector<ObjectiveBest> sim_winners;
 
   /// The winning candidate for `objective`, or nullptr when no feasible
-  /// cell exists (or the objective was not swept). For a kWeighted sweep
-  /// over several weight sets this is the first weight set's winner; use
-  /// `winners` directly for the per-weight-set breakdown.
+  /// cell exists (or the objective was not swept).
   [[nodiscard]] const TopologyCandidate* winner(
       mapping::Objective objective) const;
 };

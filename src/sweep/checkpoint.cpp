@@ -80,22 +80,13 @@ void hash_config(Fnv1a& fnv, const mapping::MapperConfig& config) {
   fnv.f64(config.weights.delay);
   fnv.f64(config.weights.area);
   fnv.f64(config.weights.power);
-  fnv.f64(config.weights.ref_hops);
-  fnv.f64(config.weights.ref_area_mm2);
-  fnv.f64(config.weights.ref_power_mw);
   fnv.f64(config.link_bandwidth_mbps);
   fnv.f64(config.max_area_mm2);
-  fnv.f64(config.max_design_aspect);
   fnv.i64(config.swap_passes);
   fnv.i64(config.annealing_iterations);
-  fnv.f64(config.annealing_t0);
-  fnv.f64(config.annealing_cooling);
-  fnv.u64(config.annealing_seed);
   fnv.i64(config.annealing_restarts);
   fnv.i64(config.annealing_reheats);
-  fnv.f64(config.annealing_chain_move_prob);
   fnv.i64(config.reroute_passes);
-  fnv.i64(config.split_chunks);
   fnv.u64(config.bound_pruning ? 1 : 0);
   fnv.u64(config.collect_explored ? 1 : 0);
   hash_floorplan_options(fnv, config.floorplan);
@@ -107,8 +98,6 @@ void hash_floorplan_options(Fnv1a& fnv,
                             const fplan::Floorplanner::Options& options) {
   fnv.str(fplan::to_string(options.engine));
   fnv.i64(options.sizing_passes);
-  fnv.u64(options.aspect_candidates.size());
-  for (const double aspect : options.aspect_candidates) fnv.f64(aspect);
   fnv.f64(options.spacing_mm);
 }
 
@@ -127,10 +116,8 @@ void hash_fault_set(Fnv1a& fnv, const fault::FaultSet& faults) {
     }
     fnv.u64(scenario.switches.size());
     for (const auto dead : scenario.switches) fnv.i64(dead);
-    fnv.f64(scenario.weight);
   }
   fnv.str(fault::to_string(faults.aggregation));
-  fnv.f64(faults.fault_free_weight);
   fnv.f64(faults.infeasible_penalty);
 }
 
@@ -176,15 +163,13 @@ JournalContents read_journal(const std::string& path) {
       throw std::runtime_error("sweep checkpoint: " + path +
                                " has an implausible description length");
     }
-    contents.header.description.resize(desc_len);
-    if (desc_len != 0 &&
-        read_exact(fd,
-                   reinterpret_cast<std::uint8_t*>(
-                       contents.header.description.data()),
-                   desc_len) != desc_len) {
+    std::vector<std::uint8_t> description;
+    if (!read_claimed(fd, desc_len, description)) {
       throw std::runtime_error("sweep checkpoint: " + path +
                                " ends inside its header");
     }
+    contents.header.description.assign(description.begin(),
+                                       description.end());
     contents.valid_bytes = sizeof(fixed) + desc_len;
 
     // Records: absorb whole frames until EOF; any mid-frame EOF or CRC
@@ -318,15 +303,6 @@ std::uint64_t request_fingerprint(
   for (const double bw : request.link_bandwidths_mbps) fnv.f64(bw);
   fnv.u64(request.max_areas_mm2.size());
   for (const double area : request.max_areas_mm2) fnv.f64(area);
-  fnv.u64(request.weight_sets.size());
-  for (const auto& weights : request.weight_sets) {
-    fnv.f64(weights.delay);
-    fnv.f64(weights.area);
-    fnv.f64(weights.power);
-    fnv.f64(weights.ref_hops);
-    fnv.f64(weights.ref_area_mm2);
-    fnv.f64(weights.ref_power_mw);
-  }
   fnv.u64(request.searches.size());
   for (const auto search : request.searches) {
     fnv.str(mapping::to_string(search));

@@ -9,7 +9,7 @@
 
 namespace sunmap::sweep {
 
-/// Checkpoint journal format (version 3):
+/// Checkpoint journal format (version 4):
 ///
 ///   [8B magic "SWEEPJNL"][u32 version][u64 request fingerprint]
 ///   [u32 description length][description bytes]
@@ -24,9 +24,12 @@ namespace sunmap::sweep {
 inline constexpr char kJournalMagic[8] = {'S', 'W', 'E', 'E',
                                           'P', 'J', 'N', 'L'};
 /// Version 2 added split_chunks and annealing_chain_move_prob to the
-/// fingerprint, and version 3 the technology parameters, bound_pruning and
-/// collect_explored, so an older journal may hold other values of these.
-inline constexpr std::uint32_t kJournalVersion = 3;
+/// fingerprint, version 3 the technology parameters, bound_pruning and
+/// collect_explored, and version 4 dropped the settings that became
+/// constants (the annealing schedule, split_chunks, the weight reference
+/// scales, the aspect bounds, fault weights) and the weight-set axis, so an
+/// older journal's fingerprint covers different fields.
+inline constexpr std::uint32_t kJournalVersion = 4;
 
 struct JournalHeader {
   std::uint32_t version = kJournalVersion;
@@ -89,9 +92,9 @@ class JournalWriter {
 /// FNV-1a digest of every result-affecting field of an exploration request:
 /// the application (name, cores, commodities), the topology library, every
 /// sweep axis, and the base configuration (objective/routing/search,
-/// constraints, weights, annealing schedule and chain-move probability,
-/// split-all chunks, bound pruning, explored-set collection, floorplan
-/// options, fault set, technology parameters).
+/// constraints, weights, annealing budget, restarts and reheats, reroute
+/// passes, bound pruning, explored-set collection, floorplan options, fault
+/// set, technology parameters).
 /// Deliberately excluded: thread counts, context pools and the incremental_*
 /// switches — none changes any result bit, so a resume may vary them
 /// freely — and the sim_* fields, since run_sweep rejects the sim tier.

@@ -29,9 +29,8 @@ inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 ///   faults=<none|n1|rand[M],...> or one explicit list "a-b,c-d,sN/..."
 ///   fault_samples=<n>  fault_seed=<s>  fault_mode=worst|weighted
 ///   fault_penalty=<x>  w_delay=<x>  w_area=<x>  w_power=<x>
-///   sim_engine=event|cycle  sim_finalists=<n>  sim_validate=0|1
-///   sim_rank=0|1  sim_seed=<s>  sim_traffic=trace|bursty
-///   sim_burst_len=<c>  sim_burst_duty=<d>
+///   sim_finalists=<n>  sim_validate=0|1  sim_rank=0|1  sim_seed=<s>
+///   sim_traffic=trace|bursty  sim_burst_len=<c>  sim_burst_duty=<d>
 ///
 /// sim_validate=1 scores every feasible cell; sim_rank=1 with no finalist
 /// count re-ranks the top 3 of each objective group.

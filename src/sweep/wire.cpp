@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -45,6 +46,22 @@ std::size_t read_exact(int fd, std::uint8_t* data, std::size_t size) {
   return done;
 }
 
+bool read_claimed(int fd, std::size_t size, std::vector<std::uint8_t>& out) {
+  constexpr std::size_t kChunkBytes = 1u << 20;
+  out.clear();
+  while (out.size() < size) {
+    const std::size_t have = out.size();
+    const std::size_t want = std::min(kChunkBytes, size - have);
+    out.resize(have + want);
+    const std::size_t got = read_exact(fd, out.data() + have, want);
+    if (got < want) {
+      out.resize(have + got);
+      return false;
+    }
+  }
+  return true;
+}
+
 bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t done = 0;
   while (done < size) {
@@ -60,9 +77,10 @@ bool write_all(int fd, const std::uint8_t* data, std::size_t size) {
   return true;
 }
 
-std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
+std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
+                    std::uint32_t crc) {
   static const auto table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
+  crc ^= 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
     crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
   }
@@ -309,15 +327,16 @@ bool read_frame(int fd, MsgType* type, std::vector<std::uint8_t>* body) {
   if (length == 0 || length > kMaxFrameBytes) {
     throw std::runtime_error("sweep wire: implausible frame length");
   }
-  std::vector<std::uint8_t> payload(length);
-  if (read_exact(fd, payload.data(), payload.size()) != payload.size()) {
+  std::uint8_t type_byte = 0;
+  if (read_exact(fd, &type_byte, 1) != 1 ||
+      !read_claimed(fd, length - 1, *body)) {
     throw std::runtime_error("sweep wire: EOF inside frame payload");
   }
-  if (crc32(payload.data(), payload.size()) != expected_crc) {
+  if (crc32(body->data(), body->size(), crc32(&type_byte, 1)) !=
+      expected_crc) {
     throw std::runtime_error("sweep wire: frame CRC mismatch");
   }
-  *type = static_cast<MsgType>(payload.front());
-  body->assign(payload.begin() + 1, payload.end());
+  *type = static_cast<MsgType>(type_byte);
   return true;
 }
 

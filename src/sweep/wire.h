@@ -61,8 +61,10 @@ struct PointRecord {
   std::vector<CandidateScalars> candidates;
 };
 
-/// CRC-32 (IEEE 802.3 polynomial) over a byte range.
-[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
+/// CRC-32 (IEEE 802.3 polynomial) over a byte range; `crc` continues the
+/// CRC of earlier bytes, so crc32(b, crc32(a)) is the CRC of a then b.
+[[nodiscard]] std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
+                                  std::uint32_t crc = 0);
 
 // ---- Payload encoding -----------------------------------------------------
 
@@ -119,6 +121,13 @@ void apply_record(const PointRecord& record, select::PointResult* out);
 /// read() until `size` bytes arrived or EOF, retrying EINTR; returns the
 /// bytes read (short only at EOF). Throws std::runtime_error on an error.
 std::size_t read_exact(int fd, std::uint8_t* data, std::size_t size);
+
+/// Reads the `size` bytes a header claims into `out`, replacing its
+/// contents and growing it one bounded chunk at a time as the bytes arrive,
+/// so an input that claims more than it carries never allocates the claim.
+/// Returns false at EOF before `size` bytes; throws std::runtime_error on
+/// a read error.
+bool read_claimed(int fd, std::size_t size, std::vector<std::uint8_t>& out);
 
 /// write() until all `size` bytes are out, retrying EINTR and partial
 /// writes. Returns false on EPIPE (the reader is gone); throws

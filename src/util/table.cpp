@@ -15,7 +15,12 @@ void Table::add_row(std::vector<std::string> cells) {
 
 std::string Table::num(double value, int precision) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", precision, value);
+  // A value whose fixed form does not fit (|value| beyond ~1e62) would be
+  // cut to a wrong number; print it in exponent form instead.
+  if (std::snprintf(buf, sizeof(buf), "%.*f", precision, value) >=
+      static_cast<int>(sizeof(buf))) {
+    std::snprintf(buf, sizeof(buf), "%.*e", precision, value);
+  }
   return buf;
 }
 

@@ -14,7 +14,9 @@ class Table {
   /// Appends a row; the row is padded/truncated to the header width.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with the given precision.
+  /// Convenience: formats doubles with the given precision, in fixed
+  /// notation, or in exponent notation when the fixed form would take 64
+  /// characters or more.
   static std::string num(double value, int precision = 2);
 
   /// Renders the table with aligned columns and a separator under the header.

@@ -266,37 +266,6 @@ TEST(Explorer, WinnersAreGridMinimaPerObjective) {
   EXPECT_EQ(report.winner(mapping::Objective::kWeighted), nullptr);
 }
 
-TEST(Explorer, WeightedObjectiveGetsOneWinnerPerWeightSet) {
-  // Costs computed under different weight vectors are not on a common
-  // scale, so a weighted sweep must not pool them into one winner.
-  const auto app = apps::mwd();
-  const auto library = topo::standard_library(app.num_cores());
-  ExplorationRequest request;
-  request.app = &app;
-  request.library = &library;
-  request.objectives = {mapping::Objective::kWeighted};
-  mapping::ObjectiveWeights delay_heavy;
-  delay_heavy.delay = 10.0;
-  mapping::ObjectiveWeights power_heavy;
-  power_heavy.power = 1000.0;  // costs ~100x the delay-heavy scale
-  request.weight_sets = {delay_heavy, power_heavy};
-
-  DesignSpaceExplorer explorer;
-  const auto report = explorer.explore(request);
-  ASSERT_EQ(report.results.size(), 2u);
-  ASSERT_EQ(report.winners.size(), 2u);
-  for (std::size_t w = 0; w < report.winners.size(); ++w) {
-    const auto& best = report.winners[w];
-    EXPECT_EQ(best.objective, mapping::Objective::kWeighted);
-    EXPECT_EQ(best.weights_index, static_cast<int>(w));
-    ASSERT_TRUE(best.found());
-    // The winner must come from its own weight set's design point.
-    EXPECT_EQ(report.results[static_cast<std::size_t>(best.point_index)]
-                  .point.weights_index,
-              static_cast<int>(w));
-  }
-}
-
 TEST(Explorer, AllInfeasibleLibraryYieldsNullWinnersAndEmptyPareto) {
   const auto app = apps::vopd();
   const auto library = topo::standard_library(app.num_cores());

@@ -139,7 +139,7 @@ TEST(FaultScenarios, ExplicitSpecsValidatePerTopology) {
   spec.kind = FaultSpec::Kind::kExplicit;
   // Switches 0 and 5 are not adjacent on the 4x4 mesh: the link fault
   // matches no edge and removes nothing (one spec can sweep a library).
-  spec.scenarios.push_back({{{0, 5}}, {}, 1.0});
+  spec.scenarios.push_back({{{0, 5}}, {}});
   const auto scenarios = materialize(spec, *mesh);
   ASSERT_EQ(scenarios.size(), 1u);
   EXPECT_TRUE(scenarios[0].failed_edges.empty());
@@ -148,11 +148,11 @@ TEST(FaultScenarios, ExplicitSpecsValidatePerTopology) {
   // topology and the value, instead of corrupting masks mid-search.
   FaultSpec bad_switch;
   bad_switch.kind = FaultSpec::Kind::kExplicit;
-  bad_switch.scenarios.push_back({{}, {99}, 1.0});
+  bad_switch.scenarios.push_back({{}, {99}});
   EXPECT_THROW(materialize(bad_switch, *mesh), std::invalid_argument);
   FaultSpec bad_link;
   bad_link.kind = FaultSpec::Kind::kExplicit;
-  bad_link.scenarios.push_back({{{0, 99}}, {}, 1.0});
+  bad_link.scenarios.push_back({{{0, 99}}, {}});
   EXPECT_THROW(materialize(bad_link, *mesh), std::invalid_argument);
 }
 
@@ -239,8 +239,8 @@ TEST(FaultEval, DisconnectedScenarioIsPenalizedNotFatal) {
   config.faults.spec.kind = FaultSpec::Kind::kExplicit;
   // Scenario 0 cuts the articulation link 2-3: commodity 2->3 becomes
   // unroutable. Scenario 1 cuts a triangle edge: everything re-routes.
-  config.faults.spec.scenarios.push_back({{{2, 3}}, {}, 1.0});
-  config.faults.spec.scenarios.push_back({{{0, 1}}, {}, 1.0});
+  config.faults.spec.scenarios.push_back({{{2, 3}}, {}});
+  config.faults.spec.scenarios.push_back({{{0, 1}}, {}});
   const mapping::Mapper mapper(config);
   const auto eval = mapper.evaluate(app, *topology, identity);
 
@@ -260,7 +260,7 @@ TEST(FaultEval, DisconnectedScenarioIsPenalizedNotFatal) {
   // search, not an exception: map() completes and reports the penalty.
   mapping::MapperConfig dead_switch;
   dead_switch.faults.spec.kind = FaultSpec::Kind::kExplicit;
-  dead_switch.faults.spec.scenarios.push_back({{}, {0}, 1.0});
+  dead_switch.faults.spec.scenarios.push_back({{}, {0}});
   const mapping::Mapper searcher(dead_switch);
   const auto result = searcher.map(app, *topology);
   EXPECT_EQ(result.eval.infeasible_fault_scenarios, 1);
@@ -282,10 +282,9 @@ TEST(FaultEval, WeightedAggregationAveragesScenarioCosts) {
 
   mapping::MapperConfig config;
   config.faults.spec.kind = FaultSpec::Kind::kExplicit;
-  config.faults.spec.scenarios.push_back({{{2, 3}}, {}, 3.0});
-  config.faults.spec.scenarios.push_back({{{0, 1}}, {}, 1.0});
+  config.faults.spec.scenarios.push_back({{{2, 3}}, {}});
+  config.faults.spec.scenarios.push_back({{{0, 1}}, {}});
   config.faults.aggregation = Aggregation::kWeighted;
-  config.faults.fault_free_weight = 2.0;
   const mapping::Mapper mapper(config);
   const auto eval = mapper.evaluate(app, *topology, identity);
 
@@ -293,13 +292,13 @@ TEST(FaultEval, WeightedAggregationAveragesScenarioCosts) {
   const auto base =
       mapping::Mapper(plain).evaluate(app, *topology, identity);
   ASSERT_EQ(eval.fault_outcomes.size(), 2u);
-  const double expected = (2.0 * base.cost +
-                           3.0 * eval.fault_outcomes[0].cost +
-                           1.0 * eval.fault_outcomes[1].cost) /
-                          (2.0 + 3.0 + 1.0);
-  EXPECT_DOUBLE_EQ(eval.cost, expected);
+  // The mean of the fault-free cost and every scenario cost.
+  const double expected =
+      (base.cost + eval.fault_outcomes[0].cost + eval.fault_outcomes[1].cost) /
+      3.0;
+  EXPECT_EQ(eval.cost, expected);
   // Each aggregated term is >= the fault-free cost's lower bound, so the
-  // weighted mean stays >= it too (the pruning-admissibility invariant).
+  // mean stays >= it too (the pruning-admissibility invariant).
   EXPECT_GE(eval.fault_outcomes[0].cost, base.cost);
 }
 

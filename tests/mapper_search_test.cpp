@@ -23,9 +23,9 @@ TEST(WeightedObjective, CombinesNormalisedTerms) {
   const auto& w = config.weights;
   const auto& e = result.eval;
   EXPECT_NEAR(e.cost,
-              w.delay * e.avg_switch_hops / w.ref_hops +
-                  w.area * e.design_area_mm2 / w.ref_area_mm2 +
-                  w.power * e.design_power_mw / w.ref_power_mw,
+              w.delay * e.avg_switch_hops / ObjectiveWeights::kRefHops +
+                  w.area * e.design_area_mm2 / ObjectiveWeights::kRefAreaMm2 +
+                  w.power * e.design_power_mw / ObjectiveWeights::kRefPowerMw,
               1e-9);
 }
 
@@ -96,7 +96,6 @@ TEST(Annealing, DeterministicForSameSeed) {
   MapperConfig config;
   config.search = SearchKind::kAnnealing;
   config.annealing_iterations = 300;
-  config.annealing_seed = 5;
   config.link_bandwidth_mbps = 1000.0;
   const auto a = Mapper(config).map(app, *mesh);
   const auto b = Mapper(config).map(app, *mesh);

@@ -55,7 +55,6 @@ void expect_same(const DecodedRequest& want, const DecodedRequest& got,
     EXPECT_EQ(bits(w.fault_sets[i].infeasible_penalty),
               bits(g.fault_sets[i].infeasible_penalty));
   }
-  EXPECT_EQ(w.weight_sets, g.weight_sets);
   EXPECT_EQ(w.sim_finalists, g.sim_finalists);
   EXPECT_EQ(w.sim_rank, g.sim_rank);
   const auto& wb = w.base;
@@ -69,7 +68,6 @@ void expect_same(const DecodedRequest& want, const DecodedRequest& got,
   EXPECT_EQ(bits(wb.weights.delay), bits(gb.weights.delay));
   EXPECT_EQ(bits(wb.weights.area), bits(gb.weights.area));
   EXPECT_EQ(bits(wb.weights.power), bits(gb.weights.power));
-  EXPECT_EQ(wb.sim_engine, gb.sim_engine);
   EXPECT_EQ(wb.sim_seed, gb.sim_seed);
   EXPECT_EQ(wb.sim_traffic, gb.sim_traffic);
   EXPECT_EQ(bits(wb.sim_burst_len), bits(gb.sim_burst_len));
@@ -169,7 +167,6 @@ class RandomRequests {
     if (coin()) base.weights.delay = real();
     if (coin()) base.weights.area = real();
     if (coin()) base.weights.power = real();
-    if (coin()) base.sim_engine = sim::SimEngine::kCycleStepped;
     if (coin()) base.sim_seed = rng_();
     if (coin()) base.sim_traffic = mapping::SimTraffic::kBursty;
     if (coin()) base.sim_burst_len = real();
@@ -353,6 +350,8 @@ TEST(RequestCodec, EveryBadInputNamesItsKeyAndValue) {
   };
   const Case cases[] = {
       {"app=vopd\nbogus_key=1\n", {"bogus_key"}},
+      // The simulator engine is not a request setting.
+      {"sim_engine=event\n", {"unknown request key sim_engine"}},
       {"routings=DO\nroutings=MP\n", {"routings"}},
       {"app vopd\n", {"app vopd"}},
       // Every enum key.
@@ -362,7 +361,6 @@ TEST(RequestCodec, EveryBadInputNamesItsKeyAndValue) {
       {"searches=tabu\n", {"searches", "tabu"}},
       {"fplan_engine=cad\n", {"fplan_engine", "cad"}},
       {"fault_mode=mean\n", {"fault_mode", "mean"}},
-      {"sim_engine=warp\n", {"sim_engine", "warp"}},
       {"sim_validate=true\n", {"sim_validate", "true"}},
       {"sim_rank=2\n", {"sim_rank", "2"}},
       {"sim_traffic=poisson\n", {"sim_traffic", "poisson"}},
@@ -409,10 +407,6 @@ TEST(RequestCodec, EveryBadInputNamesItsKeyAndValue) {
 }
 
 TEST(RequestCodec, EncodeRejectsFieldsNoKeyCarries) {
-  DecodedRequest weights;
-  weights.request.weight_sets.push_back({});
-  EXPECT_THROW((void)encode_request(weights), std::invalid_argument);
-
   DecodedRequest schedule;
   schedule.request.base.annealing_iterations = 5000;
   EXPECT_THROW((void)encode_request(schedule), std::invalid_argument);

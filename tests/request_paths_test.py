@@ -123,6 +123,23 @@ class RequestPathsTest(unittest.TestCase):
         reply = self.raw_request("app=vopd\nroutings=DO\nroutings=MP\n\n")
         self.assertTrue(reply.startswith("ERR "), reply)
         self.assertIn("routings", reply)
+        reply = self.raw_request("app=vopd\nsim_engine=cycle\n\n")
+        self.assertTrue(reply.startswith("ERR "), reply)
+        self.assertIn("unknown request key sim_engine", reply)
+
+    def test_daemon_refuses_keys_that_size_memory_by_name(self):
+        cases = [
+            ("app=mwd\nsearches=rsa\nrestarts=1000000\n\n",
+             ["annealing_restarts", "1000000"]),
+            ("app=mwd\nfaults=rand\nfault_samples=2000000000\n\n",
+             ["num_scenarios", "2000000000"]),
+        ]
+        for text, named in cases:
+            with self.subTest(text=text):
+                reply = self.raw_request(text)
+                self.assertTrue(reply.startswith("ERR "), reply)
+                for name in named:
+                    self.assertIn(name, reply)
 
     def test_call_rejects_each_flag_it_cannot_honour(self):
         for flag in (["--file", self.path("app.cg")], ["--workers", "2"],
@@ -137,11 +154,13 @@ class RequestPathsTest(unittest.TestCase):
         self.assertFalse(os.path.exists(self.path("x.csv")))
         self.assertFalse(os.path.exists(self.path("out")))
 
-    def test_shard_count_is_not_a_flag(self):
-        result = self.cli("--app", "vopd", "--sweep", "--workers", "2",
-                          "--shards", "3")
-        self.assertEqual(result.returncode, 2, result.stdout)
-        self.assertIn("unknown argument --shards", result.stderr)
+    def test_removed_flags_are_unknown_arguments(self):
+        for flag in (["--sweep", "--workers", "2", "--shards", "3"],
+                     ["--sim-finalists", "1", "--sim-engine", "cycle"]):
+            with self.subTest(flag=flag[-2]):
+                result = self.cli("--app", "vopd", *flag)
+                self.assertEqual(result.returncode, 2, result.stdout)
+                self.assertIn("unknown argument " + flag[-2], result.stderr)
 
     def test_bad_flags_exit_2_naming_flag_and_value(self):
         cases = [
@@ -155,6 +174,11 @@ class RequestPathsTest(unittest.TestCase):
              ["delay=inf"]),
             (["--faults", "0-1/s7", "--fault-penalty", "inf"],
              ["infeasible_penalty", "got inf"]),
+            # Each would hold gigabytes; refused before any allocation.
+            (["--search", "rsa", "--restarts", "1000000"],
+             ["annealing_restarts", "1000000"]),
+            (["--faults", "rand", "--fault-samples", "2000000000"],
+             ["num_scenarios", "2000000000"]),
         ]
         for args, named in cases:
             with self.subTest(args=args):

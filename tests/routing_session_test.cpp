@@ -488,17 +488,14 @@ TEST(RoutingTxn, EmptyMoveBatchThrows) {
 
 /// The full search stack must be bit-identical with incremental routing on
 /// and off — the session may only change how routes are computed, never
-/// what any search sees — including with the 2-opt chain move generator
-/// exercising batched multi-swap transactions.
-void expect_search_identical(SearchKind kind, route::RoutingKind routing,
-                             double chain_move_prob) {
+/// what any search sees.
+void expect_search_identical(SearchKind kind, route::RoutingKind routing) {
   const auto app = apps::vopd();
   const auto mesh = topo::make_mesh_for(16);
   MapperConfig config;
   config.search = kind;
   config.routing = routing;
   config.annealing_iterations = 300;
-  config.annealing_chain_move_prob = chain_move_prob;
   const MappingResult incremental = Mapper(config).map(app, *mesh);
   auto reference_config = config;
   reference_config.incremental_routing = false;
@@ -515,35 +512,22 @@ void expect_search_identical(SearchKind kind, route::RoutingKind routing,
 
 TEST(TransactionalRoutingSearch, GreedyBitIdenticalUnderMinPath) {
   expect_search_identical(SearchKind::kGreedySwaps,
-                          route::RoutingKind::kMinPath, 0.0);
+                          route::RoutingKind::kMinPath);
 }
 
 TEST(TransactionalRoutingSearch, AnnealingBitIdenticalUnderMinPath) {
   expect_search_identical(SearchKind::kAnnealing,
-                          route::RoutingKind::kMinPath, 0.0);
+                          route::RoutingKind::kMinPath);
 }
 
-TEST(TransactionalRoutingSearch, AnnealingChainMovesBitIdenticalUnderMinPath) {
+TEST(TransactionalRoutingSearch, AnnealingBitIdenticalUnderSplitAll) {
   expect_search_identical(SearchKind::kAnnealing,
-                          route::RoutingKind::kMinPath, 0.35);
-}
-
-TEST(TransactionalRoutingSearch, AnnealingChainMovesBitIdenticalUnderSplitAll) {
-  expect_search_identical(SearchKind::kAnnealing,
-                          route::RoutingKind::kSplitAll, 0.35);
+                          route::RoutingKind::kSplitAll);
 }
 
 TEST(TransactionalRoutingSearch, RestartAnnealingBitIdenticalUnderSplitAll) {
   expect_search_identical(SearchKind::kRestartAnnealing,
-                          route::RoutingKind::kSplitAll, 0.0);
-}
-
-TEST(TransactionalRoutingSearch, ChainMoveProbabilityValidated) {
-  MapperConfig config;
-  config.annealing_chain_move_prob = 1.5;
-  EXPECT_THROW(Mapper{config}, std::invalid_argument);
-  config.annealing_chain_move_prob = -0.1;
-  EXPECT_THROW(Mapper{config}, std::invalid_argument);
+                          route::RoutingKind::kSplitAll);
 }
 
 }  // namespace

@@ -639,31 +639,36 @@ TEST(SimFinalistTier, IsPurelyAdditiveAndDeterministic) {
 }
 
 TEST(SimFinalistTier, EventAndCycleEnginesAgreeBitIdentically) {
+  // The tier runs the event engine; every cell it scored must score the
+  // same under the cycle-stepped reference, one evaluator per engine.
   const auto app = apps::pip();
   const auto library = topo::standard_library(app.num_cores());
   select::DesignSpaceExplorer explorer;
   auto request = tier_request(app, library);
   request.sim_finalists = 2;
-  request.base.sim_engine = sim::SimEngine::kEventDriven;
-  const auto event = explorer.explore(request);
-  request.base.sim_engine = sim::SimEngine::kCycleStepped;
-  const auto cycle = explorer.explore(request);
+  const auto report = explorer.explore(request);
+  ASSERT_GT(count_scored(report), 0u);
 
-  ASSERT_EQ(count_scored(event), count_scored(cycle));
-  ASSERT_GT(count_scored(event), 0u);
-  for (std::size_t p = 0; p < event.results.size(); ++p) {
-    for (std::size_t t = 0;
-         t < event.results[p].selection.candidates.size(); ++t) {
-      const auto& e = event.results[p].selection.candidates[t].sim;
-      const auto& c = cycle.results[p].selection.candidates[t].sim;
-      ASSERT_EQ(e.has_value(), c.has_value());
-      if (!e.has_value()) continue;
-      EXPECT_EQ(e->stats.cycles, c->stats.cycles);
-      EXPECT_EQ(e->stats.packets_delivered, c->stats.packets_delivered);
-      EXPECT_EQ(e->stats.avg_latency_cycles, c->stats.avg_latency_cycles);
-      EXPECT_EQ(e->stats.flit_events, c->stats.flit_events);
-      EXPECT_EQ(e->stats.status, c->stats.status);
-      EXPECT_EQ(e->simulated_latency_cycles, c->simulated_latency_cycles);
+  auto event_options = mapping::sim_tier_options(request.base);
+  ASSERT_EQ(event_options.config.engine, sim::SimEngine::kEventDriven);
+  auto cycle_options = event_options;
+  cycle_options.config.engine = sim::SimEngine::kCycleStepped;
+  mapping::SimEvaluator event(event_options);
+  mapping::SimEvaluator cycle(cycle_options);
+  for (const auto& result : report.results) {
+    for (const auto& candidate : result.selection.candidates) {
+      if (!candidate.sim.has_value()) continue;
+      const auto e = event.score(app, *candidate.topology, candidate.result);
+      const auto c = cycle.score(app, *candidate.topology, candidate.result);
+      EXPECT_EQ(e.stats.cycles, candidate.sim->stats.cycles);
+      EXPECT_EQ(e.stats.avg_latency_cycles,
+                candidate.sim->stats.avg_latency_cycles);
+      EXPECT_EQ(e.stats.cycles, c.stats.cycles);
+      EXPECT_EQ(e.stats.packets_delivered, c.stats.packets_delivered);
+      EXPECT_EQ(e.stats.avg_latency_cycles, c.stats.avg_latency_cycles);
+      EXPECT_EQ(e.stats.flit_events, c.stats.flit_events);
+      EXPECT_EQ(e.stats.status, c.stats.status);
+      EXPECT_EQ(e.simulated_latency_cycles, c.simulated_latency_cycles);
     }
   }
 }
@@ -738,14 +743,6 @@ TEST(SimEvaluator, CachesLayoutsPerTopologyAndRejectsBareResults) {
 
 TEST(MapperConfigValidate, ChecksSimTierFields) {
   mapping::MapperConfig config;
-  config.sim_flits_per_cycle_per_gbps = 0.0;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.sim_flits_per_cycle_per_gbps = -0.5;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.sim_flits_per_cycle_per_gbps =
-      std::numeric_limits<double>::infinity();
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.sim_flits_per_cycle_per_gbps = 0.05;
   EXPECT_NO_THROW(config.validate());
 
   // The simulator seed must be a seed, and the burst shape must be a valid

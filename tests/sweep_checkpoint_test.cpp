@@ -156,10 +156,10 @@ TEST(Checkpoint, RejectsForeignMagicAndFutureVersion) {
     auto writer = JournalWriter::create(path, JournalHeader{});
     writer.close();
   }
-  // Versions 1 and 2 predate fingerprint fields (split_chunks and the
-  // chain-move probability; the technology parameters, bound_pruning and
-  // collect_explored), so they are refused like a future version.
-  for (const char version : {1, 2, 99}) {
+  // Versions 1 to 3 fingerprint other fields (version 4 dropped the
+  // settings that became constants and the weight-set axis), so they are
+  // refused like a future version.
+  for (const char version : {1, 2, 3, 99}) {
     auto bytes = slurp(path);
     bytes[8] = version;  // Version field (little-endian u32 after the magic).
     dump(path, bytes);
@@ -197,16 +197,16 @@ TEST(Checkpoint, FingerprintCoversResultAffectingFieldsOnly) {
   different_base.base.max_area_mm2 = 55.0;
   EXPECT_NE(request_fingerprint(different_base), base_print);
 
-  // split_chunks changes split-all routes and the chain-move probability
-  // changes annealing walks, so a journal written under another value of
-  // either must not resume.
-  auto different_chunks = request;
-  different_chunks.base.split_chunks = 8;
-  EXPECT_NE(request_fingerprint(different_chunks), base_print);
+  // Reroute passes change adaptive routes and reheats change annealing
+  // walks, so a journal written under another value of either must not
+  // resume.
+  auto different_reroute = request;
+  different_reroute.base.reroute_passes = 0;
+  EXPECT_NE(request_fingerprint(different_reroute), base_print);
 
-  auto different_chain = request;
-  different_chain.base.annealing_chain_move_prob = 0.25;
-  EXPECT_NE(request_fingerprint(different_chain), base_print);
+  auto different_reheats = request;
+  different_reheats.base.annealing_reheats = 2;
+  EXPECT_NE(request_fingerprint(different_reheats), base_print);
 
   // Pruning and explored-set collection change each cell's pruned count,
   // and every technology parameter moves areas, powers or delays.

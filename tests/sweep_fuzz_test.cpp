@@ -21,11 +21,13 @@
 
 #include "sweep/checkpoint.h"
 #include "sweep/wire.h"
+#include "tests/fuzz_mutator.h"
 
 namespace sunmap::sweep {
 namespace {
 
-using Bytes = std::vector<std::uint8_t>;
+using fuzz::Bytes;
+using fuzz::Mutator;
 
 constexpr int kMutations = 10000;
 
@@ -53,64 +55,28 @@ Bytes serialize(const Framed& input) {
   return out;
 }
 
-class Mutator {
- public:
-  explicit Mutator(std::uint64_t seed) : rng_(seed) {}
-
-  std::size_t below(std::size_t n) {
-    return n == 0 ? 0 : static_cast<std::size_t>(rng_() % n);
+/// Half the time mutates the raw bytes, so framing and CRC checks see the
+/// damage; otherwise mutates one part (prefix or one payload) and re-frames
+/// every payload with a valid length and CRC, so the damage reaches the
+/// decoders behind the frame layer.
+Bytes mutate(Mutator& mutator, const Framed& input, const Framed& donor) {
+  if (mutator.below(2) == 0) {
+    return mutator.mutate(serialize(input), serialize(donor));
   }
-
-  /// One to three stacked mutations of `input`; splices take their tail
-  /// from `donor`.
-  Bytes mutate(Bytes input, const Bytes& donor) {
-    const std::size_t rounds = 1 + below(3);
-    for (std::size_t r = 0; r < rounds; ++r) {
-      switch (below(3)) {
-        case 0:  // Flip: overwrite one to four bytes.
-          for (std::size_t k = 1 + below(4); k > 0 && !input.empty(); --k) {
-            input[below(input.size())] = static_cast<std::uint8_t>(rng_());
-          }
-          break;
-        case 1:  // Truncate.
-          input.resize(below(input.size() + 1));
-          break;
-        default: {  // Splice: a prefix of input, then a tail of donor.
-          input.resize(below(input.size() + 1));
-          const std::size_t from = below(donor.size() + 1);
-          input.insert(input.end(),
-                       donor.begin() + static_cast<std::ptrdiff_t>(from),
-                       donor.end());
-        }
-      }
-    }
-    return input;
+  Framed out = input;
+  const std::size_t part = mutator.below(out.payloads.size() + 1);
+  if (part == out.payloads.size()) {
+    out.prefix = mutator.mutate(out.prefix, donor.prefix);
+  } else {
+    const Bytes& other =
+        donor.payloads.empty()
+            ? donor.prefix
+            : donor.payloads[mutator.below(donor.payloads.size())];
+    out.payloads[part] = mutator.mutate(out.payloads[part], other);
+    if (out.payloads[part].empty()) out.payloads[part].push_back(0);
   }
-
-  /// Half the time mutates the raw bytes, so framing and CRC checks see
-  /// the damage; otherwise mutates one part (prefix or one payload) and
-  /// re-frames every payload with a valid length and CRC, so the damage
-  /// reaches the decoders behind the frame layer.
-  Bytes mutate(const Framed& input, const Framed& donor) {
-    if (below(2) == 0) return mutate(serialize(input), serialize(donor));
-    Framed out = input;
-    const std::size_t part = below(out.payloads.size() + 1);
-    if (part == out.payloads.size()) {
-      out.prefix = mutate(out.prefix, donor.prefix);
-    } else {
-      const Bytes& other =
-          donor.payloads.empty()
-              ? donor.prefix
-              : donor.payloads[below(donor.payloads.size())];
-      out.payloads[part] = mutate(out.payloads[part], other);
-      if (out.payloads[part].empty()) out.payloads[part].push_back(0);
-    }
-    return serialize(out);
-  }
-
- private:
-  std::mt19937_64 rng_;
-};
+  return serialize(out);
+}
 
 /// Valid point records of assorted shapes: no candidates, empty and full
 /// mappings, negative slots, extreme doubles.
@@ -206,8 +172,8 @@ TEST(SweepFuzz, FramedMessagesThroughReadFrame) {
   Mutator mutator(0x5EED0002);
   int decoded = 0;
   for (int m = 0; m < kMutations; ++m) {
-    const Bytes input = mutator.mutate(corpus[mutator.below(corpus.size())],
-                                       corpus[mutator.below(corpus.size())]);
+    const Bytes input = mutate(mutator, corpus[mutator.below(corpus.size())],
+                               corpus[mutator.below(corpus.size())]);
     // Far below the pipe buffer, so the whole stream is written before the
     // first read.
     ASSERT_LT(input.size(), 16384u);
@@ -255,8 +221,8 @@ TEST(SweepFuzz, JournalFilesThroughReadJournal) {
   Mutator mutator(0x5EED0003);
   int decoded = 0;
   for (int m = 0; m < kMutations; ++m) {
-    const Bytes input = mutator.mutate(corpus[mutator.below(corpus.size())],
-                                       corpus[mutator.below(corpus.size())]);
+    const Bytes input = mutate(mutator, corpus[mutator.below(corpus.size())],
+                               corpus[mutator.below(corpus.size())]);
     {
       std::ofstream out(path, std::ios::binary | std::ios::trunc);
       out.write(reinterpret_cast<const char*>(input.data()),

