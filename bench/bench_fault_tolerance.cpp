@@ -6,16 +6,18 @@
 //    evaluated/pruned counts on the 64-core synthetic mesh. Fault awareness
 //    costs nothing when it is off.
 //  * fault_incremental_2x — with exhaustive N-1 link faults folded into the
-//    worst-case-degraded objective, the per-scenario re-evaluation through
-//    the BFS tables prebuilt at bind time must be >= 2x faster than
-//    re-running the masked searches from scratch per evaluation, on an
-//    SA-shaped neighbor-swap walk over VOPD and MPEG-4. The gated ratio is
-//    net of the fault-free base evaluation (measured with an empty fault
-//    set and subtracted from both sides), because the base routing/power
-//    arithmetic is byte-for-byte shared and would only dilute the signal;
-//    the end-to-end walk speedup is recorded informationally. Both paths
-//    must return bit-identical evaluations — the reference is the same
-//    arithmetic, so any divergence is a bug and the binary exits nonzero.
+//    worst-case-degraded objective, the per-scenario re-evaluation that
+//    reads each degraded route from the path table built at bind time must
+//    be >= 2x faster than re-running the masked searches from scratch per
+//    evaluation, on an SA-shaped neighbor-swap walk over VOPD and MPEG-4.
+//    The gated ratio is net of the fault-free base evaluation (measured
+//    with an empty fault set and subtracted from both sides), because the
+//    base routing/power arithmetic is byte-for-byte shared and would only
+//    dilute the signal; the end-to-end walk speedup is recorded
+//    informationally. Both paths must return bit-identical evaluations —
+//    the table holds the routes the reference searches for and sums them
+//    in the reference's order, so any divergence is a bug and the binary
+//    exits nonzero.
 //
 // The fault-free search's cost and evaluated/pruned counts are invariants
 // too. A scenario-count scaling table (1..16 random scenarios) is also

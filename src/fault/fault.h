@@ -29,9 +29,11 @@ struct ScenarioSpec {
 };
 
 /// Most scenarios a random spec may draw. Each materialized scenario costs
-/// every context its masked-BFS tables (tens of KB), so the cap bounds the
-/// memory one request can claim; it is over twice the 420-channel N-1 set
-/// of a 15x15 mesh.
+/// every context one 4-byte path id per (ingress, egress) switch pair
+/// (1 KB on a 4x4 mesh, 200 KB on a 15x15 one) plus the few routes it
+/// adds to the context's path table, so the cap bounds the memory one
+/// request can claim; it is over twice the 420-channel N-1 set of a 15x15
+/// mesh.
 inline constexpr int kMaxRandomScenarios = 1024;
 
 /// Topology-independent description of a whole fault-scenario family. The
@@ -129,15 +131,18 @@ void make_mask(const graph::DirectedGraph& g, const FaultScenario& scenario,
 struct MaskedBfs {
   std::vector<graph::EdgeId> parent_edge;
   std::vector<int> dist;
-  std::vector<graph::NodeId> queue;  ///< Internal scratch.
+  /// The reached switches in visiting order, source first: every switch
+  /// comes after its parent.
+  std::vector<graph::NodeId> queue;
 };
 
 /// Breadth-first search from src over the edges and switches the mask keeps
 /// alive. Neighbours expand in out_edges insertion order, so the parent
 /// choice — and therefore every extracted path — is deterministic and
 /// identical wherever the same (graph, mask, src) is searched. This is what
-/// makes the incremental (tables prebuilt at bind) and reference (BFS re-run
-/// per evaluation) fault paths bit-identical by construction.
+/// gives the incremental fault path (EvalContext's path table, built from
+/// these searches at bind) and the reference (BFS re-run per evaluation)
+/// the same routes.
 void masked_bfs(const graph::DirectedGraph& g, graph::NodeId src,
                 const ScenarioMask& mask, MaskedBfs& out);
 

@@ -1,5 +1,6 @@
 #include "io/request_codec.h"
 
+#include <algorithm>
 #include <charconv>
 #include <limits>
 #include <map>
@@ -277,10 +278,12 @@ struct Archive {
     return text;
   }
 
+  /// Returns whether the decoded request set the key.
   template <class T, class Codec = Number<T>>
-  void scalar(const char* key, T& field, Codec codec = {}) {
+  bool scalar(const char* key, T& field, Codec codec = {}) {
     const auto text = exchange(key, codec.format(field));
     if (text) field = codec.parse(key, *text);
+    return text.has_value();
   }
 
   template <class T, class Codec = Number<T>>
@@ -366,11 +369,27 @@ void each_key(Archive& v, DecodedRequest& decoded) {
   v.floorplan("fplan_engine", "fplan_sizing_passes", r.floorplan_options,
               base.floorplan);
   // Each fault set copies these base fields, so they are read first.
-  v.scalar("fault_samples", base.faults.spec.num_scenarios);
-  v.scalar("fault_seed", base.faults.spec.seed);
+  const bool samples =
+      v.scalar("fault_samples", base.faults.spec.num_scenarios);
+  const bool seed = v.scalar("fault_seed", base.faults.spec.seed);
   v.scalar("fault_mode", base.faults.aggregation, words(kFaultModes));
   v.scalar("fault_penalty", base.faults.infeasible_penalty);
   v.faults("faults", r.fault_sets, base.faults);
+  // The sampler keys only shape rand sets; without one they would be
+  // ignored, and a mistyped fault request would run fault-free.
+  if ((samples || seed) &&
+      std::none_of(r.fault_sets.begin(), r.fault_sets.end(),
+                   [](const fault::FaultSet& set) {
+                     return set.spec.kind == FaultKind::kRandom;
+                   })) {
+    const auto& spec = base.faults.spec;
+    if (samples) {
+      fail("fault_samples", Number<int>{}.format(spec.num_scenarios),
+           "applies only to rand fault sets (faults=rand[M])");
+    }
+    fail("fault_seed", Number<std::uint64_t>{}.format(spec.seed),
+         "applies only to rand fault sets (faults=rand[M])");
+  }
   v.scalar("w_delay", base.weights.delay);
   v.scalar("w_area", base.weights.area);
   v.scalar("w_power", base.weights.power);

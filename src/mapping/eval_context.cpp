@@ -42,6 +42,10 @@ bool same_evaluation_class(const MapperConfig& a, const MapperConfig& b) {
   return true;
 }
 
+double manhattan(double ax, double ay, double bx, double by) {
+  return std::abs(ax - bx) + std::abs(ay - by);
+}
+
 }  // namespace
 
 EvalScratch& EvalScratch::worker_scratch(int t) {
@@ -224,7 +228,7 @@ void EvalContext::build_static_routes(
 void EvalContext::build_fault_tables() {
   fault_scenarios_ = fault::materialize(config_.faults.spec, topology_);
   fault_masks_.clear();
-  fault_bfs_.clear();
+  fault_paths_ = DegradedPaths{};
   if (fault_scenarios_.empty()) return;
 
   const auto& g = topology_.switch_graph();
@@ -233,22 +237,83 @@ void EvalContext::build_fault_tables() {
     fault::make_mask(g, fault_scenarios_[s], fault_masks_[s]);
   }
 
-  // One BFS per (scenario, distinct ingress switch): every commodity's
-  // degraded route is then an O(path length) parent walk, shared by all
-  // commodities injecting at that switch. Storing parent arrays instead of
-  // per-slot-pair paths keeps the table O(scenarios x switches^2) small
-  // even for exhaustive N-1 sets on large meshes.
+  auto& paths = fault_paths_;
   const auto num_switches = static_cast<std::size_t>(g.num_nodes());
-  std::vector<char> is_ingress(num_switches, 0);
+  std::vector<std::int32_t> row_of(num_switches, -1);
+  std::vector<std::int32_t> col_of(num_switches, -1);
+  std::vector<graph::NodeId> ingress_switches;
   for (int slot = 0; slot < topology_.num_slots(); ++slot) {
-    is_ingress[static_cast<std::size_t>(topology_.ingress_switch(slot))] = 1;
+    const auto in = static_cast<std::size_t>(topology_.ingress_switch(slot));
+    const auto out = static_cast<std::size_t>(topology_.egress_switch(slot));
+    if (row_of[in] < 0) {
+      row_of[in] = paths.rows++;
+      ingress_switches.push_back(static_cast<graph::NodeId>(in));
+    }
+    if (col_of[out] < 0) col_of[out] = paths.cols++;
+    paths.slot_row.push_back(row_of[in]);
+    paths.slot_col.push_back(col_of[out]);
   }
-  fault_bfs_.resize(fault_scenarios_.size() * num_switches);
+  paths.id.assign(fault_scenarios_.size() *
+                      static_cast<std::size_t>(paths.rows) *
+                      static_cast<std::size_t>(paths.cols),
+                  -1);
+
+  // Trie children as sibling lists; only the build looks children up.
+  std::vector<std::int32_t> first_child;
+  std::vector<std::int32_t> next_sibling;
+  const auto add_path = [&](std::int32_t parent, graph::EdgeId edge,
+                            graph::NodeId node) {
+    const auto id = static_cast<std::int32_t>(paths.parent.size());
+    paths.parent.push_back(parent);
+    paths.edge.push_back(edge);
+    paths.node.push_back(node);
+    paths.num_nodes.push_back(
+        parent < 0 ? 1
+                   : paths.num_nodes[static_cast<std::size_t>(parent)] + 1);
+    first_child.push_back(-1);
+    next_sibling.push_back(-1);
+    if (parent >= 0) {
+      next_sibling.back() = first_child[static_cast<std::size_t>(parent)];
+      first_child[static_cast<std::size_t>(parent)] = id;
+    }
+    return id;
+  };
+  // Ids 0 .. rows-1 are the roots: each ingress switch's single-switch path.
+  for (const graph::NodeId in : ingress_switches) {
+    add_path(-1, graph::kInvalidEdge, in);
+  }
+
+  // One BFS per (scenario, ingress switch). Its visiting order reaches a
+  // switch's parent first, so the switch's path — the parent's path plus
+  // the parent edge — costs one child lookup, and the same route found
+  // under another scenario maps to the same id. The BFS is the one the
+  // reference path runs, so both read the same routes.
+  fault::MaskedBfs bfs;
+  std::vector<std::int32_t> path_of(num_switches, -1);
   for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-    for (std::size_t sw = 0; sw < num_switches; ++sw) {
-      if (is_ingress[sw] == 0) continue;
-      fault::masked_bfs(g, static_cast<graph::NodeId>(sw), fault_masks_[s],
-                        fault_bfs_[s * num_switches + sw]);
+    for (std::int32_t row = 0; row < paths.rows; ++row) {
+      fault::masked_bfs(g, ingress_switches[static_cast<std::size_t>(row)],
+                        fault_masks_[s], bfs);
+      std::int32_t* ids =
+          &paths.id[(s * static_cast<std::size_t>(paths.rows) +
+                     static_cast<std::size_t>(row)) *
+                    static_cast<std::size_t>(paths.cols)];
+      for (const graph::NodeId v : bfs.queue) {
+        const auto vi = static_cast<std::size_t>(v);
+        std::int32_t id = row;
+        const graph::EdgeId e = bfs.parent_edge[vi];
+        if (e != graph::kInvalidEdge) {
+          const std::int32_t parent =
+              path_of[static_cast<std::size_t>(g.edge(e).src)];
+          id = first_child[static_cast<std::size_t>(parent)];
+          while (id >= 0 && paths.edge[static_cast<std::size_t>(id)] != e) {
+            id = next_sibling[static_cast<std::size_t>(id)];
+          }
+          if (id < 0) id = add_path(parent, e, v);
+        }
+        path_of[vi] = id;
+        if (col_of[vi] >= 0) ids[col_of[vi]] = id;
+      }
     }
   }
 }
@@ -441,9 +506,6 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       scratch.switch_cy[static_cast<std::size_t>(block.index)] = block.cy();
     }
   }
-  const auto manhattan = [](double ax, double ay, double bx, double by) {
-    return std::abs(ax - bx) + std::abs(ay - by);
-  };
 
   // Power and latency: identical arithmetic to the from-scratch evaluator,
   // with the library lookups and block scans replaced by the resolved
@@ -505,18 +567,61 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       total_value_ > 0.0 ? weighted_latency_ps / total_value_ / 1000.0 : 0.0;
 
   // ---- Degraded modes: every commodity re-routed under each scenario. ----
-  // The incremental path walks the prebuilt per-(scenario, ingress) BFS
-  // parents; the reference path re-runs the identical BFS per commodity.
-  // Both extract through fault::extract_path, so the routes — and all the
-  // arithmetic below — are bit-identical between the two. Disconnection is
-  // a recorded verdict, never an exception: the search keeps moving.
+  // Disconnection is a recorded verdict, never an exception: the search
+  // keeps moving.
   if (!fault_scenarios_.empty()) {
-    const auto num_switches_sz = static_cast<std::size_t>(num_switches);
-    eval.fault_outcomes.resize(fault_scenarios_.size());
+    evaluate_fault_scenarios(core_to_slot, scratch, eval);
+  }
+
+  apply_config_dependent(eval, floorplan_aspect);
+
+  // Cache the metrics while `eval` still carries no floorplan or routes:
+  // entries stay scalar-sized, and hits re-derive the flags/cost from the
+  // stored aspect with the same arithmetic as above.
+  {
+    std::unique_lock<std::shared_mutex> lock(cache_mutex_);
+    if (metrics_cache_.size() < kMetricsCacheCap) {
+      metrics_cache_.emplace(core_to_slot,
+                             CachedMetrics{eval, floorplan_aspect});
+    }
+  }
+
+  // Lightweight (search-loop) evaluations carry metrics only: the searches
+  // compare candidates by scalars, so copying the floorplan geometry into
+  // every rejected candidate would be pure waste. Materialized evaluations
+  // — the winners and every caller-facing result — get the full floorplan
+  // and routes, exactly as before.
+  if (materialize) {
+    eval.floorplan = floorplan;
+    eval.link_loads = scratch.loads.values();
+    eval.routes.reserve(num_commodities);
+    for (std::size_t k = 0; k < num_commodities; ++k) {
+      eval.routes.push_back(*scratch.route_refs[k]);
+    }
+    // Per-scenario degraded link loads are a materialized-only extra (like
+    // link_loads), computed after the cache insert above so cached metrics
+    // stay identical between the hit and miss paths.
+    if (!fault_scenarios_.empty()) {
+      add_fault_link_loads(core_to_slot, scratch, eval);
+    }
+  }
+  return eval;
+}
+
+void EvalContext::evaluate_fault_scenarios(
+    const std::vector<int>& core_to_slot, EvalScratch& scratch,
+    Evaluation& eval) const {
+  const auto& g = topology_.switch_graph();
+  const double link_e = config_.tech.link_energy_pj_per_bit_mm;
+  const std::size_t num_commodities = commodities_.size();
+  eval.fault_outcomes.assign(fault_scenarios_.size(),
+                             Evaluation::FaultScenarioOutcome{});
+
+  if (!config_.incremental_fault_eval) {
+    // Reference: a fresh masked BFS per (scenario, commodity), walked into a
+    // path whose nodes and edges are summed one by one.
     for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-      const fault::ScenarioMask& mask = fault_masks_[s];
       auto& outcome = eval.fault_outcomes[s];
-      outcome = Evaluation::FaultScenarioOutcome{};
       double fault_hops = 0.0;
       double fault_power_mw = 0.0;
       for (std::size_t k = 0; k < num_commodities; ++k) {
@@ -527,15 +632,8 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
             core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
         const graph::NodeId ingress = topology_.ingress_switch(src_slot);
         const graph::NodeId egress = topology_.egress_switch(dst_slot);
-        const fault::MaskedBfs* bfs;
-        if (config_.incremental_fault_eval) {
-          bfs = &fault_bfs_[s * num_switches_sz +
-                            static_cast<std::size_t>(ingress)];
-        } else {
-          fault::masked_bfs(g, ingress, mask, scratch.fault_bfs);
-          bfs = &scratch.fault_bfs;
-        }
-        if (!fault::extract_path(g, *bfs, ingress, egress,
+        fault::masked_bfs(g, ingress, fault_masks_[s], scratch.fault_bfs);
+        if (!fault::extract_path(g, scratch.fault_bfs, ingress, egress,
                                  scratch.fault_path)) {
           outcome.connected = false;
           continue;
@@ -573,74 +671,142 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
           total_value_ > 0.0 ? fault_hops / total_value_ : 0.0;
       outcome.dynamic_power_mw = fault_power_mw;
     }
+    return;
   }
 
-  apply_config_dependent(eval, floorplan_aspect);
+  // Table path. What does not depend on the scenario is computed once:
+  // every edge's wire, and each commodity's path-table cell and attach
+  // wires.
+  const auto& paths = fault_paths_;
+  scratch.fault_edge_wire.resize(static_cast<std::size_t>(g.num_edges()));
+  for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto& edge = g.edge(e);
+    scratch.fault_edge_wire[static_cast<std::size_t>(e)] = manhattan(
+        scratch.switch_cx[static_cast<std::size_t>(edge.src)],
+        scratch.switch_cy[static_cast<std::size_t>(edge.src)],
+        scratch.switch_cx[static_cast<std::size_t>(edge.dst)],
+        scratch.switch_cy[static_cast<std::size_t>(edge.dst)]);
+  }
+  scratch.fault_commodities.resize(num_commodities);
+  for (std::size_t k = 0; k < num_commodities; ++k) {
+    const int src_slot =
+        core_to_slot[static_cast<std::size_t>(commodities_[k].src_core)];
+    const int dst_slot =
+        core_to_slot[static_cast<std::size_t>(commodities_[k].dst_core)];
+    const auto src = static_cast<std::size_t>(src_slot);
+    const auto dst = static_cast<std::size_t>(dst_slot);
+    const auto in = static_cast<std::size_t>(topology_.ingress_switch(src_slot));
+    const auto out = static_cast<std::size_t>(topology_.egress_switch(dst_slot));
+    auto& fc = scratch.fault_commodities[k];
+    fc.cell = paths.cell(src_slot, dst_slot);
+    fc.path = -1;
+    fc.attach_in = manhattan(scratch.core_cx[src], scratch.core_cy[src],
+                             scratch.switch_cx[in], scratch.switch_cy[in]);
+    fc.attach_out = manhattan(scratch.core_cx[dst], scratch.core_cy[dst],
+                              scratch.switch_cx[out], scratch.switch_cy[out]);
+  }
 
-  // Cache the metrics while `eval` still carries no floorplan or routes:
-  // entries stay scalar-sized, and hits re-derive the flags/cost from the
-  // stored aspect with the same arithmetic as above.
-  {
-    std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-    if (metrics_cache_.size() < kMetricsCacheCap) {
-      metrics_cache_.emplace(core_to_slot,
-                             CachedMetrics{eval, floorplan_aspect});
+  // A path's sums extend its parent's by one switch and one edge, in the
+  // reference walk's order, so they are bit-identical to it. A path's first
+  // use in this evaluation fills it and its unstamped ancestors.
+  auto& sums = scratch.fault_path_sums;
+  if (sums.size() < paths.parent.size()) sums.resize(paths.parent.size());
+  const std::uint64_t stamp = ++scratch.fault_stamp;
+  const auto fill_sums = [&](const auto& self, std::int32_t id) -> void {
+    const auto p = static_cast<std::size_t>(id);
+    const std::int32_t parent = paths.parent[p];
+    double switch_pj = 0.0;
+    double wire_mm = 0.0;
+    if (parent >= 0) {
+      const auto& up = sums[static_cast<std::size_t>(parent)];
+      if (up.stamp != stamp) self(self, parent);
+      switch_pj = up.switch_pj;
+      wire_mm = up.wire_mm +
+                scratch.fault_edge_wire[static_cast<std::size_t>(paths.edge[p])];
     }
-  }
+    sums[p] = {stamp, switch_pj + switch_table_.energy_pj_per_bit(paths.node[p]),
+               wire_mm};
+  };
 
-  // Lightweight (search-loop) evaluations carry metrics only: the searches
-  // compare candidates by scalars, so copying the floorplan geometry into
-  // every rejected candidate would be pure waste. Materialized evaluations
-  // — the winners and every caller-facing result — get the full floorplan
-  // and routes, exactly as before.
-  if (materialize) {
-    eval.floorplan = floorplan;
-    eval.link_loads = scratch.loads.values();
-    eval.routes.reserve(num_commodities);
+  // A commodity keeps its route under most scenarios, so its two terms are
+  // recomputed only when its path id differs from the previous scenario's.
+  for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
+    auto& outcome = eval.fault_outcomes[s];
+    const std::int32_t* ids = paths.scenario_ids(s);
+    double fault_hops = 0.0;
+    double fault_power_mw = 0.0;
     for (std::size_t k = 0; k < num_commodities; ++k) {
-      eval.routes.push_back(*scratch.route_refs[k]);
+      auto& fc = scratch.fault_commodities[k];
+      const std::int32_t id = ids[fc.cell];
+      if (id < 0) {
+        outcome.connected = false;
+        continue;
+      }
+      if (id != fc.path) {
+        fc.path = id;
+        const auto& path = sums[static_cast<std::size_t>(id)];
+        if (path.stamp != stamp) fill_sums(fill_sums, id);
+        const double value = commodities_[k].value_mbps;
+        fc.hops_term =
+            value * static_cast<double>(
+                        paths.num_nodes[static_cast<std::size_t>(id)]);
+        double wire_mm = path.wire_mm;
+        wire_mm += fc.attach_in;
+        wire_mm += fc.attach_out;
+        fc.power_term = value * 8e-3 * (path.switch_pj + link_e * wire_mm);
+      }
+      fault_hops += fc.hops_term;
+      fault_power_mw += fc.power_term;
     }
-    // Per-scenario degraded link loads are a materialized-only extra (like
-    // link_loads), computed after the cache insert above so cached metrics
-    // stay identical between the hit and miss paths.
-    if (!fault_scenarios_.empty()) {
-      const auto num_switches_sz = static_cast<std::size_t>(num_switches);
-      for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-        auto& outcome = eval.fault_outcomes[s];
-        scratch.fault_loads.assign(static_cast<std::size_t>(num_edges), 0.0);
-        for (std::size_t k = 0; k < num_commodities; ++k) {
-          const auto& commodity = commodities_[k];
-          const int src_slot =
-              core_to_slot[static_cast<std::size_t>(commodity.src_core)];
-          const graph::NodeId ingress = topology_.ingress_switch(src_slot);
-          const graph::NodeId egress = topology_.egress_switch(
-              core_to_slot[static_cast<std::size_t>(commodity.dst_core)]);
-          const fault::MaskedBfs* bfs;
-          if (config_.incremental_fault_eval) {
-            bfs = &fault_bfs_[s * num_switches_sz +
-                              static_cast<std::size_t>(ingress)];
-          } else {
-            fault::masked_bfs(g, ingress, fault_masks_[s], scratch.fault_bfs);
-            bfs = &scratch.fault_bfs;
-          }
-          if (!fault::extract_path(g, *bfs, ingress, egress,
-                                   scratch.fault_path)) {
-            continue;
-          }
-          for (const graph::EdgeId e : scratch.fault_path.edges) {
-            scratch.fault_loads[static_cast<std::size_t>(e)] +=
-                commodity.value_mbps;
-          }
+    outcome.avg_switch_hops =
+        total_value_ > 0.0 ? fault_hops / total_value_ : 0.0;
+    outcome.dynamic_power_mw = fault_power_mw;
+  }
+}
+
+void EvalContext::add_fault_link_loads(const std::vector<int>& core_to_slot,
+                                       EvalScratch& scratch,
+                                       Evaluation& eval) const {
+  const auto& g = topology_.switch_graph();
+  const auto& paths = fault_paths_;
+  for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
+    scratch.fault_loads.assign(static_cast<std::size_t>(g.num_edges()), 0.0);
+    for (const auto& commodity : commodities_) {
+      const int src_slot =
+          core_to_slot[static_cast<std::size_t>(commodity.src_core)];
+      const int dst_slot =
+          core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
+      // A route is a simple path, so each of its edges gets the commodity's
+      // value once whichever end the walk starts from.
+      if (config_.incremental_fault_eval) {
+        std::int32_t id =
+            paths.scenario_ids(s)[paths.cell(src_slot, dst_slot)];
+        for (; id >= 0 && paths.parent[static_cast<std::size_t>(id)] >= 0;
+             id = paths.parent[static_cast<std::size_t>(id)]) {
+          scratch.fault_loads[static_cast<std::size_t>(
+              paths.edge[static_cast<std::size_t>(id)])] +=
+              commodity.value_mbps;
         }
-        outcome.max_link_load_mbps =
-            scratch.fault_loads.empty()
-                ? 0.0
-                : *std::max_element(scratch.fault_loads.begin(),
-                                    scratch.fault_loads.end());
+        continue;
+      }
+      const graph::NodeId ingress = topology_.ingress_switch(src_slot);
+      fault::masked_bfs(g, ingress, fault_masks_[s], scratch.fault_bfs);
+      if (!fault::extract_path(g, scratch.fault_bfs, ingress,
+                               topology_.egress_switch(dst_slot),
+                               scratch.fault_path)) {
+        continue;
+      }
+      for (const graph::EdgeId e : scratch.fault_path.edges) {
+        scratch.fault_loads[static_cast<std::size_t>(e)] +=
+            commodity.value_mbps;
       }
     }
+    eval.fault_outcomes[s].max_link_load_mbps =
+        scratch.fault_loads.empty()
+            ? 0.0
+            : *std::max_element(scratch.fault_loads.begin(),
+                                scratch.fault_loads.end());
   }
-  return eval;
 }
 
 const fplan::Floorplan& EvalContext::floorplan_for_mapping(
@@ -1141,9 +1307,6 @@ void EvalContext::build_power_bound_table() {
   // envelopes, which is what closes most of the bound gap on the
   // fully-occupied uniform meshes (netproc16).
   power_bound_exact_ = false;
-  const auto manhattan = [](double ax, double ay, double bx, double by) {
-    return std::abs(ax - bx) + std::abs(ay - by);
-  };
   if (env.valid && class_shapes_.size() == 1 &&
       num_cores == num_slots) {
     const int num_switches = topology_.num_switches();

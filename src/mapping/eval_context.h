@@ -38,13 +38,34 @@ struct EvalScratch {
   std::vector<double> core_cx, core_cy, switch_cx, switch_cy;
   /// Per-slot shape-class ids (0 = empty slot) — the floorplan cache key.
   std::vector<std::uint16_t> floor_key;
-  /// Degraded-mode routing buffers: the reference fault path re-runs its
-  /// masked BFS here per (scenario, commodity), and both paths extract the
-  /// commodity's surviving route into fault_path. fault_loads accumulates
+  /// Degraded-mode buffers. The reference fault path re-runs its masked BFS
+  /// into fault_bfs per (scenario, commodity) and extracts the route into
+  /// fault_path. The table path computes each edge's wire once per
+  /// evaluation (fault_edge_wire), and per commodity its path-table cell,
+  /// its two attach wires and the hop and power terms of the path it took
+  /// under the previous scenario (fault_commodities). Each degraded path it
+  /// uses gets its switch-energy and edge-wire sums on first use, stamped
+  /// with that evaluation's fault_stamp, so an entry from an earlier
+  /// evaluation — of any context — is never read. fault_loads accumulates
   /// per-scenario link loads on materialized evaluations.
   fault::MaskedBfs fault_bfs;
   graph::Path fault_path;
   std::vector<double> fault_loads;
+  std::vector<double> fault_edge_wire;
+  struct FaultCommodity {
+    std::size_t cell = 0;
+    std::int32_t path = -1;
+    double attach_in = 0.0, attach_out = 0.0;
+    double hops_term = 0.0, power_term = 0.0;
+  };
+  std::vector<FaultCommodity> fault_commodities;
+  struct FaultPathSums {
+    std::uint64_t stamp = 0;
+    double switch_pj = 0.0;
+    double wire_mm = 0.0;
+  };
+  std::vector<FaultPathSums> fault_path_sums;
+  std::uint64_t fault_stamp = 0;
   /// Column/row accumulators of the area lower bound (phase-1 pruning).
   /// bound_row_used doubles as a per-column item count in columns-mode
   /// placements, hence int rather than a flag.
@@ -350,12 +371,27 @@ class EvalContext {
   [[nodiscard]] route::RoutingSession& routing_session_for(
       EvalScratch& scratch) const;
 
-  /// Materializes the config's fault spec against this topology and
-  /// prebuilds one masked-BFS parent table per (scenario, ingress switch) —
-  /// the incremental fault path reads routes out of these tables instead of
-  /// re-searching, which is where the >= 2x per-scenario re-evaluation
-  /// speedup comes from. Rebuilt only when the bound FaultSet changes.
+  /// Materializes the config's fault spec against this topology and builds
+  /// the degraded-path table: one masked BFS per (scenario, ingress switch),
+  /// whose visiting order grows a prefix trie (a switch's path is its BFS
+  /// parent's path plus the parent edge, one child lookup each), so each
+  /// distinct path is stored once and every (scenario, ingress, egress)
+  /// gets a path id. The incremental fault path reads routes by id instead
+  /// of searching or walking BFS parents. Rebuilt only when the bound
+  /// FaultSet changes.
   void build_fault_tables();
+  /// Each scenario's degraded metrics (connected, avg_switch_hops,
+  /// dynamic_power_mw) into eval.fault_outcomes: from the path table, or
+  /// with incremental_fault_eval off by the reference route, a masked BFS
+  /// per (scenario, commodity) and a walk over each extracted path. Reads
+  /// the scratch's block centres, so it runs after evaluate() indexed the
+  /// floorplan.
+  void evaluate_fault_scenarios(const std::vector<int>& core_to_slot,
+                                EvalScratch& scratch, Evaluation& eval) const;
+  /// Each scenario's max degraded link load, over the same routes
+  /// (materialized evaluations only).
+  void add_fault_link_loads(const std::vector<int>& core_to_slot,
+                            EvalScratch& scratch, Evaluation& eval) const;
   void build_bound_envelope();
   void build_power_bound_table();
   /// Fills scratch.bound_col_w / bound_row_h (+ used flags) with the
@@ -411,13 +447,44 @@ class EvalContext {
 
   /// Fault state, rebuilt by bind() when the configuration's FaultSet moved:
   /// the scenarios materialized against this topology, their aliveness
-  /// masks, and the per-(scenario, ingress switch) BFS tables, indexed
-  /// [scenario * num_switches + ingress] (entries for switches no slot
-  /// injects from stay empty). All immutable between binds, so concurrent
-  /// search workers share them lock-free.
+  /// masks (the reference path searches under them), and the degraded-path
+  /// table. All immutable between binds, so concurrent search workers share
+  /// them lock-free.
   std::vector<fault::FaultScenario> fault_scenarios_;
   std::vector<fault::ScenarioMask> fault_masks_;
-  std::vector<fault::MaskedBfs> fault_bfs_;
+  /// Every distinct degraded route once, as a node of a prefix trie rooted
+  /// at its ingress switch: path p is path parent[p] extended by edge[p]
+  /// to switch node[p] (a root has parent -1, no edge, and its ingress as
+  /// node), with num_nodes[p] switches. Ids are assigned in BFS order, so
+  /// a parent's id is below its children's.
+  struct DegradedPaths {
+    std::vector<std::int32_t> parent;
+    std::vector<graph::EdgeId> edge;
+    std::vector<graph::NodeId> node;
+    std::vector<std::int32_t> num_nodes;
+    /// Dense numbering of the switches slots inject at (rows) and eject
+    /// from (columns), per slot.
+    std::vector<std::int32_t> slot_row, slot_col;
+    std::int32_t rows = 0, cols = 0;
+    /// Path id per (scenario, row, column), indexed
+    /// [(scenario * rows + row) * cols + column]; -1 when the scenario
+    /// leaves the egress unreachable (or kills the ingress).
+    std::vector<std::int32_t> id;
+
+    /// The cell of a commodity from src_slot to dst_slot within a
+    /// scenario's ids.
+    [[nodiscard]] std::size_t cell(int src_slot, int dst_slot) const {
+      return static_cast<std::size_t>(
+          slot_row[static_cast<std::size_t>(src_slot)] * cols +
+          slot_col[static_cast<std::size_t>(dst_slot)]);
+    }
+    /// The path ids of one scenario, indexed by cell().
+    [[nodiscard]] const std::int32_t* scenario_ids(std::size_t s) const {
+      return &id[s * static_cast<std::size_t>(rows) *
+                 static_cast<std::size_t>(cols)];
+    }
+  };
+  DegradedPaths fault_paths_;
 
   /// Precomputed geometry of the area/power lower bounds, derived from the
   /// relative placement, the shape classes, and the resolved switch shapes

@@ -349,8 +349,9 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
   // ---- Degraded modes: re-route every commodity under each fault scenario.
   // This is the from-scratch reference of the fault evaluation: scenarios
   // materialized per call, one masked BFS per (scenario, commodity). The
-  // cached EvalContext path prebuilds the BFS tables but extracts paths
-  // through the same fault:: code, so both are bit-identical.
+  // cached EvalContext path reads the same BFS routes from its bind-time
+  // path table and sums them in this walk's order, so both are
+  // bit-identical.
   const auto fault_scenarios =
       fault::materialize(config_.faults.spec, topology);
   if (!fault_scenarios.empty()) {

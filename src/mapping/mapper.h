@@ -138,11 +138,12 @@ struct MapperConfig {
   fault::FaultSet faults;
 
   /// Master switch for incremental per-scenario fault re-evaluation: with it
-  /// on (the default), each evaluation reads the per-(scenario, ingress
-  /// switch) masked-BFS tables the context prebuilt at bind, while off
-  /// re-runs the BFS per commodity — the from-scratch reference the
-  /// fault_incremental_2x bench invariant measures against. Both paths
-  /// extract paths through the same code, so results are bit-identical.
+  /// on (the default), each evaluation reads every degraded route by id
+  /// from the path table the context built at bind, while off re-runs the
+  /// BFS per commodity and walks the extracted path — the from-scratch
+  /// reference the fault_incremental_2x bench invariant measures against.
+  /// The table holds the routes the same BFS finds and sums them in the
+  /// walk's order, so results are bit-identical.
   bool incremental_fault_eval = true;
 
   /// Master switch for incremental adaptive routing (MP / split-all): with

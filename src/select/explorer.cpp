@@ -326,8 +326,8 @@ std::vector<DesignPoint> DesignSpaceExplorer::expand(
   // shards are these runs; see objective_run()). Floorplan
   // options vary slowest: they are the one axis whose move clears the
   // floorplan cache and incremental sessions on rebind. Fault sets sit
-  // just inside them: a fault-spec move clears the metrics cache and the
-  // per-scenario BFS tables, the second-costliest rebind.
+  // just inside them: a fault-spec move clears the metrics cache and
+  // rebuilds the degraded-path table, the second-costliest rebind.
   std::vector<DesignPoint> points;
   points.reserve(request.num_points());
   const std::size_t nf =

@@ -75,8 +75,8 @@ struct ExplorationRequest {
   /// fault set — injection spec plus aggregation mode and penalty. The
   /// axis sits just inside floorplan options in the grid (second slowest):
   /// changing the fault spec changes the evaluation class, clearing the
-  /// metrics cache and the per-scenario BFS tables on rebind, so the grid
-  /// exhausts every faster axis before paying that rebuild.
+  /// metrics cache and rebuilding the degraded-path table on rebind, so the
+  /// grid exhausts every faster axis before paying that rebuild.
   std::vector<fault::FaultSet> fault_sets;
 
   /// Worker threads the explorer spreads topologies over. Each worker owns

@@ -402,6 +402,167 @@ TEST(FaultEval, IncrementalAndReferenceFaultPathsAreBitIdentical) {
   EXPECT_EQ(inc_result.eval.cost, ref_result.eval.cost);
 }
 
+/// The first `count` slots of a seeded shuffle of the topology's slots.
+std::vector<int> shuffled_mapping(const topo::Topology& topology, int count,
+                                  util::Prng& prng) {
+  std::vector<int> slots(static_cast<std::size_t>(topology.num_slots()));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = static_cast<int>(i);
+  }
+  for (std::size_t i = slots.size(); i > 1; --i) {
+    std::swap(slots[i - 1], slots[prng.next_below(i)]);
+  }
+  slots.resize(static_cast<std::size_t>(count));
+  return slots;
+}
+
+TEST(FaultEval, PathTableMatchesBothReferencesOnEveryTopologyAndSpec) {
+  // The degraded-path table against the per-commodity BFS
+  // (incremental_fault_eval off) and against Mapper::evaluate, on every
+  // 16-core library topology plus barbell6. The butterfly injects and
+  // ejects at different switches; barbell6's N-1 set cuts its articulation
+  // link. Each spec family runs metrics-only and materialized.
+  const auto netproc = apps::netproc16();
+  const auto triangles = two_triangles();
+  auto topologies = topo::standard_library(netproc.num_cores());
+  topologies.push_back(barbell6());
+  util::Prng prng(2020);
+  for (const auto& topology : topologies) {
+    const auto& app = topology->num_slots() >= netproc.num_cores()
+                          ? netproc
+                          : triangles;
+    const auto top = mapping::commodities_by_value(app).front();
+    for (int draw = 0; draw < 2; ++draw) {
+      const auto mapping = shuffled_mapping(*topology, app.num_cores(), prng);
+      const int src_slot = mapping[static_cast<std::size_t>(top.src_core)];
+      const int dst_slot = mapping[static_cast<std::size_t>(top.dst_core)];
+      const graph::NodeId ingress = topology->ingress_switch(src_slot);
+      const graph::NodeId egress = topology->egress_switch(dst_slot);
+
+      FaultSpec n1;
+      n1.kind = FaultSpec::Kind::kEveryLink;
+      FaultSpec random;
+      random.kind = FaultSpec::Kind::kRandom;
+      random.num_scenarios = 4;
+      random.faults_per_scenario = 2;
+      random.seed = 11;
+      // The top commodity's egress switch dies; then every channel of its
+      // ingress switch is cut.
+      FaultSpec listed;
+      listed.kind = FaultSpec::Kind::kExplicit;
+      listed.scenarios.push_back({{}, {egress}});
+      listed.scenarios.emplace_back();
+      for (const auto& link : physical_links(*topology)) {
+        if (link.a == ingress || link.b == ingress) {
+          listed.scenarios.back().links.push_back(link);
+        }
+      }
+
+      for (const auto& spec : {n1, random, listed}) {
+        SCOPED_TRACE(topology->name() + " / draw " + std::to_string(draw) +
+                     " / " + describe(FaultSet{spec}));
+        mapping::MapperConfig table_config;
+        table_config.faults.spec = spec;
+        mapping::MapperConfig search_config = table_config;
+        search_config.incremental_fault_eval = false;
+        const mapping::Mapper mapper(table_config);
+        const auto reference = mapper.evaluate(app, *topology, mapping);
+        const auto table_ctx = mapper.make_context(app, *topology);
+        const auto search_ctx =
+            mapping::Mapper(search_config).make_context(app, *topology);
+        mapping::EvalScratch table_scratch;
+        mapping::EvalScratch search_scratch;
+        // Metrics-only first: a materialized evaluation fills the metrics
+        // cache, which would answer the metrics-only one.
+        const auto table_lean = table_ctx.evaluate(mapping, table_scratch,
+                                                   /*materialize=*/false);
+        const auto search_lean = search_ctx.evaluate(mapping, search_scratch,
+                                                     /*materialize=*/false);
+        const auto table_full = table_ctx.evaluate(mapping, table_scratch);
+        const auto search_full = search_ctx.evaluate(mapping, search_scratch);
+
+        expect_fault_identical(table_full, reference);
+        expect_fault_identical(search_full, reference);
+        // Metrics-only outcomes carry no link loads.
+        auto lean_reference = reference;
+        for (auto& outcome : lean_reference.fault_outcomes) {
+          outcome.max_link_load_mbps = 0.0;
+        }
+        expect_fault_identical(table_lean, lean_reference);
+        expect_fault_identical(search_lean, lean_reference);
+
+        if (spec.kind == FaultSpec::Kind::kExplicit) {
+          ASSERT_EQ(table_full.fault_outcomes.size(), 2u);
+          EXPECT_FALSE(table_full.fault_outcomes[0].connected);
+          if (ingress != egress) {
+            EXPECT_FALSE(table_full.fault_outcomes[1].connected);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FaultEval, ScratchMovingBetweenContextsNeverReadsStalePathSums) {
+  // One scratch alternates between two contexts whose path tables differ,
+  // then follows one of them through a rebind that changes its fault spec
+  // and one that clears it. Every evaluation must equal a fresh scratch's
+  // on a fresh context (so the metrics cache cannot answer for it). The
+  // searches at two threads move the pooled worker scratches between the
+  // contexts too.
+  const auto app = apps::vopd();
+  const auto mesh = topo::make_mesh_for(app.num_cores());
+  const auto torus = topo::make_torus_for(app.num_cores());
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    mapping::MapperConfig n1;
+    n1.num_threads = threads;
+    n1.faults.spec.kind = FaultSpec::Kind::kEveryLink;
+    mapping::MapperConfig random = n1;
+    random.faults.spec.kind = FaultSpec::Kind::kRandom;
+    random.faults.spec.num_scenarios = 4;
+    random.faults.spec.faults_per_scenario = 2;
+    random.faults.spec.seed = 5;
+    mapping::MapperConfig resampled = random;
+    resampled.faults.spec.seed = 6;
+    mapping::MapperConfig fault_free = n1;
+    fault_free.faults = FaultSet{};
+
+    auto mesh_ctx = mapping::Mapper(n1).make_context(app, *mesh);
+    const auto torus_ctx = mapping::Mapper(random).make_context(app, *torus);
+    mapping::EvalScratch shared;
+    util::Prng prng(77);
+    int step = 0;
+    const auto check = [&](const mapping::EvalContext& ctx) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      const mapping::Mapper mapper(ctx.config());
+      const auto fresh_ctx = mapper.make_context(app, ctx.topology());
+      mapping::EvalScratch fresh;
+      const auto mapping =
+          shuffled_mapping(ctx.topology(), app.num_cores(), prng);
+      const bool materialize = step % 3 == 0;
+      const auto got = ctx.evaluate(mapping, shared, materialize);
+      const auto want = fresh_ctx.evaluate(mapping, fresh, materialize);
+      expect_fault_identical(got, want);
+      EXPECT_EQ(got.design_power_mw, want.design_power_mw);
+      if (step % 6 == 0) {
+        const auto searched = mapper.map(ctx, shared);
+        const auto fresh_search = mapper.map(app, ctx.topology());
+        EXPECT_EQ(searched.core_to_slot, fresh_search.core_to_slot);
+        expect_fault_identical(searched.eval, fresh_search.eval);
+      }
+      ++step;
+    };
+
+    for (int i = 0; i < 24; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
+    mesh_ctx.rebind(resampled, mapping::Mapper(resampled).library());
+    ASSERT_EQ(mesh_ctx.config().faults, resampled.faults);
+    for (int i = 0; i < 6; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
+    mesh_ctx.rebind(fault_free, mapping::Mapper(fault_free).library());
+    for (int i = 0; i < 6; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
+  }
+}
+
 TEST(FaultEval, EmptyFaultSetLeavesEvaluationUntouched) {
   const auto app = apps::mwd();
   const auto mesh = topo::make_mesh_for(app.num_cores());

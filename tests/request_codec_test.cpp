@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -129,17 +130,21 @@ class RandomRequests {
       }
     }
 
-    if (coin()) base.faults.spec.num_scenarios = integer();
-    if (coin()) base.faults.spec.seed = rng_();
     if (coin()) base.faults.aggregation = fault::Aggregation::kWeighted;
     if (coin()) base.faults.infeasible_penalty = real();
     switch (below(3)) {
       case 0:
         break;
-      case 1:  // Named specs, each over the base fault fields.
-        for (int n = 1 + below(3); n > 0; --n) {
+      case 1: {  // Named specs, each over the base fault fields.
+        std::vector<int> kinds(static_cast<std::size_t>(1 + below(3)));
+        for (int& kind : kinds) kind = below(3);
+        // The sampler keys are refused unless a rand set uses them.
+        if (std::count(kinds.begin(), kinds.end(), 2) > 0) {
+          if (coin()) base.faults.spec.num_scenarios = integer();
+          if (coin()) base.faults.spec.seed = rng_();
+        }
+        for (const int kind : kinds) {
           auto set = base.faults;
-          const int kind = below(3);
           set.spec.kind = kind == 0   ? fault::FaultSpec::Kind::kNone
                           : kind == 1 ? fault::FaultSpec::Kind::kEveryLink
                                       : fault::FaultSpec::Kind::kRandom;
@@ -147,6 +152,7 @@ class RandomRequests {
           r.fault_sets.push_back(set);
         }
         break;
+      }
       default: {  // One explicit scenario list.
         auto set = base.faults;
         set.spec.kind = fault::FaultSpec::Kind::kExplicit;
@@ -392,6 +398,11 @@ TEST(RequestCodec, EveryBadInputNamesItsKeyAndValue) {
       {"faults=s\n", {"faults", "s"}},
       {"faults=7\n", {"faults", "7"}},
       {"faults=\n", {"faults="}},
+      // The sampler keys without a rand set to sample.
+      {"fault_samples=0\nfault_seed=9\n", {"fault_samples=0", "rand"}},
+      {"fault_seed=9\n", {"fault_seed=9", "rand"}},
+      {"fault_samples=8\nfaults=none,n1\n", {"fault_samples=8"}},
+      {"fault_seed=9\nfaults=0-1/s7\n", {"fault_seed=9"}},
   };
   for (const auto& c : cases) {
     try {

@@ -141,6 +141,21 @@ class RequestPathsTest(unittest.TestCase):
                 for name in named:
                     self.assertIn(name, reply)
 
+    def test_sampler_keys_need_a_rand_fault_set(self):
+        # Without a rand set the sampler values would be ignored and the
+        # request would run fault-free.
+        for args, key in ((["--fault-samples", "0", "--fault-seed", "9"],
+                           "fault_samples=0"),
+                          (["--faults", "n1", "--fault-seed", "9"],
+                           "fault_seed=9")):
+            with self.subTest(args=args):
+                result = self.cli("--app", "vopd", *args)
+                self.assertEqual(result.returncode, 2, result.stdout)
+                self.assertIn(key, result.stderr)
+        reply = self.raw_request("app=vopd\nfault_samples=0\nfault_seed=9\n\n")
+        self.assertTrue(reply.startswith("ERR "), reply)
+        self.assertIn("fault_samples=0", reply)
+
     def test_call_rejects_each_flag_it_cannot_honour(self):
         for flag in (["--file", self.path("app.cg")], ["--workers", "2"],
                      ["--checkpoint", self.path("c")], ["--resume"],

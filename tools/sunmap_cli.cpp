@@ -79,8 +79,10 @@ void usage() {
                       default 1) | an explicit list "a-b,c-d,s7/..."
                       (link faults by endpoint switches, sN = dead
                       switch N, / separates scenarios)  (default none)
-  --fault-samples <n> random scenarios drawn by --faults rand (default 4)
-  --fault-seed <s>    seed of the --faults rand sampler (default 1)
+  --fault-samples <n> random scenarios drawn by --faults rand (default 4;
+                      refused without a rand set)
+  --fault-seed <s>    seed of the --faults rand sampler (default 1;
+                      refused without a rand set)
   --fault-mode <m>    worst (max over fault-free + degraded costs,
                       default) | weighted (mean of the fault-free and
                       every degraded cost)
