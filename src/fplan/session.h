@@ -56,8 +56,8 @@ struct SlotShapeUpdate {
 /// dimension, and area to the last bit (asserted by the randomized
 /// swap-sequence property tests and by bench_floorplan --json).
 ///
-/// Sessions are single-threaded; concurrent searches give each worker its
-/// own (mapping::EvalScratch owns one per thread).
+/// Sessions are single-threaded; mapping::EvalScratch owns one, and the
+/// explorer keeps one scratch per topology, mapped by one thread at a time.
 class FloorplanSession {
  public:
   using Options = Floorplanner::Options;

@@ -364,7 +364,13 @@ void each_key(Archive& v, DecodedRequest& decoded) {
   v.list("searches", r.searches, words(kSearches));
   v.list("restarts", r.restart_counts);
   v.list("swap_passes", r.swap_passes);
-  v.scalar("threads", r.num_threads);
+  // Checked here, before any thread starts: the finalist tier starts one
+  // thread per cell up to this count.
+  if (v.scalar("threads", r.num_threads) &&
+      (r.num_threads < 1 || r.num_threads > select::kMaxThreads)) {
+    fail("threads", Number<int>{}.format(r.num_threads),
+         "must be in [1, " + std::to_string(select::kMaxThreads) + "]");
+  }
   v.scalar("reheat", base.annealing_reheats);
   v.floorplan("fplan_engine", "fplan_sizing_passes", r.floorplan_options,
               base.floorplan);

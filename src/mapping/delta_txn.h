@@ -44,8 +44,9 @@ using SlotMove = std::pair<int, int>;
 ///
 /// The transaction borrows everything it coordinates; the context, scratch,
 /// and both mapping vectors must outlive it. One scratch carries at most
-/// one open speculation (begin_moves() under an open one throws); concurrent
-/// search workers each run their own transaction over their own scratch.
+/// one open speculation (begin_moves() under an open one throws); searches
+/// on different threads each run their own transaction over their own
+/// scratch.
 /// Destroying an open transaction rolls it back.
 class DeltaTxn {
  public:

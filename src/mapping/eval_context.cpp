@@ -48,14 +48,6 @@ double manhattan(double ax, double ay, double bx, double by) {
 
 }  // namespace
 
-EvalScratch& EvalScratch::worker_scratch(int t) {
-  if (t <= 0) return *this;
-  while (worker_pool.size() < static_cast<std::size_t>(t)) {
-    worker_pool.push_back(std::make_unique<EvalScratch>());
-  }
-  return *worker_pool[static_cast<std::size_t>(t - 1)];
-}
-
 std::uint64_t EvalContext::contexts_built() {
   return g_contexts_built.load(std::memory_order_relaxed);
 }
@@ -900,7 +892,7 @@ const fplan::Floorplan& EvalContext::floorplan_for_mapping(
 fplan::FloorplanSession& EvalContext::session_for(EvalScratch& scratch) const {
   const auto num_slots = static_cast<std::size_t>(topology_.num_slots());
   // The slot-count guard backs up the id/epoch checks: a scratch recycled
-  // across contexts (the shared worker pool hands them around freely) whose
+  // across contexts (a caller may hand one scratch to any context) whose
   // id and floorplan epoch both happen to line up must still never feed a
   // session resolved for a different topology — a mismatch between the key
   // length and this topology's slot count is the tell.

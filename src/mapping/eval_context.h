@@ -20,8 +20,8 @@ namespace sunmap::mapping {
 
 /// Reusable per-thread buffers for EvalContext::evaluate(), so the mapping
 /// search stops allocating in its inner loop. One scratch must not be shared
-/// between concurrent evaluations; the parallel neighborhood search gives
-/// each worker its own.
+/// between concurrent evaluations; the explorer keeps one per topology, and
+/// a topology is mapped by one thread at a time.
 struct EvalScratch {
   std::vector<int> slot_to_core;
   route::LoadMap loads{0};
@@ -81,11 +81,11 @@ struct EvalScratch {
   /// This thread's incremental floorplan session: floorplan-cache misses
   /// solve through it, sending only the slots whose shape class changed
   /// since the previous miss (a pairwise swap sends <= 2). Owned by the
-  /// scratch so concurrent workers never share solver state; the context
+  /// scratch so two threads never share solver state; the context
   /// lazily (re)builds it when the scratch meets a different context or the
   /// context's floorplan options / technology epoch moved. The session
   /// survives rebind()s that keep the floorplan configuration, which is how
-  /// a design-space sweep reuses one session per topology worker across
+  /// a design-space sweep reuses one session per topology across
   /// every grid point sharing its floorplan options.
   std::unique_ptr<fplan::FloorplanSession> fplan_session;
   std::uint64_t fplan_session_context = 0;  ///< EvalContext id it belongs to.
@@ -100,8 +100,8 @@ struct EvalScratch {
 
   /// This thread's incremental routing session (MP / split-all only; the
   /// static kinds keep reading the context's route tables). Owned by the
-  /// scratch for the same reason as fplan_session: concurrent workers must
-  /// never share solver state. The context rebuilds it when the scratch
+  /// scratch for the same reason as fplan_session: two threads must never
+  /// share solver state. The context rebuilds it when the scratch
   /// meets a different context or a rebind() changed the evaluation class
   /// (anything that alters routes invalidates the session's cached trace).
   std::unique_ptr<route::RoutingSession> routing_session;
@@ -126,20 +126,11 @@ struct EvalScratch {
   /// (slot, displaced shape class) journal of fplan_session_key changes.
   std::vector<std::pair<int, std::uint16_t>> txn_key_undo;
 
-  /// Shared per-worker scratch pool for the parallel search paths. The
-  /// parallel neighborhood search and the restart annealer lend worker t > 0
-  /// the pool's (t-1)th scratch instead of stack-allocating fresh ones, so
-  /// the workers' floorplan sessions survive across chunks, passes, improve()
-  /// calls, and — because the explorer keeps one caller scratch per topology
-  /// worker for a whole sweep — across every design point of a grid. Entries
-  /// are created on first use and epoch/slot-guarded by the context exactly
-  /// like the caller's own session.
+  /// Always empty: no search starts threads of its own, so no scratch
+  /// lends per-worker scratches. Kept only because
+  /// perfbench/sunbench.cpp's SessionWatch::sample still iterates it;
+  /// delete it with that loop.
   std::vector<std::unique_ptr<EvalScratch>> worker_pool;
-
-  /// The pooled scratch for worker `t` (worker 0 is this scratch itself),
-  /// growing the pool on first use. Not thread-safe: size the pool before
-  /// handing scratches to concurrent workers.
-  EvalScratch& worker_scratch(int t);
 };
 
 /// The incremental mapping-evaluation engine: everything about one
@@ -153,7 +144,7 @@ struct EvalScratch {
 ///  topology) pair and never rebuilt: the commodity list sorted by
 ///  decreasing value (Fig 5 step 2), the topology's relative placement, the
 ///  quadrant-graph admission masks of §4.3 (built once on first use by a
-///  minimum-path configuration, then shared lock-free by search workers),
+///  minimum-path configuration, then read lock-free by every evaluation),
 ///  and the complete route tables per slot pair for the load-independent
 ///  routing functions (dimension-ordered, split-across-minimum-paths) —
 ///  one table per routing kind, built on first use and kept.
@@ -448,7 +439,7 @@ class EvalContext {
   /// Fault state, rebuilt by bind() when the configuration's FaultSet moved:
   /// the scenarios materialized against this topology, their aliveness
   /// masks (the reference path searches under them), and the degraded-path
-  /// table. All immutable between binds, so concurrent search workers share
+  /// table. All immutable between binds, so concurrent evaluations read
   /// them lock-free.
   std::vector<fault::FaultScenario> fault_scenarios_;
   std::vector<fault::ScenarioMask> fault_masks_;
@@ -550,9 +541,10 @@ class EvalContext {
   std::vector<double> exact_attach_in_, exact_attach_out_;
 
   // ---- Memoisation caches (guarded by cache_mutex_, bounded). ----
-  // Reader-writer lock: concurrent search workers mostly hit, and hits only
-  // take the shared side, so the parallel neighborhood search does not
-  // serialize on the caches once they are warm.
+  // Reader-writer lock: evaluate() is thread-safe given per-thread scratch,
+  // so a caller may evaluate one context from several threads (the explorer
+  // does not: it maps each topology on one thread at a time). Hits take
+  // only the shared side, so warm caches do not serialize such callers.
   static constexpr std::size_t kFloorplanCacheCap = 8192;
   static constexpr std::size_t kMetricsCacheCap = 8192;
   mutable std::shared_mutex cache_mutex_;

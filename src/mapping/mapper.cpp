@@ -147,9 +147,6 @@ void MapperConfig::validate() const {
     fail("annealing_reheats must be >= 0, got " +
          std::to_string(annealing_reheats));
   }
-  if (num_threads < 1) {
-    fail("num_threads must be >= 1, got " + std::to_string(num_threads));
-  }
   if (sim_seed == 0) {
     fail("sim_seed must be >= 1 (0 is reserved as \"not a seed\"), got 0");
   }

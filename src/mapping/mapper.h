@@ -101,10 +101,9 @@ struct MapperConfig {
   /// Independent annealing chains of the restart annealer (search ==
   /// kRestartAnnealing). Chain r is seeded with 1 + r and all chains start
   /// from the greedy initial mapping; the best-of-restarts result (ties to
-  /// the lowest restart index) is kept. Chains run on num_threads workers
-  /// and are committed in seed order, so any thread count returns the
-  /// identical result. At most max(1, annealing_iterations): a chain past
-  /// the budget would run no iteration.
+  /// the lowest restart index) is kept. Chains run one after another in
+  /// seed order. At most max(1, annealing_iterations): a chain past the
+  /// budget would run no iteration.
   int annealing_restarts = 4;
 
   /// Temperature re-heats per annealing chain: the chain is split into
@@ -172,12 +171,6 @@ struct MapperConfig {
   /// Pareto exploration of Fig 9(b). Collecting disables bound-based swap
   /// pruning (a pruned candidate has no area/power to record).
   bool collect_explored = false;
-
-  /// Worker threads for the greedy-swap neighborhood search. Candidate
-  /// swaps are evaluated concurrently in chunks and committed in canonical
-  /// order, so any thread count produces results identical to the
-  /// sequential search. 1 (the default) runs fully sequential.
-  int num_threads = 1;
 
   /// Settings of the simulator-backed finalist tier, which
   /// ExplorationRequest::sim_finalists and sim_rank switch on (Mapper::map

@@ -1,9 +1,7 @@
 #include "mapping/search_strategy.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <thread>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -21,13 +19,6 @@ namespace {
 constexpr double kAnnealingT0 = 0.3;
 constexpr double kAnnealingCooling = 0.995;
 constexpr std::uint64_t kAnnealingSeed = 1;
-
-/// Outcome of one speculatively evaluated swap candidate.
-struct SwapOutcome {
-  enum class State : std::uint8_t { kSkipped, kPruned, kEvaluated };
-  State state = State::kSkipped;
-  Evaluation eval;
-};
 
 /// The annealing energy: objective cost with smooth infeasibility penalties
 /// so the walk can cross infeasible regions.
@@ -69,8 +60,7 @@ ChainOutcome run_annealing_chain(const EvalContext& ctx,
                                  const std::vector<int>& initial_mapping,
                                  const Evaluation& initial_eval,
                                  std::uint64_t seed, int iterations,
-                                 double cooling,
-                                 EvalScratch* shared_scratch = nullptr) {
+                                 double cooling, EvalScratch& scratch) {
   const topo::Topology& topology = ctx.topology();
   const MapperConfig& cfg = ctx.config();
 
@@ -88,10 +78,6 @@ ChainOutcome run_annealing_chain(const EvalContext& ctx,
     slot_to_core[static_cast<std::size_t>(
         current[static_cast<std::size_t>(c)])] = c;
   }
-  // Sequential callers lend their persistent scratch (and with it the
-  // incremental floorplan session); parallel chains bring their own.
-  EvalScratch local_scratch;
-  EvalScratch& scratch = shared_scratch ? *shared_scratch : local_scratch;
   DeltaTxn txn(ctx, scratch, current, slot_to_core);
 
   // Exactly annealing_reheats resets, at the k/(reheats+1) fractions of the
@@ -185,32 +171,15 @@ void GreedySwapSearch::improve(const EvalContext& ctx, MappingResult& result,
         mapping[static_cast<std::size_t>(c)])] = c;
   }
 
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(static_cast<std::size_t>(num_slots) *
-                static_cast<std::size_t>(num_slots - 1) / 2);
-  for (int a = 0; a < num_slots; ++a) {
-    for (int b = a + 1; b < num_slots; ++b) pairs.emplace_back(a, b);
-  }
-
-  const auto record_explored = [&](const Evaluation& eval) {
-    if (cfg.collect_explored) {
-      result.explored_area_power.emplace_back(eval.design_area_mm2,
-                                              eval.design_power_mw);
-    }
-  };
-
-  const int num_threads =
-      std::min(cfg.num_threads, static_cast<int>(pairs.size()));
-
-  if (num_threads <= 1) {
-    DeltaTxn txn(ctx, scratch, mapping, slot_to_core);
-    for (int pass = 0; pass < cfg.swap_passes; ++pass) {
-      bool improved = false;
-      for (const auto& [a, b] : pairs) {
-        const int core_a = slot_to_core[static_cast<std::size_t>(a)];
-        const int core_b = slot_to_core[static_cast<std::size_t>(b)];
-        if (core_a < 0 && core_b < 0) continue;  // both empty: no-op
-
+  DeltaTxn txn(ctx, scratch, mapping, slot_to_core);
+  for (int pass = 0; pass < cfg.swap_passes; ++pass) {
+    bool improved = false;
+    for (int a = 0; a < num_slots; ++a) {
+      for (int b = a + 1; b < num_slots; ++b) {
+        if (slot_to_core[static_cast<std::size_t>(a)] < 0 &&
+            slot_to_core[static_cast<std::size_t>(b)] < 0) {
+          continue;  // both empty: no-op
+        }
         txn.begin_swap(a, b);
         ++result.evaluated_mappings;
         if (txn.prunable(result.eval)) {
@@ -219,7 +188,10 @@ void GreedySwapSearch::improve(const EvalContext& ctx, MappingResult& result,
           continue;
         }
         auto eval = txn.evaluate(/*materialize=*/false);
-        record_explored(eval);
+        if (cfg.collect_explored) {
+          result.explored_area_power.emplace_back(eval.design_area_mm2,
+                                                  eval.design_power_mw);
+        }
         if (better_than(eval, result.eval)) {
           result.eval = std::move(eval);
           txn.commit();  // keep the swap
@@ -228,102 +200,6 @@ void GreedySwapSearch::improve(const EvalContext& ctx, MappingResult& result,
           txn.rollback();
         }
       }
-      if (!improved) break;
-    }
-    return;
-  }
-
-  // Parallel neighborhood search: workers speculatively evaluate a chunk of
-  // candidates against the incumbent, then outcomes are committed in
-  // canonical pair order. When a candidate is accepted, the later outcomes
-  // of the chunk are discarded (they were evaluated against a stale
-  // incumbent and mapping) and the next chunk resumes right after the
-  // accepted pair — exactly the sequential trajectory, so any thread count
-  // yields the sequential result, deterministically.
-  // Worker 0 keeps the caller's scratch (and its floorplan session); the
-  // extra workers draw theirs from the caller's shared pool, so their
-  // sessions survive across chunks, passes, and improve() calls instead of
-  // being rebuilt per search. The pool is sized up front — worker_scratch()
-  // is not thread-safe to grow.
-  std::vector<EvalScratch*> worker_scratches(
-      static_cast<std::size_t>(num_threads));
-  for (int t = 0; t < num_threads; ++t) {
-    worker_scratches[static_cast<std::size_t>(t)] = &scratch.worker_scratch(t);
-  }
-  std::vector<std::vector<int>> worker_mapping(
-      static_cast<std::size_t>(num_threads));
-  std::vector<std::vector<int>> worker_inverse(
-      static_cast<std::size_t>(num_threads));
-  const std::size_t chunk_size = std::max<std::size_t>(
-      128, 32 * static_cast<std::size_t>(num_threads));
-  std::vector<SwapOutcome> outcomes(chunk_size);
-
-  for (int pass = 0; pass < cfg.swap_passes; ++pass) {
-    bool improved = false;
-    std::size_t begin = 0;
-    while (begin < pairs.size()) {
-      const std::size_t count = std::min(chunk_size, pairs.size() - begin);
-      std::atomic<std::size_t> next{0};
-
-      auto worker = [&](int t) {
-        auto& m = worker_mapping[static_cast<std::size_t>(t)];
-        auto& inv = worker_inverse[static_cast<std::size_t>(t)];
-        m = mapping;
-        inv = slot_to_core;
-        auto& worker_scratch = *worker_scratches[static_cast<std::size_t>(t)];
-        // One transaction per worker, one speculation per candidate:
-        // rollback parks the worker's mapping copy and floorplan session
-        // back on the incumbent between candidates.
-        DeltaTxn txn(ctx, worker_scratch, m, inv);
-        for (;;) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= count) break;
-          const auto [a, b] = pairs[begin + i];
-          auto& out = outcomes[i];
-          const int core_a = inv[static_cast<std::size_t>(a)];
-          const int core_b = inv[static_cast<std::size_t>(b)];
-          if (core_a < 0 && core_b < 0) {
-            out.state = SwapOutcome::State::kSkipped;
-            continue;
-          }
-          txn.begin_swap(a, b);
-          if (txn.prunable(result.eval)) {
-            out.state = SwapOutcome::State::kPruned;
-          } else {
-            out.eval = txn.evaluate(/*materialize=*/false);
-            out.state = SwapOutcome::State::kEvaluated;
-          }
-          txn.rollback();  // speculation only; acceptance is committed below
-        }
-      };
-
-      std::vector<std::thread> pool;
-      pool.reserve(static_cast<std::size_t>(num_threads - 1));
-      for (int t = 1; t < num_threads; ++t) pool.emplace_back(worker, t);
-      worker(0);
-      for (auto& thread : pool) thread.join();
-
-      // Commit outcomes in canonical order.
-      std::size_t committed = count;
-      for (std::size_t i = 0; i < count; ++i) {
-        auto& out = outcomes[i];
-        if (out.state == SwapOutcome::State::kSkipped) continue;
-        ++result.evaluated_mappings;
-        if (out.state == SwapOutcome::State::kPruned) {
-          ++result.pruned_mappings;
-          continue;
-        }
-        record_explored(out.eval);
-        if (better_than(out.eval, result.eval)) {
-          const auto [a, b] = pairs[begin + i];
-          apply_slot_swap(a, b, mapping, slot_to_core);
-          result.eval = std::move(out.eval);
-          improved = true;
-          committed = i + 1;  // discard stale outcomes past the acceptance
-          break;
-        }
-      }
-      begin += committed;
     }
     if (!improved) break;
   }
@@ -334,7 +210,7 @@ void AnnealingSearch::improve(const EvalContext& ctx, MappingResult& result,
   const MapperConfig& cfg = ctx.config();
   commit_chain(run_annealing_chain(ctx, result.core_to_slot, result.eval,
                                    kAnnealingSeed, cfg.annealing_iterations,
-                                   kAnnealingCooling, &scratch),
+                                   kAnnealingCooling, scratch),
                result);
 }
 
@@ -352,63 +228,26 @@ void RestartAnnealingSearch::improve(const EvalContext& ctx,
   // schedule spans the same temperature range as the single full-length
   // chain would (cooling^(total/budget) per step); chains that get the full
   // budget keep the configured factor untouched.
-  std::vector<int> budgets(static_cast<std::size_t>(restarts),
-                           restarts > 0 ? total / restarts : 0);
-  for (int r = 0; r < total % restarts; ++r) {
-    ++budgets[static_cast<std::size_t>(r)];
-  }
-
-  std::vector<ChainOutcome> outcomes(static_cast<std::size_t>(restarts));
-  const auto run_chain = [&](int r, EvalScratch* chain_scratch) {
-    const int budget = budgets[static_cast<std::size_t>(r)];
+  //
+  // Every chain starts from the initial mapping, not from an earlier
+  // chain's best, and all of them run on the caller's scratch (and with it
+  // one floorplan session). Folding the chains in seed order keeps ties on
+  // the lowest restart index.
+  const std::vector<int> initial_mapping = result.core_to_slot;
+  const Evaluation initial_eval = result.eval;
+  for (int r = 0; r < restarts; ++r) {
+    const int budget = total / restarts + (r < total % restarts ? 1 : 0);
     double cooling = kAnnealingCooling;
     if (budget > 0 && budget < total) {
       cooling =
           std::pow(kAnnealingCooling, static_cast<double>(total) / budget);
     }
-    outcomes[static_cast<std::size_t>(r)] = run_annealing_chain(
-        ctx, result.core_to_slot, result.eval,
-        kAnnealingSeed + static_cast<std::uint64_t>(r), budget, cooling,
-        chain_scratch);
-  };
-
-  const int num_threads = std::min(cfg.num_threads, restarts);
-  if (num_threads <= 1) {
-    // Sequential chains run one at a time, so they can all share the
-    // caller's scratch — and with it one floorplan session.
-    for (int r = 0; r < restarts; ++r) run_chain(r, &scratch);
-  } else {
-    // Chains are fully independent (each owns its Prng and mapping
-    // copies), so workers just pull restart indices; determinism comes
-    // from committing the outcomes in seed order below. Worker 0 keeps the
-    // caller's scratch; the extra workers draw theirs from the caller's
-    // shared pool (sized up front — growing is not thread-safe), so their
-    // floorplan sessions persist across chains, improve() calls, and the
-    // design points of a sweep.
-    std::atomic<int> next{0};
-    std::vector<EvalScratch*> worker_scratches(
-        static_cast<std::size_t>(num_threads));
-    for (int t = 0; t < num_threads; ++t) {
-      worker_scratches[static_cast<std::size_t>(t)] =
-          &scratch.worker_scratch(t);
-    }
-    const auto worker = [&](int t) {
-      EvalScratch& worker_scratch =
-          *worker_scratches[static_cast<std::size_t>(t)];
-      for (;;) {
-        const int r = next.fetch_add(1);
-        if (r >= restarts) break;
-        run_chain(r, &worker_scratch);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(num_threads - 1));
-    for (int t = 1; t < num_threads; ++t) pool.emplace_back(worker, t);
-    worker(0);
-    for (auto& thread : pool) thread.join();
+    commit_chain(run_annealing_chain(
+                     ctx, initial_mapping, initial_eval,
+                     kAnnealingSeed + static_cast<std::uint64_t>(r), budget,
+                     cooling, scratch),
+                 result);
   }
-
-  for (auto& chain : outcomes) commit_chain(std::move(chain), result);
 }
 
 std::unique_ptr<SearchStrategy> make_search_strategy(SearchKind kind) {

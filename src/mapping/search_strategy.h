@@ -18,9 +18,9 @@ struct EvalScratch;
 /// Strategies are stateless: every knob is read from the context's bound
 /// MapperConfig, so one strategy instance can serve any number of searches
 /// and a context rebind() is all a design-space sweep needs to switch
-/// schedules. Implementations must be deterministic for a fixed config —
-/// including config.num_threads > 1, where any thread count must return the
-/// bit-identical result of the sequential run.
+/// schedules. Implementations must be deterministic for a fixed config and
+/// run on the calling thread: the explorer spreads topologies, not
+/// candidates, over its threads.
 ///
 /// Candidate speculation goes through the shared transactional protocol
 /// (mapping::DeltaTxn, delta_txn.h): begin_moves (or the begin_swap sugar)
@@ -42,15 +42,13 @@ class SearchStrategy {
   /// holds the best mapping found, whose evaluation may be lightweight
   /// (Mapper::map() re-materializes the winner). `scratch` is the caller's
   /// per-thread evaluation scratch — it carries the incremental floorplan
-  /// session, so sequential search paths must evaluate through it; parallel
-  /// paths give each extra worker its own scratch.
+  /// and routing sessions, so every candidate must evaluate through it.
   virtual void improve(const EvalContext& ctx, MappingResult& result,
                        EvalScratch& scratch) const = 0;
 };
 
 /// Fig 5 steps 9-10: hill climbing over all pairwise slot swaps with
-/// two-phase (bound-pruned) candidate evaluation; parallel speculative
-/// neighborhood search when the config asks for worker threads.
+/// two-phase (bound-pruned) candidate evaluation.
 class GreedySwapSearch final : public SearchStrategy {
  public:
   [[nodiscard]] const char* name() const override { return "greedy-swaps"; }
@@ -71,9 +69,9 @@ class AnnealingSearch final : public SearchStrategy {
 /// Multi-restart simulated annealing: config.annealing_restarts independent
 /// chains (seed 1 + r), each starting from the initial mapping
 /// and running an equal share of the total iteration budget under a
-/// compressed cooling schedule, best-of-restarts kept. Restarts run on
-/// config.num_threads workers and are committed in seed order, so any
-/// thread count produces the bit-identical result.
+/// compressed cooling schedule, best-of-restarts kept. Chains run one after
+/// another on the caller's scratch and are folded in seed order, ties to
+/// the lowest restart index.
 class RestartAnnealingSearch final : public SearchStrategy {
  public:
   [[nodiscard]] const char* name() const override {

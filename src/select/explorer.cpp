@@ -412,9 +412,11 @@ ExplorationReport DesignSpaceExplorer::explore(
   if (request.library == nullptr) {
     throw std::invalid_argument("DesignSpaceExplorer: request has no library");
   }
-  if (request.num_threads < 1) {
+  if (request.num_threads < 1 || request.num_threads > kMaxThreads) {
     throw std::invalid_argument(
-        "DesignSpaceExplorer: num_threads must be >= 1");
+        "DesignSpaceExplorer: num_threads must be in [1, " +
+        std::to_string(kMaxThreads) + "], got " +
+        std::to_string(request.num_threads));
   }
   if (request.sim_finalists < 0) {
     throw std::invalid_argument(

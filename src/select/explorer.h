@@ -34,6 +34,11 @@ struct ExplorerContextPool {
   std::vector<const topo::Topology*> bound_topologies;
 };
 
+/// Upper bound of ExplorationRequest::num_threads. The request codec, the
+/// explorer and the daemon's accept loop refuse a larger thread count, so a
+/// request cannot start one thread per feasible finalist cell.
+inline constexpr int kMaxThreads = 256;
+
 /// A batched design-space exploration: one application, one topology
 /// library, and a grid of mapper-configuration variations. Every non-empty
 /// axis below replaces the corresponding field of `base`; empty axes fall
@@ -79,10 +84,11 @@ struct ExplorationRequest {
   /// grid exhausts every faster axis before paying that rebuild.
   std::vector<fault::FaultSet> fault_sets;
 
-  /// Worker threads the explorer spreads topologies over. Each worker owns
-  /// one topology's evaluation context at a time, so any thread count
-  /// returns bit-identical reports in identical order. Independent of
-  /// base.num_threads (the per-search swap workers).
+  /// Worker threads the explorer spreads topologies over, and the size of
+  /// the finalist tier's pool; in [1, kMaxThreads]. These are the only
+  /// threads that map: each worker owns one topology's evaluation context
+  /// at a time and searches it sequentially, so any thread count returns
+  /// bit-identical reports in identical order.
   int num_threads = 1;
 
   /// Optional externally-owned context/scratch pool (see

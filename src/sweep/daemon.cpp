@@ -123,6 +123,12 @@ DaemonStats serve(const DaemonOptions& options) {
   if (options.socket_path.empty()) {
     throw std::runtime_error("sweep daemon: socket path is empty");
   }
+  if (options.accept_threads < 1 ||
+      options.accept_threads > select::kMaxThreads) {
+    throw std::runtime_error("sweep daemon: accept_threads must be in [1, " +
+                             std::to_string(select::kMaxThreads) + "], got " +
+                             std::to_string(options.accept_threads));
+  }
   sockaddr_un address{};
   if (options.socket_path.size() >= sizeof(address.sun_path)) {
     throw std::runtime_error("sweep daemon: socket path too long: " +
@@ -145,11 +151,6 @@ DaemonStats serve(const DaemonOptions& options) {
                              std::strerror(errno));
   }
 
-  if (options.accept_threads < 1) {
-    ::close(listen_fd);
-    ::unlink(options.socket_path.c_str());
-    throw std::runtime_error("sweep daemon: accept_threads must be >= 1");
-  }
   // Nonblocking listener: every accept worker polls the same fd, so all of
   // them wake on a connection but only one accept() wins — the losers get
   // EAGAIN and return to poll instead of blocking.

@@ -34,7 +34,8 @@ inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 ///
 /// sim_validate=1 scores every feasible cell; sim_rank=1 with no finalist
 /// count re-ranks the top 3 of each objective group. fault_samples and
-/// fault_seed need a rand fault set to shape.
+/// fault_seed need a rand fault set to shape. threads is in
+/// [1, select::kMaxThreads].
 /// An unknown or repeated key, or a bad value, is answered with an error
 /// naming it. A client must send its whole request within
 /// kRequestDeadlineMs of being accepted, and at most kMaxRequestBytes.
@@ -52,8 +53,9 @@ struct DaemonOptions {
   /// whole requests; a context pool is locked per (app, library) pair, so
   /// concurrent requests over DIFFERENT pairs evaluate in parallel while
   /// requests sharing a pool serialize on its entry (the contexts are not
-  /// shareable mid-explore). 1 — the default — reproduces the original
-  /// single-threaded loop.
+  /// shareable mid-explore). In [1, select::kMaxThreads]; serve() refuses
+  /// any other count before it opens the socket. 1 — the default —
+  /// reproduces the original single-threaded loop.
   int accept_threads = 1;
   /// Log one stderr line per request.
   bool verbose = false;

@@ -233,48 +233,10 @@ TEST(TransactionalSearch, RestartAnnealingBitIdenticalWithIncremental) {
                           fplan::Floorplanner::Engine::kLongestPath);
 }
 
-TEST(TransactionalSearch, ParallelSearchReusesPooledWorkerSessions) {
-  const auto app = apps::vopd();
-  const auto mesh = topo::make_mesh_for(app.num_cores());
-  MapperConfig config;
-  config.search = SearchKind::kRestartAnnealing;
-  config.annealing_iterations = 200;
-  config.annealing_restarts = 4;
-  config.num_threads = 4;
-  const Mapper mapper(config);
-  const EvalContext ctx = mapper.make_context(app, *mesh);
-  EvalScratch scratch;
-  const auto first = mapper.map(ctx, scratch);
-  ASSERT_GE(scratch.worker_pool.size(), 3u);
-  // The pooled scratches own live sessions now; a second search through the
-  // same caller scratch must reuse them, not rebuild.
-  std::vector<const fplan::FloorplanSession*> sessions;
-  for (const auto& pooled : scratch.worker_pool) {
-    sessions.push_back(pooled->fplan_session.get());
-  }
-  const auto second = mapper.map(ctx, scratch);
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    // Workers pull chains dynamically, so a pooled scratch may sit a run
-    // out; every session that existed must survive untouched, though.
-    if (sessions[i] != nullptr) {
-      EXPECT_EQ(scratch.worker_pool[i]->fplan_session.get(), sessions[i]);
-    }
-  }
-  EXPECT_EQ(first.eval.cost, second.eval.cost);
-  EXPECT_EQ(first.core_to_slot, second.core_to_slot);
-
-  // Thread-count invariance through the pooled path.
-  auto sequential_config = config;
-  sequential_config.num_threads = 1;
-  const auto sequential = Mapper(sequential_config).map(app, *mesh);
-  EXPECT_EQ(first.core_to_slot, sequential.core_to_slot);
-  EXPECT_EQ(first.eval.cost, sequential.eval.cost);
-}
-
 TEST(TransactionalSearch, ScratchSurvivesTopologyChangeAcrossContexts) {
   // The session slot-count guard: one scratch driven across contexts whose
   // topologies disagree on slot count must transparently rebuild its
-  // session (and the pooled workers') instead of feeding a stale one.
+  // session instead of feeding a stale one.
   const auto app = apps::vopd();
   const auto mesh16 = topo::make_mesh_for(16);
   const auto butterfly = topo::make_butterfly_for(app.num_cores());

@@ -173,50 +173,6 @@ TEST(EvalContext, PruningDoesNotChangeSearchResult) {
   EXPECT_EQ(reference.pruned_mappings, 0);
 }
 
-TEST(ParallelSearch, DeterministicAndEqualToSequential) {
-  const auto app = apps::vopd();
-  for (const auto& topology : test_topologies(app.num_cores())) {
-    for (route::RoutingKind kind : route::kAllRoutingKinds) {
-      MapperConfig config;
-      config.routing = kind;
-      // A generous capacity keeps the incumbent feasible so the pruning and
-      // acceptance logic is exercised, not just the evaluation path.
-      config.link_bandwidth_mbps = 2000.0;
-      config.swap_passes = 2;
-
-      Mapper sequential(config);
-      const auto base = sequential.map(app, *topology);
-
-      for (int threads : {2, 5}) {
-        auto parallel_config = config;
-        parallel_config.num_threads = threads;
-        Mapper parallel(parallel_config);
-        const auto result = parallel.map(app, *topology);
-        SCOPED_TRACE(std::string(topology->name()) + " / " +
-                     to_string(kind) + " / threads=" +
-                     std::to_string(threads));
-        EXPECT_EQ(base.core_to_slot, result.core_to_slot);
-        EXPECT_EQ(base.eval.cost, result.eval.cost);
-        EXPECT_EQ(base.evaluated_mappings, result.evaluated_mappings);
-        EXPECT_EQ(base.pruned_mappings, result.pruned_mappings);
-      }
-    }
-  }
-}
-
-TEST(ParallelSearch, RepeatedRunsAreIdentical) {
-  const auto app = apps::mwd();
-  const auto mesh = topo::make_mesh_for(app.num_cores());
-  MapperConfig config;
-  config.routing = route::RoutingKind::kMinPath;
-  config.num_threads = 4;
-  Mapper mapper(config);
-  const auto first = mapper.map(app, *mesh);
-  const auto second = mapper.map(app, *mesh);
-  EXPECT_EQ(first.core_to_slot, second.core_to_slot);
-  EXPECT_EQ(first.eval.cost, second.eval.cost);
-}
-
 TEST(Rebind, MatchesFreshContextAcrossAllRoutingKinds) {
   // One context re-bound through every routing kind (and back) must map
   // bit-identically to a context freshly built for each configuration —

@@ -367,11 +367,14 @@ TEST(Explorer, ValidatesRequest) {
   no_library.app = &app;
   EXPECT_THROW(explorer.explore(no_library), std::invalid_argument);
 
-  ExplorationRequest bad_threads;
-  bad_threads.app = &app;
-  bad_threads.library = &library;
-  bad_threads.num_threads = 0;
-  EXPECT_THROW(explorer.explore(bad_threads), std::invalid_argument);
+  // Both ends of [1, kMaxThreads]; neither starts a thread.
+  for (const int threads : {0, kMaxThreads + 1}) {
+    ExplorationRequest bad_threads;
+    bad_threads.app = &app;
+    bad_threads.library = &library;
+    bad_threads.num_threads = threads;
+    EXPECT_THROW(explorer.explore(bad_threads), std::invalid_argument);
+  }
 
   // Invalid axis values surface through MapperConfig::validate.
   ExplorationRequest bad_bandwidth;

@@ -507,60 +507,54 @@ TEST(FaultEval, ScratchMovingBetweenContextsNeverReadsStalePathSums) {
   // One scratch alternates between two contexts whose path tables differ,
   // then follows one of them through a rebind that changes its fault spec
   // and one that clears it. Every evaluation must equal a fresh scratch's
-  // on a fresh context (so the metrics cache cannot answer for it). The
-  // searches at two threads move the pooled worker scratches between the
-  // contexts too.
+  // on a fresh context (so the metrics cache cannot answer for it).
   const auto app = apps::vopd();
   const auto mesh = topo::make_mesh_for(app.num_cores());
   const auto torus = topo::make_torus_for(app.num_cores());
-  for (const int threads : {1, 2}) {
-    SCOPED_TRACE("threads " + std::to_string(threads));
-    mapping::MapperConfig n1;
-    n1.num_threads = threads;
-    n1.faults.spec.kind = FaultSpec::Kind::kEveryLink;
-    mapping::MapperConfig random = n1;
-    random.faults.spec.kind = FaultSpec::Kind::kRandom;
-    random.faults.spec.num_scenarios = 4;
-    random.faults.spec.faults_per_scenario = 2;
-    random.faults.spec.seed = 5;
-    mapping::MapperConfig resampled = random;
-    resampled.faults.spec.seed = 6;
-    mapping::MapperConfig fault_free = n1;
-    fault_free.faults = FaultSet{};
+  mapping::MapperConfig n1;
+  n1.faults.spec.kind = FaultSpec::Kind::kEveryLink;
+  mapping::MapperConfig random = n1;
+  random.faults.spec.kind = FaultSpec::Kind::kRandom;
+  random.faults.spec.num_scenarios = 4;
+  random.faults.spec.faults_per_scenario = 2;
+  random.faults.spec.seed = 5;
+  mapping::MapperConfig resampled = random;
+  resampled.faults.spec.seed = 6;
+  mapping::MapperConfig fault_free = n1;
+  fault_free.faults = FaultSet{};
 
-    auto mesh_ctx = mapping::Mapper(n1).make_context(app, *mesh);
-    const auto torus_ctx = mapping::Mapper(random).make_context(app, *torus);
-    mapping::EvalScratch shared;
-    util::Prng prng(77);
-    int step = 0;
-    const auto check = [&](const mapping::EvalContext& ctx) {
-      SCOPED_TRACE("step " + std::to_string(step));
-      const mapping::Mapper mapper(ctx.config());
-      const auto fresh_ctx = mapper.make_context(app, ctx.topology());
-      mapping::EvalScratch fresh;
-      const auto mapping =
-          shuffled_mapping(ctx.topology(), app.num_cores(), prng);
-      const bool materialize = step % 3 == 0;
-      const auto got = ctx.evaluate(mapping, shared, materialize);
-      const auto want = fresh_ctx.evaluate(mapping, fresh, materialize);
-      expect_fault_identical(got, want);
-      EXPECT_EQ(got.design_power_mw, want.design_power_mw);
-      if (step % 6 == 0) {
-        const auto searched = mapper.map(ctx, shared);
-        const auto fresh_search = mapper.map(app, ctx.topology());
-        EXPECT_EQ(searched.core_to_slot, fresh_search.core_to_slot);
-        expect_fault_identical(searched.eval, fresh_search.eval);
-      }
-      ++step;
-    };
+  auto mesh_ctx = mapping::Mapper(n1).make_context(app, *mesh);
+  const auto torus_ctx = mapping::Mapper(random).make_context(app, *torus);
+  mapping::EvalScratch shared;
+  util::Prng prng(77);
+  int step = 0;
+  const auto check = [&](const mapping::EvalContext& ctx) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const mapping::Mapper mapper(ctx.config());
+    const auto fresh_ctx = mapper.make_context(app, ctx.topology());
+    mapping::EvalScratch fresh;
+    const auto mapping =
+        shuffled_mapping(ctx.topology(), app.num_cores(), prng);
+    const bool materialize = step % 3 == 0;
+    const auto got = ctx.evaluate(mapping, shared, materialize);
+    const auto want = fresh_ctx.evaluate(mapping, fresh, materialize);
+    expect_fault_identical(got, want);
+    EXPECT_EQ(got.design_power_mw, want.design_power_mw);
+    if (step % 6 == 0) {
+      const auto searched = mapper.map(ctx, shared);
+      const auto fresh_search = mapper.map(app, ctx.topology());
+      EXPECT_EQ(searched.core_to_slot, fresh_search.core_to_slot);
+      expect_fault_identical(searched.eval, fresh_search.eval);
+    }
+    ++step;
+  };
 
-    for (int i = 0; i < 24; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
-    mesh_ctx.rebind(resampled, mapping::Mapper(resampled).library());
-    ASSERT_EQ(mesh_ctx.config().faults, resampled.faults);
-    for (int i = 0; i < 6; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
-    mesh_ctx.rebind(fault_free, mapping::Mapper(fault_free).library());
-    for (int i = 0; i < 6; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
-  }
+  for (int i = 0; i < 24; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
+  mesh_ctx.rebind(resampled, mapping::Mapper(resampled).library());
+  ASSERT_EQ(mesh_ctx.config().faults, resampled.faults);
+  for (int i = 0; i < 6; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
+  mesh_ctx.rebind(fault_free, mapping::Mapper(fault_free).library());
+  for (int i = 0; i < 6; ++i) check(i % 2 == 0 ? mesh_ctx : torus_ctx);
 }
 
 TEST(FaultEval, EmptyFaultSetLeavesEvaluationUntouched) {

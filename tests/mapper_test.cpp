@@ -80,7 +80,6 @@ TEST(MapperConfig, ValidateRejectsEachBadField) {
       },
       "= 1, got 2");
   rejects([](MapperConfig& c) { c.annealing_reheats = -4; }, "got -4");
-  rejects([](MapperConfig& c) { c.num_threads = 0; }, "got 0");
   rejects([](MapperConfig& c) { c.floorplan.sizing_passes = -5; }, "got -5");
   rejects([](MapperConfig& c) { c.floorplan.spacing_mm = -0.25; },
           std::to_string(-0.25));

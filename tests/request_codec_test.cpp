@@ -108,7 +108,7 @@ class RandomRequests {
     }
     for (int n = below(4); n > 0; --n) r.restart_counts.push_back(integer());
     for (int n = below(4); n > 0; --n) r.swap_passes.push_back(integer());
-    if (coin()) r.num_threads = integer();
+    if (coin()) r.num_threads = 1 + below(select::kMaxThreads);
     if (coin()) base.annealing_reheats = integer();
 
     // The fplan axis is an engine x sizing-pass grid over the base options.
@@ -377,6 +377,8 @@ TEST(RequestCodec, EveryBadInputNamesItsKeyAndValue) {
       {"swap_passes=1,,2\n", {"swap_passes", "1,,2"}},
       {"threads=abc\n", {"threads", "abc"}},
       {"threads=99999999999\n", {"threads", "99999999999"}},
+      {"threads=0\n", {"threads=0", "[1, 256]"}},
+      {"threads=257\n", {"threads=257", "[1, 256]"}},
       {"reheat=1.5\n", {"reheat", "1.5"}},
       {"fplan_sizing_passes=two\n", {"fplan_sizing_passes", "two"}},
       {"fault_samples=4x\n", {"fault_samples", "4x"}},

@@ -116,6 +116,18 @@ class RequestPathsTest(unittest.TestCase):
         self.assertEqual(serial, self.read("t4.json"))
         self.assertEqual(serial, self.read("t_call.json"))
 
+    def test_single_point_is_one_report_at_any_thread_count(self):
+        # Single-point runs spread topologies over --threads workers and
+        # size the finalist pool with it, like sweeps do.
+        runs = []
+        for threads in ("1", "4"):
+            result = self.ok("--app", "mpeg4", "--routing", "SA",
+                             "--sim-validate", "--threads", threads,
+                             "--csv", self.path("single.csv"))
+            runs.append((result.stdout, self.read("single.csv")))
+        self.assertIn("Flit-level validation", runs[0][0])
+        self.assertEqual(runs[0], runs[1])
+
     def test_daemon_rejects_unknown_and_repeated_keys_by_name(self):
         reply = self.raw_request("app=vopd\nbogus_key=1\n\n")
         self.assertTrue(reply.startswith("ERR "), reply)
@@ -184,6 +196,11 @@ class RequestPathsTest(unittest.TestCase):
             (["--sweep", "--workers", "abc"], ["--workers", "abc"]),
             (["--serve-requests", "many"], ["--serve-requests", "many"]),
             (["--serve-threads", "2.5"], ["--serve-threads", "2.5"]),
+            # Thread counts outside [1, 256], refused before any thread.
+            (["--threads", "0"], ["threads=0", "[1, 256]"]),
+            (["--threads", "257"], ["threads=257", "[1, 256]"]),
+            (["--serve", self.path("bounded.sock"), "--serve-threads", "257"],
+             ["accept_threads", "[1, 256]", "257"]),
             (["--routing", "DO", "--routing", "MP"], ["routings"]),
             (["--objective", "weighted", "--w-delay", "inf"],
              ["delay=inf"]),
@@ -201,6 +218,12 @@ class RequestPathsTest(unittest.TestCase):
                 self.assertEqual(result.returncode, 2, result.stdout)
                 for name in named:
                     self.assertIn(name, result.stderr)
+        self.assertFalse(os.path.exists(self.path("bounded.sock")))
+
+    def test_daemon_refuses_a_thread_count_above_the_bound(self):
+        reply = self.raw_request("app=vopd\nthreads=257\n\n")
+        self.assertTrue(reply.startswith("ERR "), reply)
+        self.assertIn("threads=257", reply)
 
 
 if __name__ == "__main__":

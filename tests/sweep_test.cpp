@@ -574,5 +574,26 @@ TEST(Sweep, DaemonRejectsOversizedRequestNamingTheCap) {
   EXPECT_EQ(stats.requests_failed, 1);
 }
 
+TEST(Sweep, DaemonRefusesAcceptThreadsOutsideTheBound) {
+  // Refused before the socket opens, so no thread starts and no socket
+  // file is left behind.
+  const std::string socket_path =
+      testing::TempDir() + "sweep_daemon_bound.sock";
+  for (const int threads : {0, select::kMaxThreads + 1}) {
+    DaemonOptions options;
+    options.socket_path = socket_path;
+    options.accept_threads = threads;
+    try {
+      (void)serve(options);
+      ADD_FAILURE() << "accept_threads " << threads << " was served";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("got " + std::to_string(threads)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_NE(::access(socket_path.c_str(), F_OK), 0);
+  }
+}
+
 }  // namespace
 }  // namespace sunmap::sweep

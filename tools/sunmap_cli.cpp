@@ -114,8 +114,11 @@ void usage() {
                       (default 50)
   --sim-burst-duty <d> duty cycle in (0,1) of --sim-traffic bursty
                       (default 0.3)
-  --threads <n>       swap-search worker threads  (default 1; any n is
-                      deterministic and matches the sequential result)
+  --threads <n>       threads that map topologies in parallel, one
+                      topology per thread, each searched sequentially;
+                      they also size the finalist tier's simulation pool
+                      (1..256, default 1; any n returns the identical
+                      report)
   --max-area <mm2>    area constraint             (default unlimited)
   --extensions        include octagon/star topologies
   --floorplan         print the winning floorplan as ASCII
@@ -133,10 +136,7 @@ void usage() {
                       and the area/power Pareto frontier. --floorplan then
                       renders each objective winner's floorplan and --out
                       writes each winner's generated sources to
-                      <dir>/<objective>/. In sweep mode --threads means
-                      explorer workers spread across topologies (each swap
-                      search stays sequential); any thread count returns
-                      the identical report
+                      <dir>/<objective>/
   --json <path>       write the exploration report as JSON (sweep only)
 
 Distributed sweeps (with --sweep; see README "Distributed sweeps"):
@@ -159,7 +159,7 @@ Daemon mode:
   --serve-threads <n>   accept-loop worker threads; concurrent requests
                       over different (app, extensions) pairs evaluate in
                       parallel, requests sharing a context pool queue on
-                      it (default 1)
+                      it (1..256, default 1)
   --call <socket>     submit THIS command line's request flags to a running
                       daemon and print the JSON reply; --file, --csv,
                       --floorplan, --out and the distributed flags are refused
@@ -581,13 +581,8 @@ int run(int argc, char** argv) {
     return 2;
   }
   select::ExplorationRequest& request = decoded.request;
+  // In single-point mode every axis flag names one value.
   const bool single_point = !local.sweep && !calling;
-  if (single_point) {
-    // Every axis flag names one value, and --threads means swap-search
-    // workers.
-    request.base.num_threads = request.num_threads;
-    request.num_threads = 1;
-  }
   const auto points = select::DesignSpaceExplorer::expand(request);
   if (single_point && points.size() > 1) {
     std::cerr << "value lists require --sweep\n";
