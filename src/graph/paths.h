@@ -33,9 +33,9 @@ using NodeFilterFn = std::function<bool(NodeId)>;
 
 namespace detail {
 
-/// Reusable per-thread Dijkstra workspace: the mapping search runs this
-/// algorithm hundreds of thousands of times over small graphs, where the
-/// per-call vector allocations would dominate the relaxations themselves.
+/// Reusable per-thread Dijkstra workspace, so repeated calls over small
+/// graphs (a test's reference loop, a custom topology's dimension-ordered
+/// routes) do not allocate per call.
 struct DijkstraWorkspace {
   std::vector<double> dist;
   std::vector<EdgeId> via;
@@ -51,13 +51,13 @@ DijkstraWorkspace& dijkstra_workspace();
 }  // namespace detail
 
 /// Dijkstra shortest path from src to dst, templated over the cost and
-/// admission functors so hot callers (the routing engine's inner loops) pay
-/// direct calls instead of std::function dispatch. The heap is driven with
+/// admission functors: the engine of shortest_path() below, and the
+/// reference oracle the routing engine's min-path and split-all kernels are
+/// tested against (tests/routing_test.cpp). The heap is driven with
 /// push_heap/pop_heap under the same comparator that std::priority_queue
-/// uses, so the settle order — and therefore the tie-breaking among
-/// equal-cost paths — matches the historical implementation exactly; the
-/// std::function-based shortest_path() below delegates here and is
-/// bit-identical by construction.
+/// uses, so the settle order — least (distance, node id) first, and
+/// therefore the tie-breaking among equal-cost paths — is the one those
+/// kernels reproduce.
 template <typename CostFn, typename FilterFn>
 std::optional<Path> shortest_path_with(const DirectedGraph& g, NodeId src,
                                        NodeId dst, const CostFn& cost,

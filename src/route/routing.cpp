@@ -16,26 +16,50 @@ namespace {
 /// with already-routed traffic).
 constexpr double kHopCost = 1e9;
 
-/// Reusable per-thread split-all buffers: the mapping search routes
-/// commodities this way over a million times per sweep, each call running
-/// one Dijkstra per chunk, so once warm a call allocates nothing.
-struct SplitAllWorkspace {
-  std::vector<double> extra;  ///< per link: demand this call's chunks put on it
-  std::vector<double> cost;   ///< per link: the next chunk's cost
+}  // namespace
+
+/// Reusable per-thread routing buffers: the mapping search routes
+/// commodities by min-path and split-all millions of times per sweep (one
+/// Dijkstra per min-path call, one per chunk of a split-all call), so once
+/// warm a call allocates nothing.
+struct RoutingEngine::Workspace {
+  std::vector<double> extra;  ///< split-all, per link: this call's chunks
+  std::vector<double> cost;   ///< split-all, per link: the next chunk's cost
   std::vector<double> dist;   ///< per switch, valid once reached
   std::vector<graph::EdgeId> via;   ///< per switch: link it was reached by
   std::vector<graph::NodeId> pred;  ///< per switch: tail of that link
   std::vector<std::uint64_t> reached;  ///< switch bitsets beyond one word
   std::vector<std::uint64_t> open;
-  std::vector<graph::EdgeId> path;  ///< the chunk path's links, last first
+  std::vector<graph::EdgeId> path;  ///< the settled path's links, last first
+
+  /// The calling thread's workspace, its per-switch buffers sized for
+  /// `num_switches` switches.
+  static Workspace& local(int num_switches) {
+    thread_local Workspace ws;
+    const auto n = static_cast<std::size_t>(num_switches);
+    ws.dist.resize(n);
+    ws.via.resize(n);
+    ws.pred.resize(n);
+    ws.reached.resize((n + 63) / 64);
+    ws.open.resize((n + 63) / 64);
+    return ws;
+  }
+
+  /// Writes the path settle() left here over `wp`'s buffers.
+  void write_path(graph::NodeId from, graph::NodeId to, double path_cost,
+                  WeightedPath& wp) const {
+    const std::size_t hops = path.size();
+    wp.path.cost = path_cost;
+    wp.path.edges.assign(path.rbegin(), path.rend());
+    wp.path.nodes.resize(hops + 1);
+    graph::NodeId v = to;
+    for (std::size_t k = hops; k > 0; --k) {
+      wp.path.nodes[k] = v;
+      v = pred[static_cast<std::size_t>(v)];
+    }
+    wp.path.nodes[0] = from;
+  }
 };
-
-SplitAllWorkspace& split_all_workspace() {
-  thread_local SplitAllWorkspace ws;
-  return ws;
-}
-
-}  // namespace
 
 const char* to_string(RoutingKind kind) {
   switch (kind) {
@@ -133,7 +157,9 @@ RoutingEngine::RoutingEngine(const topo::Topology& topology, RoutingKind kind,
   if (options_.capacity_hint_mbps <= 0.0) {
     throw std::invalid_argument("RoutingEngine: capacity hint must be > 0");
   }
-  if (kind_ != RoutingKind::kSplitAll) return;
+  if (kind_ != RoutingKind::kMinPath && kind_ != RoutingKind::kSplitAll) {
+    return;
+  }
   const auto& g = topology_.switch_graph();
   arc_begin_.reserve(static_cast<std::size_t>(g.num_nodes()) + 1);
   arcs_.reserve(static_cast<std::size_t>(g.num_edges()));
@@ -150,21 +176,29 @@ void RoutingEngine::route(topo::SlotId src, topo::SlotId dst, double demand,
     out.paths.clear();
     throw std::invalid_argument("RoutingEngine: src and dst slots coincide");
   }
-  // Split-all rewrites `out` in place; the other kinds append to it.
-  if (kind_ != RoutingKind::kSplitAll) out.paths.clear();
+  // The load-adaptive kinds rewrite `out` in place; the others append to it.
+  if (kind_ == RoutingKind::kDimensionOrdered ||
+      kind_ == RoutingKind::kSplitMin) {
+    out.paths.clear();
+  }
+  // One bitset word covers every library topology (<= 64 switches).
+  const bool one_word = topology_.num_switches() <= 64;
   switch (kind_) {
     case RoutingKind::kDimensionOrdered:
       route_dimension_ordered(src, dst, out);
       return;
     case RoutingKind::kMinPath:
-      route_min_path(src, dst, loads, out);
+      if (one_word) {
+        route_min_path<true>(src, dst, loads, out);
+      } else {
+        route_min_path<false>(src, dst, loads, out);
+      }
       return;
     case RoutingKind::kSplitMin:
       route_split_min(src, dst, out);
       return;
     case RoutingKind::kSplitAll:
-      // One bitset word covers every library topology (<= 64 switches).
-      if (topology_.num_switches() <= 64) {
+      if (one_word) {
         route_split_all<true>(src, dst, demand, loads, out);
       } else {
         route_split_all<false>(src, dst, demand, loads, out);
@@ -179,31 +213,6 @@ void RoutingEngine::route_dimension_ordered(topo::SlotId src,
                                             RouteSet& out) const {
   out.paths.push_back(WeightedPath{
       topology_.make_path(topology_.dimension_ordered_path(src, dst)), 1.0});
-}
-
-void RoutingEngine::route_min_path(topo::SlotId src, topo::SlotId dst,
-                                   const LoadMap& loads, RouteSet& out) const {
-  // Quadrant graph of §4.3: restrict the Dijkstra search to the switches
-  // that can lie on a minimum path, which both guarantees minimality and
-  // gives the computational savings the paper reports. The admission mask
-  // comes from the per-topology table configured at construction (lock-free,
-  // shared by concurrent search workers) or the topology's memoized cache.
-  const char* admitted = min_path_admission(src, dst);
-
-  // Direct template instantiation: this is the hottest loop of the whole
-  // mapping search (every adaptive-routing evaluation runs one Dijkstra per
-  // commodity per pass), so the cost/admission callbacks must inline rather
-  // than go through std::function dispatch.
-  const auto path = graph::shortest_path_with(
-      topology_.switch_graph(), topology_.ingress_switch(src),
-      topology_.egress_switch(dst),
-      [&](graph::EdgeId e) { return kHopCost + loads.load(e); },
-      [&](graph::NodeId u) { return admitted[static_cast<std::size_t>(u)] != 0; });
-  if (!path) {
-    throw std::logic_error(
-        "RoutingEngine: quadrant graph disconnected (topology bug)");
-  }
-  out.paths.push_back(WeightedPath{*path, 1.0});
 }
 
 void RoutingEngine::route_split_min(topo::SlotId src, topo::SlotId dst,
@@ -293,37 +302,17 @@ void RoutingEngine::route_split_min(topo::SlotId src, topo::SlotId dst,
   for (auto& wp : out.paths) wp.fraction /= total;
 }
 
-template <bool kOneWord>
-void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
-                                    double demand, const LoadMap& loads,
-                                    RouteSet& out) const {
-  // Split-across-all-paths: divide the commodity into equal chunks and route
-  // each chunk with congestion-aware Dijkstra over the full switch graph
-  // (non-minimal paths allowed), accounting for the chunks already placed.
-  const graph::NodeId from = topology_.ingress_switch(src);
-  const graph::NodeId to = topology_.egress_switch(dst);
-
+template <bool kOneWord, typename Admit, typename Cost>
+double RoutingEngine::settle(Workspace& ws, graph::NodeId from,
+                             graph::NodeId to, const Admit& admit,
+                             const Cost& cost, RouteSet& out) const {
+  // Dijkstra that settles the least (distance, switch id) among reached,
+  // unsettled ("open") switches: the settle order, and so the tie-breaks,
+  // of graph::shortest_path's lazy heap. Arcs relax in out-edge order,
+  // on strict improvement only. A switch is unreached until its first
+  // strict improvement over +inf, so an inf or NaN cost never reaches one.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  const int num_links = static_cast<int>(arcs_.size());
-  const int num_switches = topology_.num_switches();
-  const int words = kOneWord ? 1 : (num_switches + 63) / 64;
-  const int split_chunks = options_.split_chunks;
-  const double fraction = 1.0 / static_cast<double>(split_chunks);
-  const double chunk =
-      demand > 0.0 ? demand / static_cast<double>(split_chunks) : 0.0;
-  // A small per-hop bias keeps zero-load routes minimal.
-  const double hop_bias = std::max(1.0, demand * 0.01);
-
-  SplitAllWorkspace& ws = split_all_workspace();
-  ws.extra.assign(static_cast<std::size_t>(num_links), 0.0);
-  ws.cost.resize(static_cast<std::size_t>(num_links));
-  ws.dist.resize(static_cast<std::size_t>(num_switches));
-  ws.via.resize(static_cast<std::size_t>(num_switches));
-  ws.pred.resize(static_cast<std::size_t>(num_switches));
-  ws.reached.resize(static_cast<std::size_t>(words));
-  ws.open.resize(static_cast<std::size_t>(words));
-  double* const extra = ws.extra.data();
-  double* const cost = ws.cost.data();
+  const int words = kOneWord ? 1 : (topology_.num_switches() + 63) / 64;
   double* const dist = ws.dist.data();
   graph::EdgeId* const via = ws.via.data();
   graph::NodeId* const pred = ws.pred.data();
@@ -339,33 +328,12 @@ void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
   const Arc* const arcs = arcs_.data();
   const int* const arc_begin = arc_begin_.data();
 
-  // Soft capacity: a sub-flow strongly avoids links it would push past the
-  // capacity hint, which is what lets the heavy MPEG4 SDRAM flows spread
-  // around already-loaded links instead of stacking onto them. Costs start
-  // from the caller's loads and change only on the links each chunk takes.
-  constexpr double kOverloadPenalty = 1e7;
-  const auto link_cost = [&](graph::EdgeId e) {
-    const double current = loads.load(e) + extra[e];
-    double c = hop_bias + current + chunk * 0.5;
-    if (current + chunk > options_.capacity_hint_mbps + 1e-9) {
-      c += kOverloadPenalty;
-    }
-    return c;
-  };
-  for (graph::EdgeId e = 0; e < num_links; ++e) cost[e] = link_cost(e);
-
-  std::size_t used = 0;
-  for (int c = 0; c < split_chunks; ++c) {
-    // Dijkstra that settles the least (distance, switch id) among reached,
-    // unsettled ("open") switches: the settle order, and so the tie-breaks,
-    // of graph::shortest_path_with's lazy heap. A switch is unreached until
-    // its first strict improvement over +inf, so an inf or NaN cost never
-    // reaches one.
-    for (int w = 0; w < words; ++w) reached[w] = open[w] = 0;
+  for (int w = 0; w < words; ++w) reached[w] = open[w] = 0;
+  bool found = false;
+  if (admit(from) && admit(to)) {
     reached[word_of(from)] |= bit_of(from);
     open[word_of(from)] |= bit_of(from);
     dist[from] = 0.0;
-    bool found = false;
     for (;;) {
       int u = -1;
       double du = 0.0;
@@ -386,11 +354,12 @@ void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
       }
       for (int a = arc_begin[u]; a < arc_begin[u + 1]; ++a) {
         const graph::NodeId v = arcs[a].head;
+        if (!admit(v)) continue;
         const int w = word_of(v);
         const std::uint64_t bit = bit_of(v);
         const bool seen = (reached[w] & bit) != 0;
         if (seen && (open[w] & bit) == 0) continue;  // settled
-        const double step = cost[arcs[a].link];
+        const double step = cost(arcs[a].link);
         if (step < 0.0) {
           out.paths.clear();
           throw std::invalid_argument("RoutingEngine: negative link cost");
@@ -405,16 +374,83 @@ void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
         }
       }
     }
-    if (!found) {
-      out.paths.clear();
-      throw std::logic_error("RoutingEngine: topology disconnected");
-    }
+  }
+  if (!found) {
+    out.paths.clear();
+    throw std::logic_error(
+        "RoutingEngine: no admitted path between the endpoint switches "
+        "(topology bug)");
+  }
 
-    // The chunk path's links, destination first.
-    ws.path.clear();
-    for (graph::NodeId v = to; v != from; v = pred[v]) {
-      ws.path.push_back(via[v]);
+  ws.path.clear();
+  for (graph::NodeId v = to; v != from; v = pred[v]) ws.path.push_back(via[v]);
+  return dist[to];
+}
+
+template <bool kOneWord>
+void RoutingEngine::route_min_path(topo::SlotId src, topo::SlotId dst,
+                                   const LoadMap& loads, RouteSet& out) const {
+  // Quadrant graph of §4.3: restrict the search to the switches that can
+  // lie on a minimum path, which both guarantees minimality and gives the
+  // computational savings the paper reports. Each link is priced as it is
+  // relaxed, from the caller's loads.
+  const char* const admitted = min_path_admission(src, dst);
+  const double* const load = loads.values().data();
+  const graph::NodeId from = topology_.ingress_switch(src);
+  const graph::NodeId to = topology_.egress_switch(dst);
+  Workspace& ws = Workspace::local(topology_.num_switches());
+  const double cost = settle<kOneWord>(
+      ws, from, to, [admitted](graph::NodeId u) { return admitted[u] != 0; },
+      [load](graph::EdgeId e) { return kHopCost + load[e]; }, out);
+  out.paths.resize(1);
+  out.paths[0].fraction = 1.0;
+  ws.write_path(from, to, cost, out.paths[0]);
+}
+
+template <bool kOneWord>
+void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
+                                    double demand, const LoadMap& loads,
+                                    RouteSet& out) const {
+  // Split-across-all-paths: divide the commodity into equal chunks and route
+  // each chunk with congestion-aware Dijkstra over the full switch graph
+  // (non-minimal paths allowed), accounting for the chunks already placed.
+  const graph::NodeId from = topology_.ingress_switch(src);
+  const graph::NodeId to = topology_.egress_switch(dst);
+
+  const int num_links = static_cast<int>(arcs_.size());
+  const int split_chunks = options_.split_chunks;
+  const double fraction = 1.0 / static_cast<double>(split_chunks);
+  const double chunk =
+      demand > 0.0 ? demand / static_cast<double>(split_chunks) : 0.0;
+  // A small per-hop bias keeps zero-load routes minimal.
+  const double hop_bias = std::max(1.0, demand * 0.01);
+
+  Workspace& ws = Workspace::local(topology_.num_switches());
+  ws.extra.assign(static_cast<std::size_t>(num_links), 0.0);
+  ws.cost.resize(static_cast<std::size_t>(num_links));
+  double* const extra = ws.extra.data();
+  double* const cost = ws.cost.data();
+
+  // Soft capacity: a sub-flow strongly avoids links it would push past the
+  // capacity hint, which is what lets the heavy MPEG4 SDRAM flows spread
+  // around already-loaded links instead of stacking onto them. Costs start
+  // from the caller's loads and change only on the links each chunk takes.
+  constexpr double kOverloadPenalty = 1e7;
+  const auto link_cost = [&](graph::EdgeId e) {
+    const double current = loads.load(e) + extra[e];
+    double c = hop_bias + current + chunk * 0.5;
+    if (current + chunk > options_.capacity_hint_mbps + 1e-9) {
+      c += kOverloadPenalty;
     }
+    return c;
+  };
+  for (graph::EdgeId e = 0; e < num_links; ++e) cost[e] = link_cost(e);
+
+  std::size_t used = 0;
+  for (int c = 0; c < split_chunks; ++c) {
+    const double path_cost = settle<kOneWord>(
+        ws, from, to, graph::AdmitAll{},
+        [cost](graph::EdgeId e) { return cost[e]; }, out);
     const std::size_t hops = ws.path.size();
     for (graph::EdgeId e : ws.path) {
       extra[e] += chunk;
@@ -439,15 +475,7 @@ void RoutingEngine::route_split_all(topo::SlotId src, topo::SlotId dst,
     if (used == out.paths.size()) out.paths.emplace_back();
     WeightedPath& wp = out.paths[used++];
     wp.fraction = fraction;
-    wp.path.cost = dist[to];
-    wp.path.edges.assign(ws.path.rbegin(), ws.path.rend());
-    wp.path.nodes.resize(hops + 1);
-    graph::NodeId v = to;
-    for (std::size_t k = hops; k > 0; --k) {
-      wp.path.nodes[k] = v;
-      v = pred[v];
-    }
-    wp.path.nodes[0] = from;
+    ws.write_path(from, to, path_cost, wp);
   }
   out.paths.erase(out.paths.begin() + static_cast<std::ptrdiff_t>(used),
                   out.paths.end());

@@ -121,8 +121,8 @@ class LoadMap {
 /// engine's inner Dijkstra loop read a plain byte array instead of
 /// recomputing (or even lock-protecting) the quadrant sets — and, unlike the
 /// memoized Topology::quadrant_mask(), the table is immutable after
-/// construction, so concurrent mapping-search workers share it without
-/// synchronisation.
+/// construction, so the explorer's topology workers and concurrent daemon
+/// requests share it without synchronisation.
 class QuadrantTable {
  public:
   explicit QuadrantTable(const topo::Topology& topology);
@@ -146,7 +146,8 @@ class QuadrantTable {
 /// function. Stateless with respect to traffic: current link loads are
 /// passed in, so the mapper owns ordering and accumulation. Fully configured
 /// at construction (Options) — there is no post-construction mutation, so a
-/// const engine is safe to share across concurrent search workers.
+/// const engine is safe to share across threads (the explorer's topology
+/// workers, concurrent daemon requests).
 class RoutingEngine {
  public:
   struct Options {
@@ -189,26 +190,42 @@ class RoutingEngine {
   /// Routes `demand` MB/s from slot src to slot dst given the traffic
   /// already routed (`loads`), replacing the contents of `out`. The
   /// out-param keeps the hot path allocation-free once the caller's
-  /// RouteSet capacity has warmed up (split-all rewrites its paths in place,
-  /// reusing their buffers). Does not modify `loads`; the caller accumulates
-  /// via LoadMap::add_route, matching Fig 5 steps 4-6.
+  /// RouteSet capacity has warmed up: both load-adaptive kinds (MP and SA)
+  /// rewrite its paths in place, reusing their buffers, and leave it empty
+  /// when they throw. Does not modify `loads`; the caller accumulates via
+  /// LoadMap::add_route, matching Fig 5 steps 4-6.
   void route(topo::SlotId src, topo::SlotId dst, double demand,
              const LoadMap& loads, RouteSet& out) const;
 
  private:
   void route_dimension_ordered(topo::SlotId src, topo::SlotId dst,
                                RouteSet& out) const;
-  void route_min_path(topo::SlotId src, topo::SlotId dst,
-                      const LoadMap& loads, RouteSet& out) const;
   void route_split_min(topo::SlotId src, topo::SlotId dst,
                        RouteSet& out) const;
-  /// Split-all over reached/open switch bitsets of one 64-bit word
-  /// (kOneWord, up to 64 switches) or of several.
+  // The load-adaptive kinds run settle() over reached/open switch bitsets
+  // of one 64-bit word (kOneWord, up to 64 switches) or of several.
+  template <bool kOneWord>
+  void route_min_path(topo::SlotId src, topo::SlotId dst,
+                      const LoadMap& loads, RouteSet& out) const;
   template <bool kOneWord>
   void route_split_all(topo::SlotId src, topo::SlotId dst, double demand,
                        const LoadMap& loads, RouteSet& out) const;
 
-  /// One out-link of a switch in the flat adjacency split-all walks.
+  /// Per-thread routing buffers (routing.cpp).
+  struct Workspace;
+
+  /// The one Dijkstra of both load-adaptive kinds: from switch `from` to
+  /// `to` over the flat adjacency, relaxing only arcs whose head `admit`
+  /// accepts, each priced by `cost(link)` as it is relaxed. Leaves the
+  /// path's links, last first, and the predecessors in `ws` and returns the
+  /// path's cost. Throws std::logic_error when `from` or `to` is not
+  /// admitted or `to` is unreachable, and std::invalid_argument on a
+  /// negative cost, clearing `out` first.
+  template <bool kOneWord, typename Admit, typename Cost>
+  double settle(Workspace& ws, graph::NodeId from, graph::NodeId to,
+                const Admit& admit, const Cost& cost, RouteSet& out) const;
+
+  /// One out-link of a switch in the flat adjacency settle() walks.
   struct Arc {
     graph::EdgeId link;
     graph::NodeId head;
@@ -218,7 +235,7 @@ class RoutingEngine {
   RoutingKind kind_;
   Options options_;
   /// Out-links of switch u are arcs_[arc_begin_[u] .. arc_begin_[u + 1]),
-  /// in the switch graph's insertion order (split-all routing only).
+  /// in the switch graph's insertion order (MP and SA engines only).
   std::vector<int> arc_begin_;
   std::vector<Arc> arcs_;
 };

@@ -98,6 +98,12 @@ void simulate_finalists(const ExplorationRequest& request,
   if (request.app == nullptr) {
     throw std::invalid_argument("simulate_finalists: request has no app");
   }
+  if (request.num_threads < 1 || request.num_threads > kMaxThreads) {
+    throw std::invalid_argument(
+        "simulate_finalists: num_threads must be in [1, " +
+        std::to_string(kMaxThreads) + "], got " +
+        std::to_string(request.num_threads));
+  }
   if (request.sim_finalists <= 0) return;
   const mapping::CoreGraph& app = *request.app;
 
@@ -122,8 +128,7 @@ void simulate_finalists(const ExplorationRequest& request,
   // merge below — ascending cell order — is bit-identical to the serial
   // tier no matter how cells were interleaved across threads.
   const int num_workers = static_cast<int>(std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(1, request.num_threads)),
-      finalists.size()));
+      static_cast<std::size_t>(request.num_threads), finalists.size()));
   std::vector<std::optional<mapping::SimScore>> scores(finalists.size());
   std::atomic<std::size_t> next_cell{0};
   std::mutex error_mutex;

@@ -268,7 +268,9 @@ class DesignSpaceExplorer {
 /// deterministic worker pool of request.num_threads threads — one
 /// SimEvaluator per worker, every score written to its fixed (point,
 /// topology) cell, merged in ascending cell order — so the scored report is
-/// bit-identical to a serial pass at any thread count. explore() calls this
+/// bit-identical to a serial pass at any thread count. Throws
+/// std::invalid_argument, before any thread starts, when the request has no
+/// app or num_threads is outside [1, kMaxThreads]. explore() calls this
 /// when sim_finalists > 0; exposed so the bench probe (and tests) can time
 /// and compare the tier in isolation on a prepared report.
 void simulate_finalists(const ExplorationRequest& request,

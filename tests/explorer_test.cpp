@@ -384,6 +384,41 @@ TEST(Explorer, ValidatesRequest) {
   EXPECT_THROW(explorer.explore(bad_bandwidth), std::invalid_argument);
 }
 
+TEST(Explorer, SimulateFinalistsRefusesThreadCountsOutsideTheBound) {
+  // simulate_finalists is public, so it bounds its own pool as explore()
+  // does: 0 and kMaxThreads + 1 throw before any thread starts, leaving the
+  // report unscored, and one thread scores the finalists.
+  const auto app = apps::pip();
+  const auto library = topo::standard_library(app.num_cores());
+  ExplorationRequest request;
+  request.app = &app;
+  request.library = &library;
+  request.base.link_bandwidth_mbps = 500.0;
+  request.routings = {route::RoutingKind::kMinPath};
+  auto report = DesignSpaceExplorer().explore(request);
+  const auto scored = [&report]() {
+    int count = 0;
+    for (const auto& result : report.results) {
+      for (const auto& candidate : result.selection.candidates) {
+        count += candidate.sim.has_value() ? 1 : 0;
+      }
+    }
+    return count;
+  };
+  ASSERT_EQ(scored(), 0);
+
+  request.sim_finalists = 2;
+  for (const int threads : {0, kMaxThreads + 1}) {
+    request.num_threads = threads;
+    EXPECT_THROW(simulate_finalists(request, report), std::invalid_argument)
+        << threads;
+    EXPECT_EQ(scored(), 0) << threads;
+  }
+  request.num_threads = 1;
+  simulate_finalists(request, report);
+  EXPECT_GT(scored(), 0);
+}
+
 TEST(Explorer, SelectorIsSinglePointWrapper) {
   const auto app = apps::mwd();
   const auto library = topo::standard_library(app.num_cores());

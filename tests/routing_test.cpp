@@ -573,6 +573,290 @@ TEST(SplitAllKernel, RewritesAReusedRouteSet) {
   EXPECT_EQ(fraction_sum(reused), 1.0);
 }
 
+/// The min-path Dijkstra the engine's kernel must reproduce:
+/// graph::shortest_path_with under cost 1e9 + load, restricted to the
+/// engine's quadrant admission mask.
+RouteSet reference_min_path(const RoutingEngine& engine, SlotId src,
+                            SlotId dst, const LoadMap& loads) {
+  const auto& topology = engine.topology();
+  const char* admitted = engine.min_path_admission(src, dst);
+  auto path = graph::shortest_path_with(
+      topology.switch_graph(), topology.ingress_switch(src),
+      topology.egress_switch(dst),
+      [&](graph::EdgeId e) { return 1e9 + loads.load(e); },
+      [&](graph::NodeId u) {
+        return admitted[static_cast<std::size_t>(u)] != 0;
+      });
+  if (!path) throw std::logic_error("reference: quadrant disconnected");
+  RouteSet out;
+  out.paths.push_back(WeightedPath{*path, 1.0});
+  return out;
+}
+
+/// Routes `src -> dst` by min-path into a reused RouteSet and through the
+/// reference, and checks the two agree bit for bit.
+void expect_min_path_matches_reference(const RoutingEngine& engine,
+                                       SlotId src, SlotId dst, double demand,
+                                       const LoadMap& loads, RouteSet& out,
+                                       const std::string& where) {
+  engine.route(src, dst, demand, loads, out);
+  expect_bit_identical(out, reference_min_path(engine, src, dst, loads),
+                       where);
+}
+
+TEST(MinPathKernel, BitIdenticalOnEveryLibraryTopologyOfTheApps) {
+  // The mapper's loop: route every commodity in decreasing order with the
+  // loads accumulating, then one rip-up-and-reroute pass, on the identity
+  // mapping and two seeded shuffles, over every topology the apps select
+  // from, with the quadrant table the mapping search attaches.
+  const mapping::CoreGraph apps[] = {apps::vopd(),      apps::mpeg4(),
+                                     apps::dsp_filter(), apps::netproc16(),
+                                     apps::pip(),       apps::mwd()};
+  std::mt19937 rng(17);
+  RouteSet out;
+  for (const auto& app : apps) {
+    const auto commodities = mapping::commodities_by_value(app);
+    for (const auto& topology :
+         topo::standard_library(app.num_cores(), /*include_extensions=*/true)) {
+      const QuadrantTable table(*topology);
+      RoutingEngine::Options options;
+      options.quadrant_table = &table;
+      RoutingEngine engine(*topology, RoutingKind::kMinPath, options);
+      std::vector<SlotId> slot(static_cast<std::size_t>(topology->num_slots()));
+      std::iota(slot.begin(), slot.end(), 0);
+      for (int mapping = 0; mapping < 3; ++mapping) {
+        if (mapping > 0) std::shuffle(slot.begin(), slot.end(), rng);
+        LoadMap loads(topology->switch_graph().num_edges());
+        std::vector<RouteSet> routed(commodities.size());
+        for (int pass = 0; pass < 2; ++pass) {
+          for (std::size_t k = 0; k < commodities.size(); ++k) {
+            const auto& d = commodities[k];
+            if (pass > 0) loads.remove_route(routed[k], d.value_mbps);
+            expect_min_path_matches_reference(
+                engine, slot[static_cast<std::size_t>(d.src_core)],
+                slot[static_cast<std::size_t>(d.dst_core)], d.value_mbps,
+                loads, out,
+                app.name() + " on " + topology->name() + " mapping " +
+                    std::to_string(mapping) + " pass " +
+                    std::to_string(pass) + " commodity " + std::to_string(k));
+            routed[k] = out;
+            loads.add_route(routed[k], d.value_mbps);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MinPathKernel, BitIdenticalPastOneBitsetWord) {
+  const auto mesh = topo::make_mesh_for(81);  // 9x9: two bitset words
+  ASSERT_GT(mesh->num_switches(), 64);
+  RoutingEngine engine(*mesh, RoutingKind::kMinPath);
+  LoadMap loads(mesh->switch_graph().num_edges());
+  std::mt19937 rng(7);
+  std::uniform_int_distribution<SlotId> slot(0, mesh->num_slots() - 1);
+  std::uniform_real_distribution<double> demand(10.0, 600.0);
+  RouteSet out;
+  int second_word = 0;
+  for (int k = 0; k < 120; ++k) {
+    const SlotId a = slot(rng);
+    SlotId b = slot(rng);
+    if (b == a) b = (a + 40) % mesh->num_slots();
+    const double mbps = demand(rng);
+    expect_min_path_matches_reference(engine, a, b, mbps, loads, out,
+                                      "commodity " + std::to_string(k));
+    for (graph::NodeId u : out.paths[0].path.nodes) second_word += u >= 64;
+    loads.add_route(out, mbps);
+  }
+  EXPECT_GT(second_word, 0);
+}
+
+TEST(MinPathKernel, BitIdenticalWhenSlotsShareASwitch) {
+  // Clos and butterfly edge switches carry several slots each, and a custom
+  // topology can put both endpoints on one switch: a path with no links.
+  std::vector<std::unique_ptr<topo::Topology>> topologies;
+  topologies.push_back(topo::make_clos_for(12));
+  topologies.push_back(topo::make_butterfly_for(12));
+  topo::CustomTopology::Builder builder("pair_on_one_switch");
+  const auto s0 = builder.add_switch();
+  const auto s1 = builder.add_switch();
+  builder.add_bidirectional_link(s0, s1);
+  builder.attach_core(s0);
+  builder.attach_core(s0);
+  builder.attach_core(s1);
+  topologies.push_back(builder.build());
+
+  RouteSet out;
+  for (const auto& topology : topologies) {
+    RoutingEngine engine(*topology, RoutingKind::kMinPath);
+    LoadMap loads(topology->switch_graph().num_edges());
+    int shared = 0;
+    for (SlotId a = 0; a < topology->num_slots(); ++a) {
+      for (SlotId b = 0; b < topology->num_slots(); ++b) {
+        if (a == b || (topology->ingress_switch(a) !=
+                           topology->ingress_switch(b) &&
+                       topology->egress_switch(a) !=
+                           topology->egress_switch(b))) {
+          continue;
+        }
+        ++shared;
+        expect_min_path_matches_reference(
+            engine, a, b, 300.0, loads, out,
+            topology->name() + " " + std::to_string(a) + "->" +
+                std::to_string(b));
+        loads.add_route(out, 300.0);
+      }
+    }
+    EXPECT_GT(shared, 0) << topology->name();
+  }
+
+  // Both endpoints on switch s0: one single-switch path of cost 0.
+  const auto& custom = *topologies.back();
+  RoutingEngine engine(custom, RoutingKind::kMinPath);
+  engine.route(0, 1, 300.0, LoadMap(custom.switch_graph().num_edges()), out);
+  ASSERT_EQ(out.paths.size(), 1u);
+  EXPECT_EQ(out.paths[0].path.nodes, std::vector<graph::NodeId>{s0});
+  EXPECT_TRUE(out.paths[0].path.edges.empty());
+  EXPECT_EQ(out.paths[0].fraction, 1.0);
+  EXPECT_EQ(out.paths[0].path.cost, 0.0);
+}
+
+TEST(MinPathKernel, BreaksExactTiesBySwitchId) {
+  // Loads drawn from three exact values: equal-hop paths through the
+  // quadrant often cost exactly the same, so only the settle order's
+  // switch-id tie-break decides between them.
+  std::mt19937 rng(31);
+  std::uniform_int_distribution<int> level(0, 2);
+  RouteSet out;
+  for (const int cores : {16, 36}) {
+    const auto mesh = topo::make_mesh_for(cores);
+    RoutingEngine engine(*mesh, RoutingKind::kMinPath);
+    for (int round = 0; round < 3; ++round) {
+      LoadMap loads(mesh->switch_graph().num_edges());
+      for (int e = 0; e < loads.num_edges(); ++e) {
+        loads.add(e, 100.0 * level(rng));
+      }
+      for (SlotId a = 0; a < mesh->num_slots(); ++a) {
+        for (SlotId b = 0; b < mesh->num_slots(); ++b) {
+          if (a == b) continue;
+          expect_min_path_matches_reference(
+              engine, a, b, 1.0, loads, out,
+              mesh->name() + " round " + std::to_string(round) + " " +
+                  std::to_string(a) + "->" + std::to_string(b));
+        }
+      }
+    }
+  }
+}
+
+TEST(MinPathKernel, BitIdenticalWithInfiniteAndNanLinkCosts) {
+  const auto mesh = topo::make_mesh_for(9);  // 3x3
+  RoutingEngine engine(*mesh, RoutingKind::kMinPath);
+  LoadMap loads(mesh->switch_graph().num_edges());
+  const graph::EdgeId inf_link = 0;
+  const graph::EdgeId nan_link = 5;
+  loads.add(inf_link, std::numeric_limits<double>::infinity());
+  // LoadMap::add refuses NaN in checked builds; write it into the (non-const)
+  // load vector directly, as a corrupted accumulation would.
+  const_cast<std::vector<double>&>(loads.values())[nan_link] =
+      std::numeric_limits<double>::quiet_NaN();
+  RouteSet out;
+  int unreachable = 0;
+  for (SlotId a = 0; a < mesh->num_slots(); ++a) {
+    for (SlotId b = 0; b < mesh->num_slots(); ++b) {
+      if (a == b) continue;
+      const std::string where = std::to_string(a) + "->" + std::to_string(b);
+      // A non-finite cost never reaches a switch, so no path takes one; a
+      // pair whose quadrant holds no other path is unreachable.
+      RouteSet want;
+      try {
+        want = reference_min_path(engine, a, b, loads);
+      } catch (const std::logic_error&) {
+        ++unreachable;
+        engine.route(0, 8, 1.0, LoadMap(loads.num_edges()), out);
+        EXPECT_THROW(engine.route(a, b, 1.0, loads, out), std::logic_error)
+            << where;
+        EXPECT_TRUE(out.paths.empty()) << where;
+        continue;
+      }
+      engine.route(a, b, 1.0, loads, out);
+      expect_bit_identical(out, want, where);
+      for (graph::EdgeId e : out.paths[0].path.edges) {
+        EXPECT_NE(e, inf_link) << where;
+        EXPECT_NE(e, nan_link) << where;
+      }
+    }
+  }
+  EXPECT_GT(unreachable, 0);
+}
+
+TEST(MinPathKernel, FirstParallelLinkWinsATie) {
+  // Two switches joined by two bidirectional links: with equal loads the
+  // first link in out-edge order wins, and a lighter second link wins.
+  topo::CustomTopology::Builder builder("parallel_pair");
+  const auto s0 = builder.add_switch();
+  const auto s1 = builder.add_switch();
+  builder.add_bidirectional_link(s0, s1);
+  builder.add_bidirectional_link(s0, s1);
+  builder.attach_core(s0);
+  builder.attach_core(s1);
+  const auto pair = builder.build();
+  const auto& g = pair->switch_graph();
+  std::vector<graph::EdgeId> forward;
+  for (graph::EdgeId e : g.out_edges(s0)) forward.push_back(e);
+  ASSERT_EQ(forward.size(), 2u);
+
+  RoutingEngine engine(*pair, RoutingKind::kMinPath);
+  LoadMap loads(g.num_edges());
+  RouteSet out;
+  expect_min_path_matches_reference(engine, 0, 1, 100.0, loads, out, "idle");
+  EXPECT_EQ(out.paths[0].path.edges,
+            std::vector<graph::EdgeId>{forward[0]});
+  loads.add(forward[0], 100.0);
+  loads.add(forward[1], 100.0);
+  expect_min_path_matches_reference(engine, 0, 1, 100.0, loads, out, "tied");
+  EXPECT_EQ(out.paths[0].path.edges,
+            std::vector<graph::EdgeId>{forward[0]});
+  loads.add(forward[0], 50.0);
+  expect_min_path_matches_reference(engine, 0, 1, 100.0, loads, out,
+                                    "first heavier");
+  EXPECT_EQ(out.paths[0].path.edges,
+            std::vector<graph::EdgeId>{forward[1]});
+}
+
+TEST(MinPathKernel, RewritesASplitAllRouteSet) {
+  // Min-path writes its one path over the caller's RouteSet in place: the
+  // extra paths of an earlier split-all route must not survive.
+  const auto mesh = topo::make_mesh_for(9);
+  RoutingEngine split_all(*mesh, RoutingKind::kSplitAll,
+                          split_options(16, 500.0));
+  RoutingEngine min_path(*mesh, RoutingKind::kMinPath);
+  LoadMap loads(mesh->switch_graph().num_edges());
+  RouteSet reused;
+  split_all.route(4, 0, 900.0, loads, reused);
+  ASSERT_GT(reused.paths.size(), 2u);
+  expect_min_path_matches_reference(min_path, 2, 6, 300.0, loads, reused,
+                                    "after a split-all route");
+  ASSERT_EQ(reused.paths.size(), 1u);
+  EXPECT_EQ(reused.paths[0].fraction, 1.0);
+}
+
+TEST(MinPathKernel, NegativeCostThrowsAndLeavesTheRouteSetEmpty) {
+  const auto mesh = topo::make_mesh_for(9);  // 3x3
+  RoutingEngine engine(*mesh, RoutingKind::kMinPath);
+  LoadMap loads(mesh->switch_graph().num_edges());
+  RouteSet out;
+  engine.route(0, 1, 100.0, loads, out);
+  ASSERT_EQ(out.paths.size(), 1u);
+  ASSERT_EQ(out.paths[0].path.edges.size(), 1u);
+  // Slot 0 -> 1 has one admitted link; a load below -1e9 makes its cost
+  // negative (LoadMap::add would assert on it, so write it directly).
+  const graph::EdgeId link = out.paths[0].path.edges[0];
+  const_cast<std::vector<double>&>(loads.values())[link] = -2e9;
+  EXPECT_THROW(engine.route(0, 1, 100.0, loads, out), std::invalid_argument);
+  EXPECT_TRUE(out.paths.empty());
+}
+
 class AllKindsAllTopologies
     : public ::testing::TestWithParam<std::tuple<RoutingKind, int>> {};
 
