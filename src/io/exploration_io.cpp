@@ -1,5 +1,7 @@
 #include "io/exploration_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -12,34 +14,48 @@
 
 namespace sunmap::io {
 
-namespace {
-
-/// Shortest round-trippable decimal rendering of a double.
-std::string number(double value) {
-  char buffer[40];
-  if (value == static_cast<double>(static_cast<long long>(value)) &&
-      std::abs(value) < 1e15) {
-    std::snprintf(buffer, sizeof(buffer), "%lld",
-                  static_cast<long long>(value));
-    return buffer;
+std::string report_number(double value) {
+  char buffer[32];
+  char* const last = buffer + sizeof(buffer);
+  // The range check comes first: the cast is undefined for non-finite
+  // values and for magnitudes at or above 2^63.
+  if (std::abs(value) < 1e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
+    return {buffer,
+            std::to_chars(buffer, last, static_cast<long long>(value)).ptr};
   }
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  double parsed = 0.0;
-  std::sscanf(buffer, "%lf", &parsed);
-  if (parsed == value) {
-    for (int precision = 1; precision < 17; ++precision) {
-      char shorter[40];
-      std::snprintf(shorter, sizeof(shorter), "%.*g", precision, value);
-      std::sscanf(shorter, "%lf", &parsed);
-      if (parsed == value) return shorter;
-    }
+  // Ryū's shortest scientific form has the fewest significant digits any
+  // decimal reading back as `value` can have, so no precision below its
+  // digit count reads back and the %.{p}g search starts there. The search
+  // itself stays: %.{p}g rounds to the nearest p-digit decimal, and at a
+  // power of two, where the gap below the value is half the gap above,
+  // that decimal can fall below the value's rounding interval while Ryū's
+  // digits sit above it. Non-finite values have no digits; from precision
+  // 1 on, an infinity reads back at once and NaN never does.
+  char* end =
+      std::to_chars(buffer, last, value, std::chars_format::scientific).ptr;
+  int shortest = 0;
+  for (const char* c = buffer; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++shortest;
   }
-  return buffer;
+  for (int precision = std::max(shortest, 1); precision < 17; ++precision) {
+    end = std::to_chars(buffer, last, value, std::chars_format::general,
+                        precision)
+              .ptr;
+    double parsed = 0.0;
+    std::from_chars(buffer, end, parsed);
+    if (parsed == value) return {buffer, end};
+  }
+  return {buffer,
+          std::to_chars(buffer, last, value, std::chars_format::general, 17)
+              .ptr};
 }
+
+namespace {
 
 /// JSON number, or null for non-finite values (RFC 8259 has no infinity).
 std::string json_number(double value) {
-  return std::isfinite(value) ? number(value) : "null";
+  return std::isfinite(value) ? report_number(value) : "null";
 }
 
 std::string json_string(const std::string& text) {
@@ -110,29 +126,29 @@ std::string exploration_report_csv(const select::ExplorationReport& report) {
           << fplan::to_string(config.floorplan.engine) << ","
           << config.floorplan.sizing_passes << ","
           << fault::describe(config.faults) << ","
-          << number(config.link_bandwidth_mbps) << ",";
+          << report_number(config.link_bandwidth_mbps) << ",";
       if (std::isfinite(config.max_area_mm2)) {
-        out << number(config.max_area_mm2);
+        out << report_number(config.max_area_mm2);
       }
       out << "," << csv_field(candidate.topology->name()) << ","
           << (eval.feasible() ? 1 : 0) << ","
           << (static_cast<int>(t) == result.selection.best_index ? 1 : 0)
-          << "," << number(eval.avg_switch_hops) << ","
-          << number(eval.avg_path_latency_ns) << ","
-          << number(eval.design_area_mm2) << ","
-          << number(eval.design_power_mw) << ","
-          << number(eval.dynamic_power_mw) << ","
-          << number(eval.static_power_mw) << ","
-          << number(eval.max_link_load_mbps) << "," << number(eval.cost)
+          << "," << report_number(eval.avg_switch_hops) << ","
+          << report_number(eval.avg_path_latency_ns) << ","
+          << report_number(eval.design_area_mm2) << ","
+          << report_number(eval.design_power_mw) << ","
+          << report_number(eval.dynamic_power_mw) << ","
+          << report_number(eval.static_power_mw) << ","
+          << report_number(eval.max_link_load_mbps) << "," << report_number(eval.cost)
           << "," << eval.fault_outcomes.size() << ","
-          << number(eval.worst_fault_cost) << ","
+          << report_number(eval.worst_fault_cost) << ","
           << eval.infeasible_fault_scenarios << ",";
       // Finalist-tier simulation columns: empty unless the simulator scored
       // this cell (--sim-finalists / ExplorationRequest::sim_finalists).
       if (candidate.sim.has_value()) {
-        out << number(candidate.sim->simulated_latency_cycles) << ","
-            << number(candidate.sim->analytical_latency_cycles) << ","
-            << number(candidate.sim->model_error()) << ","
+        out << report_number(candidate.sim->simulated_latency_cycles) << ","
+            << report_number(candidate.sim->analytical_latency_cycles) << ","
+            << report_number(candidate.sim->model_error()) << ","
             << sim::to_string(candidate.sim->stats.status) << ","
             << (sim_best.count({static_cast<int>(p), static_cast<int>(t)})
                     ? 1

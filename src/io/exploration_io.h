@@ -6,6 +6,15 @@
 
 namespace sunmap::io {
 
+/// The number format of both reports. Integers below 1e15 in magnitude
+/// print as integers ("0" for -0.0); every other value prints as the
+/// shortest printf("%.{p}g") that reads back as exactly `value`, or as
+/// "%.17g" when no p below 17 does. So 0.0001 is "0.0001",
+/// 1234567890120000 is "1.23456789012e+15", infinity is "inf" and NaN is
+/// "nan". exploration_report_json writes non-finite values as null
+/// instead.
+std::string report_number(double value);
+
 /// Flat CSV of a batched exploration, one row per (design point, topology)
 /// cell. Columns are stable and documented here rather than inferred, so
 /// the files are safe to consume programmatically:
@@ -16,7 +25,7 @@ namespace sunmap::io {
 /// design_area_mm2,design_power_mw,dynamic_power_mw,static_power_mw,
 /// min_bandwidth_mbps,cost,fault_scenarios,worst_fault_cost,
 /// fault_disconnected,sim_latency_cycles,sim_analytical_cycles,
-/// sim_model_error,sim_status
+/// sim_model_error,sim_status,sim_best
 ///
 /// `best` marks the point's selected topology; an unconstrained area cap is
 /// written as the empty field. `shard`/`worker` are the distributed-sweep
@@ -26,10 +35,12 @@ namespace sunmap::io {
 /// faults); `fault_scenarios` counts the materialised scenarios for that
 /// topology, `worst_fault_cost` is the worst degraded-scenario cost, and
 /// `fault_disconnected` counts scenarios that disconnected at least one
-/// commodity. The four sim_* columns carry the flit-level finalist tier's
+/// commodity. The five sim_* columns carry the flit-level finalist tier's
 /// verdict (simulated vs analytical delay in cycles, their relative error,
-/// and the run status); all four are empty for cells the simulator did not
-/// score — the tier is opt-in via --sim-finalists.
+/// the run status, and `sim_best`: 1 on the cells the --sim-rank re-rank
+/// crowned, 0 on every other scored cell); all five are empty for cells the
+/// simulator did not score — the tier is opt-in via --sim-finalists.
+/// Numbers are written by report_number().
 std::string exploration_report_csv(const select::ExplorationReport& report);
 
 /// Structured JSON of the same report: the design-point grid with per-

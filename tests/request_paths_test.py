@@ -128,6 +128,17 @@ class RequestPathsTest(unittest.TestCase):
         self.assertIn("Flit-level validation", runs[0][0])
         self.assertEqual(runs[0], runs[1])
 
+    def test_validation_without_a_feasible_candidate_is_one_line(self):
+        # No topology carries netproc16's min-path loads on 500 MB/s links,
+        # so the finalist tier has nothing to simulate.
+        result = self.cli("--app", "netproc16", "--routing", "MP",
+                          "--sim-validate")
+        self.assertEqual(result.returncode, 1, result.stderr)
+        self.assertIn("Flit-level validation: no feasible candidate to "
+                      "simulate.\n", result.stdout)
+        self.assertNotIn("analytical (cyc)", result.stdout)
+        self.assertIn("No feasible mapping", result.stdout)
+
     def test_daemon_rejects_unknown_and_repeated_keys_by_name(self):
         reply = self.raw_request("app=vopd\nbogus_key=1\n\n")
         self.assertTrue(reply.startswith("ERR "), reply)

@@ -644,20 +644,27 @@ int run(int argc, char** argv) {
     std::ranges::stable_sort(finalists, {}, [](const auto* candidate) {
       return candidate->result.eval.cost;
     });
-    util::Table sims({"topology", "analytical (cyc)", "simulated (cyc)",
-                      "model err", "status"});
-    for (const auto* candidate : finalists) {
-      const auto& score = *candidate->sim;
-      sims.add_row({candidate->topology->name(),
-                    util::Table::num(score.analytical_latency_cycles),
-                    util::Table::num(score.simulated_latency_cycles),
-                    util::Table::num(score.model_error() * 100.0, 1) + "%",
-                    sim::to_string(score.stats.status)});
+    if (finalists.empty()) {
+      // The tier simulates feasible cells only.
+      std::cout << "Flit-level validation: no feasible candidate to "
+                   "simulate.\n\n";
+    } else {
+      util::Table sims({"topology", "analytical (cyc)", "simulated (cyc)",
+                        "model err", "status"});
+      for (const auto* candidate : finalists) {
+        const auto& score = *candidate->sim;
+        sims.add_row({candidate->topology->name(),
+                      util::Table::num(score.analytical_latency_cycles),
+                      util::Table::num(score.simulated_latency_cycles),
+                      util::Table::num(score.model_error() * 100.0, 1) + "%",
+                      sim::to_string(score.stats.status)});
+      }
+      std::cout
+          << "Flit-level validation ("
+          << sim::to_string(mapping::sim_tier_options(config).config.engine)
+          << " engine):\n"
+          << sims.to_string() << "\n";
     }
-    std::cout << "Flit-level validation ("
-              << sim::to_string(mapping::sim_tier_options(config).config.engine)
-              << " engine):\n"
-              << sims.to_string() << "\n";
     if (request.sim_rank && report.sim_winners.front().found()) {
       const auto& winner = selection.candidates[static_cast<std::size_t>(
           report.sim_winners.front().topology_index)];
