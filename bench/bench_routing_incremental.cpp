@@ -1,41 +1,43 @@
-// Cross-PR routing perf probe: transactional incremental routing
-// (route::RoutingSession) vs the from-scratch canonical routing loop.
+// Cross-PR routing perf probe: the routing session (route::RoutingSession)
+// vs the canonical routing loop run inline, and the DeltaTxn evaluation
+// stack vs Mapper::evaluate.
 //
 // Two probes, both SA-shaped (speculative solve then commit|rollback, the
 // accept/reject traffic a simulated-annealing chain generates):
 //  * session probe — the routing machinery isolated: one persistent
-//    RoutingSession against an inline from-scratch rip-up-and-re-route loop,
-//    per-candidate two-slot swaps on vopd/mpeg4/synth48 under minimum-path
-//    and split-all routing. Every speculative solve is checked bit-for-bit
-//    (loads and every route) against a fresh full solve.
+//    RoutingSession against an inline rip-up-and-re-route loop, per-candidate
+//    two-slot swaps on vopd/mpeg4/synth48 under minimum-path and split-all
+//    routing. Every speculative solve is checked bit-for-bit (loads and
+//    every route) against that inline loop.
 //  * evaluation probe — the same walk through the full DeltaTxn evaluation
-//    stack with config.incremental_routing on vs off (informational: the
-//    evaluation also pays floorplanning and metrics, which are identical on
-//    both sides). Timing rounds run on freshly built contexts so the metric
-//    caches cannot turn the timed walk into a cache-hit replay.
+//    stack, checked step by step against Mapper::evaluate (routing,
+//    floorplan and faults from scratch). Its from_scratch_ms column times
+//    the same walk through Mapper::evaluate, which pays a from-scratch
+//    floorplan per candidate; it is informational and measures no part of
+//    the routing session. Timing rounds run on freshly built contexts so
+//    the metric caches cannot turn the timed walk into a cache-hit replay.
 //
-// Each app runs on two meshes:
-//  * its minimal mesh (every/nearly every slot occupied) — the regime where
-//    load-dependent kinds cascade: a swap shifts link loads, the loads break
-//    hop-count ties, and most min-paths flip, so provable reuse is capped
-//    near the canonical prefix. These legs gate bit-identity and report
-//    speedup informationally (the session is designed to cost little more
-//    than the plain loop here, not to win).
-//  * an exploration mesh (>= 4x the cores, the shape SUNMAP's topology
-//    selection sweeps mid-search) — most uniform slot swaps move only empty
-//    slots, the session's zero-dirty snapshot returns in O(edges), and the
-//    speedup is structural. The >=2x acceptance bar is gated on the
-//    exploration legs whose from-scratch routing work is macroscopic; the
-//    microsecond-scale minimum-path legs on 49-slot meshes are dominated by
-//    fixed per-solve costs on both sides and are reported informationally.
+// The session runs the whole loop whenever an endpoint moved and returns
+// its stored result when none did. So each leg's ratio is set by its share
+// of swaps that move no core: swaps of two empty slots.
+//  * On an app's minimal mesh (every/nearly every slot occupied) nearly
+//    every swap moves a core, and both sides run the same loop: these legs
+//    gate bit-identity and report speed informationally.
+//  * On an exploration mesh (>= 4x the cores) most uniform slot swaps move
+//    only empty slots, and the session returns its stored loads in
+//    O(edges). The >=2x acceptance bar is gated on the exploration legs
+//    whose routing work is macroscopic; the microsecond-scale minimum-path
+//    legs on 49-slot meshes are dominated by fixed per-solve costs on both
+//    sides and are reported informationally. The mapping searches never
+//    evaluate a swap of two empty slots (they skip it as a no-op), so the
+//    gated ratio measures the same-endpoint return, not search speed.
 //
 // `--json` writes BENCH_routing_incremental.json (bench/probe.h). Its
 // invariants: routing_bit_identical (every leg, both kinds, both probes)
 // and routing_incremental_2x (time-weighted aggregate session speedup over
 // the gated exploration legs >= 2x for minimum-path AND for split-all); the
-// binary exits nonzero when either fails. Only the incremental legs are
-// sub-benchmarks: the from-scratch legs are the deliberately slow
-// reference path.
+// binary exits nonzero when either fails. Only the session and DeltaTxn
+// legs are sub-benchmarks: the from-scratch legs are the reference path.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
@@ -138,8 +140,7 @@ struct ProbeRow {
   double incremental_ms = 0.0;
   bool bit_identical = false;
   bool gated_2x = false;
-  double reuse_rate = 0.0;     ///< reused / (reused + rerouted)
-  double snapshot_rate = 0.0;  ///< zero-dirty O(1) solves / solves
+  double snapshot_rate = 0.0;  ///< same-endpoint returns / solves
 
   [[nodiscard]] double speedup() const {
     return incremental_ms > 0.0 ? from_scratch_ms / incremental_ms : 0.0;
@@ -164,8 +165,9 @@ struct SwapSequence {
 
 // ---- Session probe: the routing machinery isolated. ----------------------
 
-/// The from-scratch competitor: the canonical routing trace (decreasing-
-/// value pass then rip-up rounds) inlined, no session, no reuse.
+/// The from-scratch competitor and the session's oracle: the canonical
+/// routing loop (decreasing-value pass then rip-up rounds) inlined, no
+/// session, no stored result.
 void reference_route_all(const route::RoutingEngine& engine,
                          const std::vector<mapping::Commodity>& commodities,
                          const std::vector<route::CommodityEndpoints>& ends,
@@ -240,14 +242,16 @@ ProbeRow run_session_probe(const Leg& leg) {
   row.key = leg.key;
   row.gated_2x = leg.gated_2x;
 
-  // Correctness pass (untimed): every speculative solve must match a fresh
-  // full solve of the same assignment — loads and every route, bitwise.
+  // Correctness pass (untimed): every speculative solve must match the
+  // inline loop on the same assignment — loads and every route, bitwise.
   {
     auto core_to_slot = initial_mapping();
     auto slot_to_core = inverse_of(core_to_slot);
     route::RoutingSession session;
     session.reset(demands, reroute_passes);
     route::LoadMap loads(num_edges);
+    route::LoadMap expected(num_edges);
+    std::vector<route::RouteSet> expected_routes;
     session.solve(engine, endpoints_of(core_to_slot), loads,
                   /*speculative=*/false);
     SwapSequence sequence(num_slots);
@@ -259,18 +263,12 @@ ProbeRow run_session_probe(const Leg& leg) {
       const auto ends = endpoints_of(core_to_slot);
       session.solve(engine, ends, loads, /*speculative=*/true);
 
-      route::RoutingSession fresh;
-      fresh.reset(demands, reroute_passes);
-      route::LoadMap expected(num_edges);
-      fresh.solve(engine, ends, expected, /*speculative=*/false);
-      for (int e = 0; e < num_edges; ++e) {
-        if (loads.values()[static_cast<std::size_t>(e)] !=
-            expected.values()[static_cast<std::size_t>(e)]) {
-          row.bit_identical = false;
-        }
-      }
+      reference_route_all(engine, commodities, ends, expected, expected_routes,
+                          reroute_passes);
+      if (loads.values() != expected.values()) row.bit_identical = false;
       for (int k = 0; k < session.num_commodities(); ++k) {
-        if (!route::same_routes(session.route(k), fresh.route(k))) {
+        if (!route::same_routes(session.route(k),
+                                expected_routes[static_cast<std::size_t>(k)])) {
           row.bit_identical = false;
         }
       }
@@ -282,9 +280,6 @@ ProbeRow run_session_probe(const Leg& leg) {
       }
     }
     const auto& stats = session.stats();
-    const double total = static_cast<double>(stats.reused + stats.rerouted);
-    row.reuse_rate =
-        total > 0.0 ? static_cast<double>(stats.reused) / total : 0.0;
     row.snapshot_rate =
         stats.solves > 0 ? static_cast<double>(stats.snapshot_solves) /
                                static_cast<double>(stats.solves)
@@ -357,15 +352,13 @@ ProbeRow run_session_probe(const Leg& leg) {
   return row;
 }
 
-// ---- Evaluation probe: the full DeltaTxn stack, routing session on/off. --
+// ---- Evaluation probe: the full DeltaTxn stack vs Mapper::evaluate. -----
 
 ProbeRow run_eval_probe(const Leg& leg) {
   const topo::Topology& topology = *leg.topology;
   mapping::MapperConfig config;
   config.routing = leg.kind;
   const mapping::Mapper mapper(config);
-  auto reference_config = config;
-  reference_config.incremental_routing = false;
 
   const int num_slots = topology.num_slots();
   const auto initial_mapping = [&] {
@@ -385,11 +378,11 @@ ProbeRow run_eval_probe(const Leg& leg) {
     return slot_to_core;
   };
 
-  // One walk over one context; returns the cost stream's sum so the two
-  // sides can be compared (and the work cannot be optimized away).
-  const auto drive = [&](const mapping::EvalContext& context,
-                         const mapping::EvalContext* reference,
-                         ProbeRow* check_row) {
+  // The walk through a context's DeltaTxn; returns the cost stream's sum so
+  // the work cannot be optimized away. With `bit_identical`, every step is
+  // checked against Mapper::evaluate of the same mapping.
+  const auto drive_context = [&](const mapping::EvalContext& context,
+                                 bool* bit_identical) {
     auto mapping = initial_mapping();
     auto inverse = inverse_of(mapping);
     mapping::EvalScratch scratch;
@@ -402,21 +395,38 @@ ProbeRow run_eval_probe(const Leg& leg) {
       txn.begin_swap(a, b);
       const auto eval = txn.evaluate(/*materialize=*/false);
       cost_sum += eval.cost;
-      if (reference != nullptr && check_row->bit_identical) {
-        mapping::EvalScratch fresh;
-        const auto expected =
-            reference->evaluate(mapping, fresh, /*materialize=*/false);
+      if (bit_identical != nullptr && *bit_identical) {
+        const auto expected = mapper.evaluate(*leg.app, topology, mapping);
         if (eval.cost != expected.cost ||
             eval.max_link_load_mbps != expected.max_link_load_mbps ||
             eval.design_power_mw != expected.design_power_mw ||
-            eval.avg_switch_hops != expected.avg_switch_hops) {
-          check_row->bit_identical = false;
+            eval.design_area_mm2 != expected.design_area_mm2 ||
+            eval.avg_switch_hops != expected.avg_switch_hops ||
+            eval.avg_path_latency_ns != expected.avg_path_latency_ns) {
+          *bit_identical = false;
         }
       }
       if (accept_prng.chance(0.5)) {
         txn.commit();
       } else {
         txn.rollback();
+      }
+    }
+    return cost_sum;
+  };
+  // The same walk through Mapper::evaluate.
+  const auto drive_mapper = [&] {
+    auto mapping = initial_mapping();
+    auto inverse = inverse_of(mapping);
+    SwapSequence sequence(num_slots);
+    util::Prng accept_prng(99);
+    double cost_sum = 0.0;
+    for (int step = 0; step < leg.steps; ++step) {
+      const auto [a, b] = sequence.next();
+      mapping::apply_slot_swap(a, b, mapping, inverse);
+      cost_sum += mapper.evaluate(*leg.app, topology, mapping).cost;
+      if (!accept_prng.chance(0.5)) {
+        mapping::apply_slot_swap(a, b, mapping, inverse);
       }
     }
     return cost_sum;
@@ -428,9 +438,7 @@ ProbeRow run_eval_probe(const Leg& leg) {
   {
     const mapping::EvalContext ctx(*leg.app, topology, config,
                                    mapper.library());
-    const mapping::EvalContext reference(*leg.app, topology, reference_config,
-                                        mapper.library());
-    (void)drive(ctx, &reference, &row);
+    (void)drive_context(ctx, &row.bit_identical);
   }
 
   // Timing rounds on freshly built contexts: a context reused across rounds
@@ -440,10 +448,8 @@ ProbeRow run_eval_probe(const Leg& leg) {
   row.incremental_ms = std::numeric_limits<double>::infinity();
   for (int round = 0; round < kTimingRounds; ++round) {
     {
-      const mapping::EvalContext fresh_reference(
-          *leg.app, topology, reference_config, mapper.library());
       const auto t0 = std::chrono::steady_clock::now();
-      const double blackhole = drive(fresh_reference, nullptr, nullptr);
+      const double blackhole = drive_mapper();
       const auto t1 = std::chrono::steady_clock::now();
       benchmark::DoNotOptimize(blackhole);
       row.from_scratch_ms = std::min(
@@ -451,10 +457,10 @@ ProbeRow run_eval_probe(const Leg& leg) {
           std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
     {
-      const mapping::EvalContext fresh_incremental(*leg.app, topology, config,
-                                                   mapper.library());
+      const mapping::EvalContext fresh(*leg.app, topology, config,
+                                       mapper.library());
       const auto t0 = std::chrono::steady_clock::now();
-      const double blackhole = drive(fresh_incremental, nullptr, nullptr);
+      const double blackhole = drive_context(fresh, nullptr);
       const auto t1 = std::chrono::steady_clock::now();
       benchmark::DoNotOptimize(blackhole);
       row.incremental_ms = std::min(
@@ -521,7 +527,7 @@ int main(int argc, char** argv) {
       "canonical loop (bit-identical by contract)");
   std::vector<ProbeRow> session_rows;
   util::Table table({"leg", "from-scratch ms", "session ms", "speedup",
-                     "reuse", "snap", "gated", "bit-identical"});
+                     "snap", "gated", "bit-identical"});
   bool all_identical = true;
   double mp_scratch = 0.0, mp_incremental = 0.0;
   double sa_scratch = 0.0, sa_incremental = 0.0;
@@ -540,7 +546,6 @@ int main(int argc, char** argv) {
     table.add_row({row.key, util::Table::num(row.from_scratch_ms, 1),
                    util::Table::num(row.incremental_ms, 1),
                    util::Table::num(row.speedup(), 2) + "x",
-                   util::Table::num(100.0 * row.reuse_rate, 0) + "%",
                    util::Table::num(100.0 * row.snapshot_rate, 0) + "%",
                    row.gated_2x ? "2x" : "-",
                    row.bit_identical ? "yes" : "NO"});
@@ -555,11 +560,11 @@ int main(int argc, char** argv) {
               table.to_string().c_str(), mp_speedup, sa_speedup);
 
   bench::print_heading(
-      "Evaluation probe: DeltaTxn walk with incremental routing on vs off "
-      "(informational timing; identity gated)");
+      "Evaluation probe: DeltaTxn walk vs the same walk through "
+      "Mapper::evaluate (informational timing; identity gated)");
   std::vector<ProbeRow> eval_rows;
-  util::Table eval_table({"leg", "reference ms", "incremental ms", "speedup",
-                          "bit-identical"});
+  util::Table eval_table({"leg", "Mapper::evaluate ms", "DeltaTxn ms",
+                          "speedup", "bit-identical"});
   for (const auto& leg : make_eval_legs(workloads)) {
     auto row = run_eval_probe(leg);
     all_identical = all_identical && row.bit_identical;

@@ -1,8 +1,9 @@
 #include "io/csv.h"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+
+#include "io/exploration_io.h"
 
 namespace sunmap::io {
 
@@ -18,20 +19,24 @@ std::string csv_field(const std::string& text) {
 }
 
 std::string selection_report_csv(const select::SelectionReport& report) {
-  std::ostringstream out;
-  out << "topology,feasible,avg_hops,avg_latency_ns,design_area_mm2,"
-         "design_power_mw,dynamic_power_mw,static_power_mw,"
-         "min_bandwidth_mbps,cost\n";
+  std::string out =
+      "topology,feasible,avg_hops,avg_latency_ns,design_area_mm2,"
+      "design_power_mw,dynamic_power_mw,static_power_mw,"
+      "min_bandwidth_mbps,cost\n";
   for (const auto& candidate : report.candidates) {
     const auto& eval = candidate.result.eval;
-    out << csv_field(candidate.topology->name()) << ","
-        << (eval.feasible() ? 1 : 0) << "," << eval.avg_switch_hops << ","
-        << eval.avg_path_latency_ns << "," << eval.design_area_mm2 << ","
-        << eval.design_power_mw << "," << eval.dynamic_power_mw << ","
-        << eval.static_power_mw << "," << eval.max_link_load_mbps << ","
-        << eval.cost << "\n";
+    out += csv_field(candidate.topology->name());
+    out += eval.feasible() ? ",1" : ",0";
+    for (const double value :
+         {eval.avg_switch_hops, eval.avg_path_latency_ns, eval.design_area_mm2,
+          eval.design_power_mw, eval.dynamic_power_mw, eval.static_power_mw,
+          eval.max_link_load_mbps, eval.cost}) {
+      out += ',';
+      out += report_number(value);
+    }
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 void write_file(const std::string& path, const std::string& content) {

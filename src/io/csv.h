@@ -12,6 +12,9 @@ namespace sunmap::io {
 
 /// topology,feasible,avg_hops,avg_latency_ns,design_area_mm2,
 /// design_power_mw,dynamic_power_mw,static_power_mw,min_bandwidth_mbps,cost
+///
+/// Numbers are written by report_number(), so each reads back as exactly
+/// the evaluated double.
 std::string selection_report_csv(const select::SelectionReport& report);
 
 /// Quotes a CSV field when needed (commas, quotes, or newlines inside),

@@ -38,25 +38,16 @@ DeltaTxn::~DeltaTxn() {
 }
 
 void DeltaTxn::begin_swap(int slot_a, int slot_b) {
-  begin_moves({{slot_a, slot_b}});
-}
-
-void DeltaTxn::begin_moves(const std::vector<SlotMove>& moves) {
   if (open_) {
     throw std::logic_error(
-        "DeltaTxn::begin_moves: previous speculation not settled");
+        "DeltaTxn::begin_swap: previous speculation not settled");
   }
-  if (moves.empty()) {
-    throw std::invalid_argument("DeltaTxn::begin_moves: empty move batch");
-  }
-  for (const auto& [a, b] : moves) {
-    apply_slot_swap(a, b, core_to_slot_, slot_to_core_);
-  }
-  moves_ = moves;
+  apply_slot_swap(slot_a, slot_b, core_to_slot_, slot_to_core_);
+  slot_a_ = slot_a;
+  slot_b_ = slot_b;
   open_ = true;
   scratch_.txn_depth = 1;
   scratch_.txn_session_pushes = 0;
-  scratch_.txn_route_pushes = 0;
   scratch_.txn_key_undo.clear();
 }
 
@@ -73,12 +64,9 @@ void DeltaTxn::commit() {
   if (scratch_.txn_session_pushes > 0) {
     scratch_.fplan_session->commit_shapes();
   }
-  if (scratch_.txn_route_pushes > 0) {
-    scratch_.routing_session->commit();
-  }
+  if (scratch_.routing_session) scratch_.routing_session->commit();
   scratch_.txn_depth = 0;
   scratch_.txn_session_pushes = 0;
-  scratch_.txn_route_pushes = 0;
   scratch_.txn_key_undo.clear();
   open_ = false;
 }
@@ -87,14 +75,13 @@ void DeltaTxn::rollback() {
   if (!open_) {
     throw std::logic_error("DeltaTxn::rollback: no open speculation");
   }
-  // Each exchange is self-inverse, so reverse-applying the batch restores
-  // the mapping; the session key entries are restored in reverse journal
-  // order (a slot touched by several speculative floorplan misses lands
-  // back on its pre-speculation class); both sessions' frames pop
-  // newest-first by construction.
-  for (auto it = moves_.rbegin(); it != moves_.rend(); ++it) {
-    apply_slot_swap(it->first, it->second, core_to_slot_, slot_to_core_);
-  }
+  // The exchange is self-inverse, so applying it again restores the
+  // mapping; the session key entries are restored in reverse journal order
+  // (a slot touched by several speculative floorplan misses lands back on
+  // its pre-speculation class); both sessions' frames pop newest-first by
+  // construction. Every open routing frame is this speculation's, including
+  // one a throwing solve left open.
+  apply_slot_swap(slot_a_, slot_b_, core_to_slot_, slot_to_core_);
   for (auto it = scratch_.txn_key_undo.rbegin();
        it != scratch_.txn_key_undo.rend(); ++it) {
     scratch_.fplan_session_key[static_cast<std::size_t>(it->first)] =
@@ -103,12 +90,12 @@ void DeltaTxn::rollback() {
   for (int i = 0; i < scratch_.txn_session_pushes; ++i) {
     scratch_.fplan_session->pop_shapes();
   }
-  for (int i = 0; i < scratch_.txn_route_pushes; ++i) {
+  while (scratch_.routing_session &&
+         scratch_.routing_session->open_frames() > 0) {
     scratch_.routing_session->pop();
   }
   scratch_.txn_depth = 0;
   scratch_.txn_session_pushes = 0;
-  scratch_.txn_route_pushes = 0;
   scratch_.txn_key_undo.clear();
   open_ = false;
 }

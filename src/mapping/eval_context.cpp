@@ -139,8 +139,8 @@ void EvalContext::bind(const MapperConfig& config,
     floorplan_cache_.clear();
   }
   if (evaluation_class_changed) {
-    // Scratch routing sessions hold a replay trace of the old evaluation
-    // class; moving the epoch makes every scratch rebuild on next use.
+    // Scratch routing sessions hold routes of the old evaluation class;
+    // moving the epoch makes every scratch rebuild on next use.
     ++routing_epoch_;
     std::unique_lock<std::shared_mutex> lock(cache_mutex_);
     metrics_cache_.clear();
@@ -160,8 +160,6 @@ void EvalContext::bind(const MapperConfig& config,
 
   static_routing_ = config_.routing == route::RoutingKind::kDimensionOrdered ||
                     config_.routing == route::RoutingKind::kSplitMin;
-  adaptive_routing_ = config_.routing == route::RoutingKind::kMinPath ||
-                      config_.routing == route::RoutingKind::kSplitAll;
 
   if (faults_changed) build_fault_tables();
 
@@ -403,13 +401,11 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
       scratch.loads.add_route(routes, commodity.value_mbps);
       scratch.route_refs[k] = &routes;
     }
-  } else if (config_.incremental_routing) {
-    // Session path: replay the canonical routing trace against the previous
-    // solve's routes, re-running only the Dijkstras whose inputs could have
-    // changed (bit-identical to the inline loop below — see
-    // route::RoutingSession). Under an open DeltaTxn the solve is
-    // speculative: displaced routes are journaled in a session frame that
-    // rollback pops verbatim.
+  } else {
+    // MP / split-all: the scratch's routing session runs the canonical loop
+    // (or returns its stored result when no endpoint moved). Under an open
+    // DeltaTxn the solve is speculative: the displaced state waits in a
+    // session frame that rollback pops.
     route::RoutingSession& session = routing_session_for(scratch);
     scratch.commodity_endpoints.resize(num_commodities);
     for (std::size_t k = 0; k < num_commodities; ++k) {
@@ -418,43 +414,10 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
           core_to_slot[static_cast<std::size_t>(commodity.src_core)],
           core_to_slot[static_cast<std::size_t>(commodity.dst_core)]};
     }
-    const bool speculative = scratch.txn_depth > 0;
     session.solve(*engine_, scratch.commodity_endpoints, scratch.loads,
-                  speculative);
-    if (speculative) ++scratch.txn_route_pushes;
+                  /*speculative=*/scratch.txn_depth > 0);
     for (std::size_t k = 0; k < num_commodities; ++k) {
       scratch.route_refs[k] = &session.route(static_cast<int>(k));
-    }
-  } else {
-    // Reference path: the from-scratch canonical loop the session must
-    // reproduce bit-for-bit (kept selectable so the routing bench invariant
-    // and the session equivalence tests can measure one against the other).
-    scratch.routes.resize(num_commodities);
-    for (std::size_t k = 0; k < num_commodities; ++k) {
-      const auto& commodity = commodities_[k];
-      const int src_slot =
-          core_to_slot[static_cast<std::size_t>(commodity.src_core)];
-      const int dst_slot =
-          core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
-      engine_->route(src_slot, dst_slot, commodity.value_mbps, scratch.loads,
-                     scratch.routes[k]);
-      scratch.loads.add_route(scratch.routes[k], commodity.value_mbps);
-      scratch.route_refs[k] = &scratch.routes[k];
-    }
-    if (adaptive_routing_) {
-      for (int pass = 0; pass < config_.reroute_passes; ++pass) {
-        for (std::size_t k = 0; k < num_commodities; ++k) {
-          const auto& commodity = commodities_[k];
-          const int src_slot =
-              core_to_slot[static_cast<std::size_t>(commodity.src_core)];
-          const int dst_slot =
-              core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
-          scratch.loads.remove_route(scratch.routes[k], commodity.value_mbps);
-          engine_->route(src_slot, dst_slot, commodity.value_mbps,
-                         scratch.loads, scratch.routes[k]);
-          scratch.loads.add_route(scratch.routes[k], commodity.value_mbps);
-        }
-      }
     }
   }
 
@@ -918,9 +881,10 @@ fplan::FloorplanSession& EvalContext::session_for(EvalScratch& scratch) const {
 route::RoutingSession& EvalContext::routing_session_for(
     EvalScratch& scratch) const {
   // Same id/epoch discipline as session_for: a scratch recycled across
-  // contexts or across an evaluation-class rebind holds a trace of different
-  // routes, so it is rebound rather than trusted. The commodity-count guard
-  // is the structural backstop for id collisions.
+  // contexts or across an evaluation-class rebind holds different routes,
+  // and the session would return them for an unmoved mapping, so it is
+  // rebound rather than trusted. The commodity-count and pass guards are
+  // the structural backstop for id collisions.
   if (scratch.routing_session == nullptr ||
       scratch.routing_session_context != context_id_ ||
       scratch.routing_session_epoch != routing_epoch_ ||
@@ -938,7 +902,6 @@ route::RoutingSession& EvalContext::routing_session_for(
     scratch.routing_session->reset(std::move(demands), config_.reroute_passes);
     scratch.routing_session_context = context_id_;
     scratch.routing_session_epoch = routing_epoch_;
-    scratch.txn_route_pushes = 0;
   }
   return *scratch.routing_session;
 }

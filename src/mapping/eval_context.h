@@ -25,11 +25,9 @@ namespace sunmap::mapping {
 struct EvalScratch {
   std::vector<int> slot_to_core;
   route::LoadMap loads{0};
-  /// Per-commodity routes computed by the adaptive routing functions; the
-  /// deterministic functions point into the context's static route cache
-  /// instead.
-  std::vector<route::RouteSet> routes;
-  /// Per-commodity route reference, aligned with EvalContext::commodities().
+  /// Per-commodity route reference, aligned with EvalContext::commodities():
+  /// into the context's static route table (DO / SM) or the routing
+  /// session's routes (MP / split-all).
   std::vector<const route::RouteSet*> route_refs;
   std::vector<std::optional<fplan::BlockShape>> core_shapes;
   /// Block centres extracted from the candidate floorplan, indexed by SlotId
@@ -98,12 +96,14 @@ struct EvalScratch {
   /// cap) — floorplan_for_mapping returns references, never copies.
   fplan::Floorplan fplan_result;
 
-  /// This thread's incremental routing session (MP / split-all only; the
-  /// static kinds keep reading the context's route tables). Owned by the
-  /// scratch for the same reason as fplan_session: two threads must never
-  /// share solver state. The context rebuilds it when the scratch
-  /// meets a different context or a rebind() changed the evaluation class
-  /// (anything that alters routes invalidates the session's cached trace).
+  /// This thread's routing session (MP / split-all only; the static kinds
+  /// keep reading the context's route tables): it runs the canonical
+  /// routing loop and keeps the last result, which it returns when no
+  /// endpoint moved. Owned by the scratch for the same reason as
+  /// fplan_session: two threads must never share solver state. The context
+  /// rebuilds it when the scratch meets a different context or a rebind()
+  /// changed the evaluation class (anything that alters routes invalidates
+  /// the stored result).
   std::unique_ptr<route::RoutingSession> routing_session;
   std::uint64_t routing_session_context = 0;  ///< EvalContext id it belongs to.
   std::uint64_t routing_session_epoch = 0;    ///< Routing epoch it was built at.
@@ -117,12 +117,11 @@ struct EvalScratch {
   /// displaced fplan_session_key entries below, so DeltaTxn::rollback() can
   /// restore both without re-deriving anything.
   int txn_depth = 0;
-  /// Speculative session frames opened since begin_moves() (rollback pops
-  /// exactly this many).
+  /// Speculative floorplan-session frames opened since begin_swap()
+  /// (rollback pops exactly this many). The routing session's frames need
+  /// no count: only a speculation opens them, so rollback pops every open
+  /// one.
   int txn_session_pushes = 0;
-  /// Speculative routing-session frames opened since begin_moves()
-  /// (rollback pops exactly this many; commit folds them).
-  int txn_route_pushes = 0;
   /// (slot, displaced shape class) journal of fplan_session_key changes.
   std::vector<std::pair<int, std::uint16_t>> txn_key_undo;
 
@@ -409,8 +408,8 @@ class EvalContext {
   /// point: scratch sessions from older epochs are stale and are rebuilt.
   std::uint64_t session_epoch_ = 0;
   /// Bumped whenever a bind changes the evaluation class (anything that
-  /// alters routes): scratch routing sessions from older epochs hold a
-  /// trace of a different routing configuration and are rebuilt.
+  /// alters routes): scratch routing sessions from older epochs hold routes
+  /// of a different routing configuration and are rebuilt.
   std::uint64_t routing_epoch_ = 0;
   std::vector<Commodity> commodities_;
   double total_value_ = 0.0;
@@ -434,7 +433,6 @@ class EvalContext {
   std::optional<route::RoutingEngine> engine_;
   const std::vector<route::RouteSet>* static_routes_ = nullptr;
   bool static_routing_ = false;
-  bool adaptive_routing_ = false;
 
   /// Fault state, rebuilt by bind() when the configuration's FaultSet moved:
   /// the scenarios materialized against this topology, their aliveness

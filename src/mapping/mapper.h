@@ -145,18 +145,6 @@ struct MapperConfig {
   /// walk's order, so results are bit-identical.
   bool incremental_fault_eval = true;
 
-  /// Master switch for incremental adaptive routing (MP / split-all): with
-  /// it on (the default), evaluations solve through the scratch's
-  /// persistent route::RoutingSession, which replays the canonical routing
-  /// trace and re-runs only the Dijkstras whose inputs could have changed —
-  /// and journals displaced routes in push/pop frames under the search's
-  /// DeltaTxn protocol. Off makes every evaluation pay the from-scratch
-  /// loop. Results are bit-identical either way (the session contract); the
-  /// off position is the reference the routing_bit_identical and
-  /// routing_incremental_2x bench invariants measure against. The static
-  /// kinds (DO / SM) read precomputed route tables and ignore this switch.
-  bool incremental_routing = true;
-
   /// Sub-flows for split-across-all-paths routing.
   static constexpr int split_chunks = 16;
 
@@ -338,7 +326,9 @@ class Mapper {
   /// Evaluates a fixed mapping (Fig 5 steps 2-8 only), from scratch with no
   /// caching. Exposed for tests, Pareto sweeps, and user-supplied
   /// placements; also the reference implementation the cached
-  /// EvalContext::evaluate() path is regression-tested against.
+  /// EvalContext::evaluate() path is regression-tested against, and the
+  /// independent oracle of its routing session: it runs the adaptive
+  /// routing loop inline, on fresh routes and loads.
   [[nodiscard]] Evaluation evaluate(const CoreGraph& app,
                                     const topo::Topology& topology,
                                     const std::vector<int>& core_to_slot) const;

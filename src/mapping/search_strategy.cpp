@@ -45,11 +45,11 @@ struct ChainOutcome {
 /// chain itself cannot be bound-pruned (even a worse candidate may be
 /// accepted, and its exact cost feeds the Metropolis criterion), so the
 /// speedup comes from the cached evaluation path and the transactional
-/// floorplan/routing deltas. Every candidate runs as one DeltaTxn
-/// speculation: commit keeps the move, rollback restores the mapping AND
-/// both incremental sessions to the incumbent in O(dirty) — so both
-/// accepted and rejected iterations re-solve from a few-slot delta, never
-/// from the wreckage of a rejected candidate. The best *feasible-ranked*
+/// floorplan deltas. Every candidate runs as one DeltaTxn speculation:
+/// commit keeps the move, rollback restores the mapping AND both sessions
+/// to the incumbent (the floorplan session in O(dirty)) — so both accepted
+/// and rejected iterations re-solve from a few-slot delta, never from the
+/// wreckage of a rejected candidate. The best *feasible-ranked*
 /// mapping seen (under better_than) is what the chain returns.
 ///
 /// With config.annealing_reheats > 0 the chain is split into equal segments

@@ -23,13 +23,12 @@ struct EvalScratch;
 /// candidates, over its threads.
 ///
 /// Candidate speculation goes through the shared transactional protocol
-/// (mapping::DeltaTxn, delta_txn.h): begin_moves (or the begin_swap sugar)
-/// -> prunable/evaluate -> commit | rollback. The transaction keeps the
-/// mapping arrays, the scratch's incremental floorplan and routing
-/// sessions, and the memo caches in lock step, so a strategy that opts in
-/// gets incremental floorplan and routing re-solves on both accepted and
-/// rejected candidates for free — see the DeltaTxn docs for how a new
-/// strategy adopts it.
+/// (mapping::DeltaTxn, delta_txn.h): begin_swap -> prunable/evaluate ->
+/// commit | rollback. The transaction keeps the mapping arrays, the
+/// scratch's floorplan and routing sessions, and the memo caches in lock
+/// step, so a strategy that opts in gets incremental floorplan re-solves on
+/// both accepted and rejected candidates for free — see the DeltaTxn docs
+/// for how a new strategy adopts it.
 class SearchStrategy {
  public:
   virtual ~SearchStrategy() = default;

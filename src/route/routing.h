@@ -91,9 +91,9 @@ class LoadMap {
   /// before the matching add_route, the round trip restores exact zero
   /// (0 + v = v and v - v = 0 are both exact); over a nonzero background
   /// load the cancellation can drift by an ulp per cycle, which is why
-  /// consumers that need bit-identical loads (the routing session, the
-  /// reference re-route loop) always rebuild from a cleared map by replaying
-  /// the same add/remove sequence rather than round-tripping in place.
+  /// consumers that need bit-identical loads (the routing session,
+  /// Mapper::evaluate) always rebuild from a cleared map by replaying the
+  /// same add/remove sequence rather than round-tripping in place.
   void remove_route(const RouteSet& routes, double demand);
 
   [[nodiscard]] double load(graph::EdgeId e) const {
@@ -177,9 +177,8 @@ class RoutingEngine {
   [[nodiscard]] int split_chunks() const { return options_.split_chunks; }
 
   /// The switch admission mask minimum-path routing would use for this slot
-  /// pair (the attached table or the topology's memoized cache) — exposed so
-  /// the routing session can reason about which link-load changes are
-  /// visible to a commodity's Dijkstra.
+  /// pair (the attached table or the topology's memoized cache). The MP
+  /// kernel reads it, and so does routing_test's reference search.
   [[nodiscard]] const char* min_path_admission(topo::SlotId src,
                                                topo::SlotId dst) const {
     return options_.quadrant_table != nullptr

@@ -1,166 +1,17 @@
 #include "route/routing_session.h"
 
-#include <algorithm>
-#include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace sunmap::route {
 
 void RoutingSession::reset(std::vector<double> demands, int reroute_passes) {
   demands_ = std::move(demands);
   passes_ = reroute_passes;
-  valid_ = false;
-  const std::size_t n = demands_.size();
-  key_.assign(n, CommodityEndpoints{});
-  pass_routes_.assign(static_cast<std::size_t>(passes_ + 1) * n, RouteSet{});
-  dirty_.assign(n, 0);
-  cached_loads_ = LoadMap(0);
-  unequal_.clear();
-  unequal_edges_.clear();
-  unequal_count_ = 0;
-  cached_ptr_.clear();
-  unequal_tiles_ = 0;
-  all_tiles_ = 0;
-  edge_tile_.clear();
-  saturated_ = false;
-  quad_tiles_.clear();
-  quad_tiles_ready_.clear();
-  quad_slots_ = 0;
-  final_loads_ = LoadMap(0);
-  final_snapshot_ = false;
-  replay_stash_.clear();
-  stash_used_ = 0;
-  for (auto& frame : frames_) frame.reset();
+  state_.valid = false;
+  state_.endpoints.clear();
+  state_.routes.assign(demands_.size(), RouteSet{});
   frame_depth_ = 0;
-}
-
-namespace {
-
-/// 64-bucket hash of a switch id; locality-preserving for row-major meshes.
-inline std::uint64_t tile_bit(graph::NodeId node, int num_switches) {
-  const int tile = static_cast<int>(
-      static_cast<std::int64_t>(node) * 64 / num_switches);
-  return std::uint64_t{1} << tile;
-}
-
-}  // namespace
-
-void RoutingSession::refresh_equality(const LoadMap& live,
-                                      const RouteSet& routes) {
-  const std::vector<double>& a = live.values();
-  const std::vector<double>& b = cached_loads_.values();
-  for (const auto& wp : routes.paths) {
-    for (graph::EdgeId e : wp.path.edges) {
-      const std::size_t i = static_cast<std::size_t>(e);
-      // Numeric (not bitwise) comparison: +0.0 and -0.0 can legitimately
-      // differ between the two replays, and no downstream comparison or
-      // accumulation distinguishes them.
-      const bool equal = a[i] == b[i];
-      char& flag = unequal_[i];
-      if (!equal && flag == 0) {
-        flag = 1;
-        unequal_edges_.push_back(e);
-        unequal_tiles_ |= edge_tile_[i];
-        ++unequal_count_;
-      } else if (equal && flag != 0) {
-        flag = 0;
-        --unequal_count_;  // tiles stay set (conservative) until count hits 0
-      }
-    }
-  }
-}
-
-std::uint64_t RoutingSession::quadrant_tiles(const RoutingEngine& engine,
-                                             const CommodityEndpoints& key) {
-  const int slots = engine.topology().num_slots();
-  if (quad_slots_ != slots) {
-    quad_slots_ = slots;
-    const std::size_t pairs =
-        static_cast<std::size_t>(slots) * static_cast<std::size_t>(slots);
-    quad_tiles_.assign(pairs, 0);
-    quad_tiles_ready_.assign(pairs, 0);
-  }
-  const std::size_t idx = static_cast<std::size_t>(key.src) *
-                              static_cast<std::size_t>(slots) +
-                          static_cast<std::size_t>(key.dst);
-  if (quad_tiles_ready_[idx] == 0) {
-    const char* admitted = engine.min_path_admission(key.src, key.dst);
-    const int num_switches = engine.topology().switch_graph().num_nodes();
-    std::uint64_t mask = 0;
-    for (int node = 0; node < num_switches; ++node) {
-      if (admitted[static_cast<std::size_t>(node)] != 0) {
-        mask |= tile_bit(node, num_switches);
-      }
-    }
-    quad_tiles_[idx] = mask;
-    quad_tiles_ready_[idx] = 1;
-  }
-  return quad_tiles_[idx];
-}
-
-bool RoutingSession::divergence_visible(const RoutingEngine& engine,
-                                        const CommodityEndpoints& key) {
-  if (unequal_count_ == 0) {
-    // Everything healed (or never diverged): flags of listed edges are all
-    // zero already, so the tile accumulator can restart exact.
-    unequal_edges_.clear();
-    unequal_tiles_ = 0;
-    return false;
-  }
-  switch (engine.kind()) {
-    case RoutingKind::kMinPath: {
-      // A load difference is visible to MP's Dijkstra only if the link joins
-      // two switches admitted by the commodity's quadrant mask (§4.3). The
-      // O(1) conservative test: if the quadrant's tiles miss every tile
-      // holding a divergent edge's source switch, no divergent edge can have
-      // both endpoints admitted.
-      if ((quadrant_tiles(engine, key) & unequal_tiles_) == 0) return false;
-      // While the divergent set is small (the common case right after a
-      // swap, when most reuse decisions are made), confirm with the exact
-      // per-edge admission test; once it grows, trust the tile test.
-      constexpr std::size_t kExactScanLimit = 64;
-      if (unequal_edges_.size() > kExactScanLimit) return true;
-      const char* admitted = engine.min_path_admission(key.src, key.dst);
-      const auto& g = engine.topology().switch_graph();
-      bool visible = false;
-      std::size_t kept = 0;
-      for (graph::EdgeId e : unequal_edges_) {
-        if (unequal_[static_cast<std::size_t>(e)] == 0) continue;
-        unequal_edges_[kept++] = e;  // compact entries that healed to equal
-        const auto& edge = g.edge(e);
-        if (admitted[static_cast<std::size_t>(edge.src)] != 0 &&
-            admitted[static_cast<std::size_t>(edge.dst)] != 0) {
-          visible = true;
-        }
-      }
-      unequal_edges_.resize(kept);
-      return visible;
-    }
-    case RoutingKind::kSplitAll:
-      // Split-all admits every link, so any live divergence is visible.
-      return true;
-    default:
-      // Static kinds never route through a session; if one ever does, stay
-      // conservative and never reuse.
-      return true;
-  }
-}
-
-void RoutingSession::note_saturation(const RoutingEngine& engine) {
-  if (saturated_ || unequal_count_ == 0) return;
-  if (engine.kind() == RoutingKind::kMinPath) {
-    // Once divergence covers 7/8 of the edge-bearing tiles, only the rare
-    // quadrant squeezed into the remaining sliver could still prove
-    // invisibility — forfeit that residual reuse and stop paying for the
-    // shadow replay (the solve degrades to the plain from-scratch loop).
-    const int covered = std::popcount(unequal_tiles_ & all_tiles_);
-    const int total = std::popcount(all_tiles_);
-    if (covered * 8 >= total * 7) saturated_ = true;
-  } else {
-    // Split-all (and any conservative kind): one divergent edge already
-    // forces every remaining commodity to re-route.
-    saturated_ = true;
-  }
 }
 
 void RoutingSession::solve(const RoutingEngine& engine,
@@ -178,213 +29,50 @@ void RoutingSession::solve(const RoutingEngine& engine,
   }
   ++stats_.solves;
 
-  // Dirty-commodity rule: a commodity re-routes through a Dijkstra if its
-  // endpoints moved; everything else is a reuse candidate. When too many
-  // moved (or there is no valid base trace), fall back to a full re-route.
-  bool full = !valid_;
-  int dirty_count = 0;
-  for (int k = 0; k < n; ++k) {
-    dirty_[k] = (!valid_ || !(endpoints[static_cast<std::size_t>(k)] ==
-                              key_[static_cast<std::size_t>(k)]))
-                    ? 1
-                    : 0;
-    dirty_count += dirty_[static_cast<std::size_t>(k)];
-  }
-  if (!full &&
-      dirty_count * kFallbackDirtyDenominator > n * kFallbackDirtyNumerator) {
-    full = true;
-  }
-  const auto open_frame = [&]() -> Frame* {
+  Frame* frame = nullptr;
+  if (speculative) {
     if (frame_depth_ == static_cast<int>(frames_.size())) {
       frames_.emplace_back();
     }
-    Frame* opened = &frames_[static_cast<std::size_t>(frame_depth_)];
-    opened->reset();
-    opened->base_valid = valid_;
-    ++frame_depth_;
-    return opened;
-  };
+    frame = &frames_[static_cast<std::size_t>(frame_depth_++)];
+    frame->holds_state = false;
+  }
 
-  // Zero-dirty fast path: no endpoint moved, so the canonical trace is the
-  // cached trace verbatim and the final loads are the stored snapshot. The
-  // (empty) frame keeps speculative pop/commit balanced.
-  if (!full && dirty_count == 0 && final_snapshot_ &&
-      final_loads_.num_edges() ==
-          engine.topology().switch_graph().num_edges()) {
+  // No endpoint moved: the loop would recompute exactly the stored result.
+  const int num_edges = engine.topology().switch_graph().num_edges();
+  if (state_.valid && state_.endpoints == endpoints &&
+      state_.loads.num_edges() == num_edges) {
     ++stats_.snapshot_solves;
     stats_.reused += static_cast<std::int64_t>(passes_ + 1) * n;
-    if (speculative) open_frame();
-    loads = final_loads_;
+    loads = state_.loads;
     return;
   }
 
-  if (full) {
-    ++stats_.full_solves;
-  } else {
-    ++stats_.incremental_solves;
+  ++stats_.full_solves;
+  if (frame != nullptr) {
+    // The frame's pooled buffers become the working state.
+    std::swap(frame->displaced, state_);
+    frame->holds_state = true;
   }
+  state_.valid = false;
+  std::vector<RouteSet>& routes = state_.routes;
+  routes.resize(static_cast<std::size_t>(n));
 
-  Frame* frame = nullptr;
-  if (speculative) {
-    frame = open_frame();
-  } else {
-    stash_used_ = 0;
-  }
-
+  // The canonical loop: the decreasing-value pass, then the rip-up rounds.
   loads.clear();
-  if (!full) {
-    // Both replays start from cleared maps (all edges equal); the shadow map
-    // then re-applies the cached trace's own add/remove sequence, which is
-    // deterministic and therefore reproduces the previous solve's loads
-    // bit-for-bit at every trace point.
-    const auto& g = engine.topology().switch_graph();
-    const int num_edges = g.num_edges();
-    if (cached_loads_.num_edges() != num_edges) {
-      cached_loads_ = LoadMap(num_edges);
-      unequal_.assign(static_cast<std::size_t>(num_edges), 0);
-      const int num_switches = g.num_nodes();
-      edge_tile_.resize(static_cast<std::size_t>(num_edges));
-      all_tiles_ = 0;
-      for (int e = 0; e < num_edges; ++e) {
-        edge_tile_[static_cast<std::size_t>(e)] =
-            tile_bit(g.edge(e).src, num_switches);
-        all_tiles_ |= edge_tile_[static_cast<std::size_t>(e)];
-      }
-    } else {
-      cached_loads_.clear();
-      for (graph::EdgeId e : unequal_edges_) {
-        unequal_[static_cast<std::size_t>(e)] = 0;
-      }
-    }
-    unequal_edges_.clear();
-    unequal_count_ = 0;
-    unequal_tiles_ = 0;
-    saturated_ = false;
-    cached_ptr_.assign(pass_routes_.size(), nullptr);
-  }
-
-  // Installs the freshly computed route sitting in tmp_route_, journaling
-  // the displaced one, and returns the cached-trace route for this
-  // (pass, commodity) slot: the displaced original, or the slot itself when
-  // the fresh route landed on exactly the cached one. Swap discipline keeps
-  // every RouteSet buffer pooled — nothing is freed on the hot path.
-  const auto install_route = [&](int pass, int k) -> const RouteSet* {
-    RouteSet& slot = pass_route(pass, k);
-    if (same_routes(tmp_route_, slot)) return &slot;
-    RouteSet* displaced = nullptr;
-    if (frame != nullptr) {
-      if (frame->base_valid) {
-        if (frame->routes_used == frame->routes.size()) {
-          frame->routes.emplace_back();
-        }
-        UndoEntry& entry = frame->routes[frame->routes_used++];
-        entry.pass = pass;
-        entry.commodity = k;
-        displaced = &entry.old_route;
-      }
-    } else if (!full) {
-      if (stash_used_ == replay_stash_.size()) replay_stash_.emplace_back();
-      displaced = &replay_stash_[stash_used_++];
-    }
-    if (displaced != nullptr) std::swap(*displaced, slot);
-    std::swap(slot, tmp_route_);  // tmp_route_ inherits a warmed buffer
-    return displaced;
-  };
-
-  const auto slot_index = [&](int pass, int k) {
-    return static_cast<std::size_t>(pass * n + k);
-  };
-
-  // Pass 0: route in canonical (decreasing-bandwidth) order. This replays
-  // the from-scratch loop exactly — a cached route is reused only when its
-  // commodity is clean and no admitted link's load differs from the cached
-  // trace, which makes the reused Dijkstra's inputs provably identical.
-  for (int k = 0; k < n; ++k) {
-    const auto& key = endpoints[static_cast<std::size_t>(k)];
-    const double demand = demands_[static_cast<std::size_t>(k)];
-    if (!full && !saturated_ && dirty_[static_cast<std::size_t>(k)] == 0 &&
-        !divergence_visible(engine, key)) {
-      ++stats_.reused;
-      // Both sides add the same route: equal edge loads see identical
-      // arithmetic and stay equal, so no equality refresh is needed.
-      const RouteSet& kept = pass_route(0, k);
-      cached_ptr_[slot_index(0, k)] = &kept;
-      loads.add_route(kept, demand);
-      cached_loads_.add_route(kept, demand);
-    } else {
+  for (int pass = 0; pass <= passes_; ++pass) {
+    for (std::size_t k = 0; k < routes.size(); ++k) {
+      const CommodityEndpoints& key = endpoints[k];
+      if (pass > 0) loads.remove_route(routes[k], demands_[k]);
       ++stats_.rerouted;
-      engine.route(key.src, key.dst, demand, loads, tmp_route_);
-      const RouteSet* cached = install_route(0, k);
-      const RouteSet& live = pass_route(0, k);
-      loads.add_route(live, demand);
-      if (!full && !saturated_) {
-        cached_ptr_[slot_index(0, k)] = cached;
-        cached_loads_.add_route(*cached, demand);
-        if (cached != &live) refresh_equality(loads, *cached);
-        refresh_equality(loads, live);
-        note_saturation(engine);
-      }
+      engine.route(key.src, key.dst, demands_[k], loads, routes[k]);
+      loads.add_route(routes[k], demands_[k]);
     }
   }
 
-  // Rip-up rounds: remove the commodity's current route, re-route against
-  // everyone else's load, and add the (possibly unchanged) result back —
-  // same arithmetic, same order as the from-scratch loop, mirrored on the
-  // shadow map with the cached trace's own routes.
-  for (int pass = 1; pass <= passes_; ++pass) {
-    for (int k = 0; k < n; ++k) {
-      const auto& key = endpoints[static_cast<std::size_t>(k)];
-      const double demand = demands_[static_cast<std::size_t>(k)];
-      const RouteSet& current = pass_route(pass - 1, k);
-      loads.remove_route(current, demand);
-      if (!full && !saturated_) {
-        const RouteSet* cached_prev = cached_ptr_[slot_index(pass - 1, k)];
-        cached_loads_.remove_route(*cached_prev, demand);
-        refresh_equality(loads, current);
-        if (cached_prev != &current) refresh_equality(loads, *cached_prev);
-      }
-      if (!full && !saturated_ && dirty_[static_cast<std::size_t>(k)] == 0 &&
-          !divergence_visible(engine, key)) {
-        ++stats_.reused;
-        const RouteSet& kept = pass_route(pass, k);
-        cached_ptr_[slot_index(pass, k)] = &kept;
-        loads.add_route(kept, demand);
-        cached_loads_.add_route(kept, demand);
-      } else {
-        ++stats_.rerouted;
-        engine.route(key.src, key.dst, demand, loads, tmp_route_);
-        const RouteSet* cached = install_route(pass, k);
-        const RouteSet& live = pass_route(pass, k);
-        loads.add_route(live, demand);
-        if (!full && !saturated_) {
-          cached_ptr_[slot_index(pass, k)] = cached;
-          cached_loads_.add_route(*cached, demand);
-          if (cached != &live) refresh_equality(loads, *cached);
-          refresh_equality(loads, live);
-          note_saturation(engine);
-        }
-      }
-    }
-  }
-
-  for (int k = 0; k < n; ++k) {
-    auto& key = key_[static_cast<std::size_t>(k)];
-    const auto& fresh = endpoints[static_cast<std::size_t>(k)];
-    if (key == fresh) continue;
-    if (frame != nullptr && frame->base_valid) {
-      frame->keys.push_back(KeyUndo{k, key});
-    }
-    key = fresh;
-  }
-  if (frame != nullptr && frame->base_valid) {
-    // Journal the displaced snapshot; the swap pools its buffer so the
-    // copy below reuses warmed capacity.
-    std::swap(frame->old_final, final_loads_);
-    frame->has_old_final = final_snapshot_;
-  }
-  final_loads_ = loads;
-  final_snapshot_ = true;
-  valid_ = true;
+  state_.endpoints = endpoints;
+  state_.loads = loads;
+  state_.valid = true;
 }
 
 void RoutingSession::pop() {
@@ -392,33 +80,8 @@ void RoutingSession::pop() {
     throw std::logic_error("RoutingSession: pop without an open frame");
   }
   Frame& frame = frames_[static_cast<std::size_t>(--frame_depth_)];
-  if (!frame.base_valid) {
-    // The speculation solved on top of an invalid base; there is no trace
-    // to restore — the next solve re-routes from scratch.
-    valid_ = false;
-    final_snapshot_ = false;
-    frame.reset();
-    return;
-  }
-  for (std::size_t i = frame.routes_used; i-- > 0;) {
-    UndoEntry& entry = frame.routes[i];
-    // Swap (not move) so the discarded speculative route's buffer stays
-    // pooled in the journal entry for the next speculation.
-    std::swap(pass_route(entry.pass, entry.commodity), entry.old_route);
-  }
-  for (auto it = frame.keys.rbegin(); it != frame.keys.rend(); ++it) {
-    key_[static_cast<std::size_t>(it->commodity)] = it->old_key;
-  }
-  // A zero-dirty fast-path frame never displaced the snapshot; anything
-  // else journaled it above.
-  if (frame.has_old_final) std::swap(final_loads_, frame.old_final);
-  frame.reset();
-}
-
-void RoutingSession::commit() {
-  while (frame_depth_ > 0) {
-    frames_[static_cast<std::size_t>(--frame_depth_)].reset();
-  }
+  // Swap (not move) so the discarded speculation's buffers stay pooled.
+  if (frame.holds_state) std::swap(frame.displaced, state_);
 }
 
 }  // namespace sunmap::route

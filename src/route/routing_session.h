@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "route/routing.h"
@@ -17,67 +16,46 @@ struct CommodityEndpoints {
                          const CommodityEndpoints&) = default;
 };
 
-/// Incremental, transactional driver for the adaptive routing loop (the
-/// load-dependent MP and split-all kinds; DO/SM read static route tables and
-/// never touch a session).
+/// The one owner of the adaptive routing loop on the evaluation path (the
+/// load-dependent MP and split-all kinds; DO/SM read static route tables
+/// and never touch a session), with transactional undo.
 ///
-/// The from-scratch evaluation routes all commodities in canonical
-/// (decreasing-bandwidth) order, then runs `reroute_passes` rip-up rounds —
-/// a deterministic trace whose every Dijkstra depends on the link loads at
-/// that point of the trace. solve() replays that exact trace against the
-/// previous solve's recorded per-pass routes: a commodity's Dijkstra is
-/// skipped and its cached route reused only when that is *provably*
-/// bit-identical — its endpoints did not move (the dirty-commodity rule) and
-/// no link whose load differs from the cached trace is visible to its
-/// search (for MP, visibility is the §4.3 quadrant admission mask;
-/// split-all admits every link, so any live divergence forces the
-/// Dijkstra). Divergence is exact, not conservative: alongside the live
-/// LoadMap the session replays the *cached* trace's add/remove sequence
-/// into a shadow LoadMap (LoadMap arithmetic is deterministic, so the
-/// shadow is bit-identical to what the previous solve saw at the same trace
-/// point) and tracks the set of edges whose two loads differ bitwise. A
-/// reused Dijkstra therefore has provably identical inputs — overlapping
-/// old/new corridors cancel out of the divergence set, and one-ulp rip-up
-/// residues are detected rather than assumed away. The result is
-/// bit-identical to the from-scratch loop for every routing kind, with most
-/// Dijkstras skipped on swap-local traffic.
+/// solve() routes every commodity in canonical (decreasing-bandwidth) order,
+/// then runs `reroute_passes` rip-up rounds: each commodity's route is
+/// removed, re-routed against everyone else's load and added back. The
+/// session keeps the last solve's endpoints, final routes and final loads.
+/// When no endpoint moved (a swap of two empty slots, or a re-evaluation of
+/// the same mapping), solve() returns them without a single Dijkstra;
+/// otherwise it runs the whole loop again. Every result is bit-identical to
+/// the same loop run from scratch (Mapper::evaluate is the independent
+/// oracle).
 ///
-/// When a speculative solve displaces too many commodities (more than
-/// kFallbackDirtyNumerator/kFallbackDirtyDenominator of them are dirty) or
-/// the session has no valid base, it degrades gracefully to a full re-route
-/// that still records the trace for the next solve.
-///
-/// Transactional discipline mirrors fplan::FloorplanSession: a speculative
-/// solve opens an undo frame journaling every displaced route and endpoint
-/// verbatim; pop() restores them in O(frame), commit() folds all open frames
-/// into the base, frames nest, and destroying nothing is ever required —
-/// frames are pooled and reused. A destructive solve under open frames
-/// throws (protocol misuse).
+/// A speculative solve swaps the displaced state into a pooled undo frame;
+/// pop() swaps it back and commit() releases every open frame. Frames nest,
+/// and a destructive solve under open frames throws (protocol misuse). The
+/// session is marked invalid before the loop starts, so a route that throws
+/// mid-solve never leaves half-written state behind: the next solve
+/// re-routes from scratch, and after a speculative throw pop() restores the
+/// previous state.
 class RoutingSession {
  public:
   struct Stats {
-    std::int64_t solves = 0;             ///< solve() calls
-    std::int64_t full_solves = 0;        ///< invalid base or dirty fallback
-    std::int64_t incremental_solves = 0; ///< replays with reuse enabled
-    std::int64_t snapshot_solves = 0;    ///< zero-dirty O(1) snapshot returns
-    std::int64_t rerouted = 0;           ///< Dijkstra-backed (pass, k) steps
-    std::int64_t reused = 0;             ///< provably identical reuses
+    std::int64_t solves = 0;           ///< solve() calls
+    std::int64_t full_solves = 0;      ///< solves that ran the routing loop
+    std::int64_t snapshot_solves = 0;  ///< same-endpoint returns
+    std::int64_t rerouted = 0;         ///< Dijkstra-backed (pass, k) steps
+    std::int64_t reused = 0;           ///< (pass, k) steps a return skipped
   };
-
-  /// Full re-route fallback threshold: incremental replay is abandoned when
-  /// more than one quarter of the commodities changed endpoints (the reuse
-  /// bookkeeping would only add overhead to a near-global re-route).
-  static constexpr int kFallbackDirtyNumerator = 1;
-  static constexpr int kFallbackDirtyDenominator = 4;
 
   RoutingSession() = default;
 
   /// (Re)binds the session to a commodity list: demands[k] is commodity k's
-  /// bandwidth in canonical order. Drops all cached routes and open frames.
+  /// bandwidth in canonical order. Drops the stored result and open frames;
+  /// the statistics carry on.
   void reset(std::vector<double> demands, int reroute_passes);
 
-  /// True once a solve has recorded a complete trace to replay against.
-  [[nodiscard]] bool valid() const { return valid_; }
+  /// True once a solve has stored a complete result.
+  [[nodiscard]] bool valid() const { return state_.valid; }
   [[nodiscard]] int num_commodities() const {
     return static_cast<int>(demands_.size());
   }
@@ -86,111 +64,46 @@ class RoutingSession {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Routes every commodity through `engine` for the endpoint assignment
-  /// `endpoints`, bit-identical to the from-scratch canonical loop, writing
-  /// the accumulated final link loads into `loads` (cleared first). With
-  /// `speculative`, the displaced state is journaled in a new undo frame;
-  /// otherwise the new trace destructively becomes the base (throws
-  /// std::logic_error if frames are open).
+  /// `endpoints`, writing the final link loads into `loads` (cleared first;
+  /// the caller sizes it to the engine's switch graph). With `speculative`,
+  /// the displaced state moves into a new undo frame; otherwise the result
+  /// destructively replaces it (throws std::logic_error if frames are open).
   void solve(const RoutingEngine& engine,
              const std::vector<CommodityEndpoints>& endpoints, LoadMap& loads,
              bool speculative);
 
   /// Final route of commodity k after the most recent solve. The reference
-  /// is invalidated by the next solve/pop/commit/reset.
+  /// is invalidated by the next solve/pop/reset.
   [[nodiscard]] const RouteSet& route(int k) const {
-    return pass_routes_[static_cast<std::size_t>(passes_ * num_commodities() +
-                                                 k)];
+    return state_.routes[static_cast<std::size_t>(k)];
   }
 
-  /// Pops the newest undo frame, restoring every displaced route and
-  /// endpoint verbatim in O(frame). Throws std::logic_error when no frame
-  /// is open.
+  /// Pops the newest undo frame, restoring the state its solve displaced.
+  /// Throws std::logic_error when no frame is open.
   void pop();
 
-  /// Folds every open frame into the base (the speculated traces stay).
-  void commit();
+  /// Keeps the current state and releases every open frame.
+  void commit() { frame_depth_ = 0; }
 
  private:
-  struct UndoEntry {
-    int pass = 0;
-    int commodity = 0;
-    RouteSet old_route;
+  struct State {
+    bool valid = false;
+    std::vector<CommodityEndpoints> endpoints;
+    std::vector<RouteSet> routes;
+    LoadMap loads{0};
   };
-  struct KeyUndo {
-    int commodity = 0;
-    CommodityEndpoints old_key;
-  };
-  // deque keeps journaled old routes address-stable: during the replay the
-  // deviation bookkeeping points at them as the cached-side current routes.
-  // Entries are pooled (routes_used high-water mark, swap in/swap out) so the
-  // speculate/pop churn of an annealing walk never frees a route buffer.
+  // A same-endpoint speculative solve displaces nothing; its frame only
+  // keeps pop() and commit() balanced. Frames (and the route buffers of the
+  // states they held) are pooled, so speculate/pop churn allocates nothing.
   struct Frame {
-    std::deque<UndoEntry> routes;
-    std::size_t routes_used = 0;
-    std::vector<KeyUndo> keys;
-    LoadMap old_final{0};  ///< displaced final-loads snapshot (buffer pooled)
-    bool has_old_final = false;
-    bool base_valid = true;
-    void reset() {
-      routes_used = 0;
-      keys.clear();
-      has_old_final = false;
-      base_valid = true;
-    }
+    State displaced;
+    bool holds_state = false;
   };
-
-  [[nodiscard]] RouteSet& pass_route(int pass, int k) {
-    return pass_routes_[static_cast<std::size_t>(pass * num_commodities() +
-                                                 k)];
-  }
-  void refresh_equality(const LoadMap& live, const RouteSet& routes);
-  [[nodiscard]] bool divergence_visible(const RoutingEngine& engine,
-                                        const CommodityEndpoints& key);
-  [[nodiscard]] std::uint64_t quadrant_tiles(const RoutingEngine& engine,
-                                             const CommodityEndpoints& key);
-  void note_saturation(const RoutingEngine& engine);
 
   int passes_ = 0;
-  bool valid_ = false;
   std::vector<double> demands_;
-  std::vector<CommodityEndpoints> key_;
-  std::vector<RouteSet> pass_routes_;  ///< (passes_+1) x N, pass-major
-
-  // Replay-transient state (reset by every solve).
-  std::vector<char> dirty_;
-  LoadMap cached_loads_{0};            ///< shadow replay of the cached trace
-  std::vector<char> unequal_;          ///< per-edge: live != cached (bitwise)
-  std::vector<graph::EdgeId> unequal_edges_;  ///< set flags, for O(set) reset
-  int unequal_count_ = 0;
-  std::vector<const RouteSet*> cached_ptr_;  ///< cached route per trace slot
-  std::deque<RouteSet> replay_stash_;  ///< old routes, destructive solves
-  std::size_t stash_used_ = 0;         ///< pooled, like Frame::routes
-  RouteSet tmp_route_;
-
-  // Final link loads of the most recent solve. When no endpoint moved at
-  // all (e.g. a swap of two unoccupied slots), the canonical trace is the
-  // cached trace verbatim, so solve() returns this snapshot in O(edges)
-  // without touching a single route.
-  LoadMap final_loads_{0};
-  bool final_snapshot_ = false;
-
-  // O(1) visibility: switches hash onto 64 tiles (tile = id * 64 / count);
-  // unequal_tiles_ accumulates the tile of each divergent edge's source
-  // switch, and a commodity provably sees no divergence when its quadrant's
-  // tile mask misses every divergent tile. Once every edge-bearing tile
-  // (all_tiles_) is divergent — or any divergence exists under split-all —
-  // no remaining commodity can prove invisibility, so the solve flips to
-  // saturated mode and drops the shadow bookkeeping for its remainder,
-  // degrading to exactly the from-scratch loop.
-  std::uint64_t unequal_tiles_ = 0;
-  std::uint64_t all_tiles_ = 0;  ///< tiles holding >= 1 edge source switch
-  std::vector<std::uint64_t> edge_tile_;  ///< tile bit of each edge's source
-  bool saturated_ = false;
-  std::vector<std::uint64_t> quad_tiles_;   ///< per (src, dst) slot pair
-  std::vector<char> quad_tiles_ready_;
-  int quad_slots_ = 0;
-
-  std::vector<Frame> frames_;  ///< pooled; frame_depth_ are open
+  State state_;
+  std::vector<Frame> frames_;  ///< pooled; the first frame_depth_ are open
   int frame_depth_ = 0;
   Stats stats_;
 };

@@ -95,9 +95,10 @@ class JournalWriter {
 /// constraints, weights, annealing budget, restarts and reheats, reroute
 /// passes, bound pruning, explored-set collection, floorplan options, fault
 /// set, technology parameters).
-/// Deliberately excluded: thread counts, context pools and the incremental_*
-/// switches — none changes any result bit, so a resume may vary them
-/// freely — and the sim_* fields, since run_sweep rejects the sim tier.
+/// Deliberately excluded: thread counts, context pools and the
+/// incremental_floorplan / incremental_fault_eval switches — none changes
+/// any result bit, so a resume may vary them freely — and the sim_* fields,
+/// since run_sweep rejects the sim tier.
 [[nodiscard]] std::uint64_t request_fingerprint(
     const select::ExplorationRequest& request);
 

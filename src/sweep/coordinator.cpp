@@ -92,8 +92,11 @@ void reset_stop() { g_stop = false; }
 
 SweepResult run_sweep(const select::ExplorationRequest& request,
                       const SweepOptions& options) {
-  if (options.num_workers < 1) {
-    throw std::invalid_argument("run_sweep: num_workers must be >= 1");
+  if (options.num_workers < 1 || options.num_workers > select::kMaxThreads) {
+    throw std::invalid_argument("run_sweep: num_workers must be in [1, " +
+                                std::to_string(select::kMaxThreads) +
+                                "], got " +
+                                std::to_string(options.num_workers));
   }
   if (options.resume && options.checkpoint_path.empty()) {
     throw std::invalid_argument(

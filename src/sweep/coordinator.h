@@ -12,9 +12,9 @@ namespace sunmap::sweep {
 
 /// How run_sweep() distributes one exploration request.
 struct SweepOptions {
-  /// Worker child processes forked off the coordinator. Each binds its own
-  /// per-topology context pool and sends each point back over a pipe as
-  /// soon as it is explored.
+  /// Worker child processes forked off the coordinator, in
+  /// [1, select::kMaxThreads]. Each binds its own per-topology context pool
+  /// and sends each point back over a pipe as soon as it is explored.
   int num_workers = 2;
   /// Append-only journal of completed points (see checkpoint.h). Empty
   /// disables checkpointing.

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "apps/apps.h"
 #include "io/csv.h"
@@ -25,6 +29,30 @@ TEST(Csv, SelectionReportHasHeaderAndRows) {
   EXPECT_EQ(csv.rfind("topology,feasible,", 0), 0u);
   for (const auto& candidate : report.candidates) {
     EXPECT_NE(csv.find(candidate.topology->name()), std::string::npos);
+  }
+
+  // Every numeric field reads back as exactly the evaluated double.
+  std::istringstream rows(csv);
+  std::string line;
+  std::getline(rows, line);  // header
+  for (const auto& candidate : report.candidates) {
+    ASSERT_TRUE(std::getline(rows, line));
+    std::vector<std::string> fields;
+    std::istringstream cells(line);
+    for (std::string cell; std::getline(cells, cell, ',');) {
+      fields.push_back(cell);
+    }
+    ASSERT_EQ(fields.size(), 10u) << line;
+    const auto& eval = candidate.result.eval;
+    const double expected[] = {
+        eval.avg_switch_hops,  eval.avg_path_latency_ns,
+        eval.design_area_mm2,  eval.design_power_mw,
+        eval.dynamic_power_mw, eval.static_power_mw,
+        eval.max_link_load_mbps, eval.cost};
+    for (std::size_t i = 0; i < 8; ++i) {
+      EXPECT_EQ(std::strtod(fields[i + 2].c_str(), nullptr), expected[i])
+          << line << " field " << i + 2;
+    }
   }
 }
 

@@ -212,6 +212,11 @@ class RequestPathsTest(unittest.TestCase):
             (["--threads", "257"], ["threads=257", "[1, 256]"]),
             (["--serve", self.path("bounded.sock"), "--serve-threads", "257"],
              ["accept_threads", "[1, 256]", "257"]),
+            # Worker counts outside [1, 256], refused before any fork.
+            (["--sweep", "--routing", "DO", "--workers", "-3"],
+             ["--workers", "[1, 256]", "got -3"]),
+            (["--routing", "DO", "--workers", "257"],
+             ["--workers", "[1, 256]", "got 257"]),
             (["--routing", "DO", "--routing", "MP"], ["routings"]),
             (["--objective", "weighted", "--w-delay", "inf"],
              ["delay=inf"]),

@@ -1,14 +1,16 @@
-// Transactional incremental-routing tests. The RoutingSession must be
-// bit-identical to the from-scratch canonical routing loop after any mix of
-// speculative solves, pops, commits and nested frames — and the DeltaTxn
-// protocol built on top of it (including batched multi-swap moves) must
-// leave every evaluation exactly where a from-scratch stack would, over
-// randomized accept/reject walks on mesh/torus/butterfly topologies under
-// all four routing kinds.
+// Routing-session tests. The RoutingSession must be bit-identical to the
+// canonical routing loop (run inline here, from fresh routes and loads)
+// after any mix of speculative solves, pops, commits and nested frames; a
+// same-endpoint solve must run no Dijkstra; and a throwing solve must leave
+// no half-written state. The DeltaTxn protocol built on top of it must
+// leave every evaluation exactly where the from-scratch Mapper::evaluate
+// lands, over randomized accept/reject walks on mesh/torus/butterfly
+// topologies under all four routing kinds.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,20 +47,35 @@ Workload make_workload(const topo::Topology& topology, int commodities) {
   return w;
 }
 
-/// From-scratch reference: a throwaway session with no cached trace routes
-/// the canonical loop directly.
+/// The canonical loop, independent of the session: route every commodity
+/// in order on a cleared map, then rip up and re-route each one per pass.
+void reference_solve(const RoutingEngine& engine,
+                     const std::vector<double>& demands,
+                     const std::vector<CommodityEndpoints>& endpoints,
+                     int reroute_passes, LoadMap& loads,
+                     std::vector<RouteSet>& routes) {
+  loads.clear();
+  routes.assign(demands.size(), RouteSet{});
+  for (std::size_t k = 0; k < demands.size(); ++k) {
+    engine.route(endpoints[k].src, endpoints[k].dst, demands[k], loads,
+                 routes[k]);
+    loads.add_route(routes[k], demands[k]);
+  }
+  for (int pass = 0; pass < reroute_passes; ++pass) {
+    for (std::size_t k = 0; k < demands.size(); ++k) {
+      loads.remove_route(routes[k], demands[k]);
+      engine.route(endpoints[k].src, endpoints[k].dst, demands[k], loads,
+                   routes[k]);
+      loads.add_route(routes[k], demands[k]);
+    }
+  }
+}
+
 void reference_solve(const RoutingEngine& engine, const Workload& w,
                      const std::vector<CommodityEndpoints>& endpoints,
                      LoadMap& loads, std::vector<RouteSet>& routes) {
-  RoutingSession fresh;
-  fresh.reset(w.demands, /*reroute_passes=*/2);
-  fresh.solve(engine, endpoints, loads, /*speculative=*/false);
-  routes.clear();
-  for (int k = 0; k < fresh.num_commodities(); ++k) {
-    routes.push_back(fresh.route(k));
-  }
-  EXPECT_EQ(fresh.stats().full_solves, 1);
-  EXPECT_EQ(fresh.stats().incremental_solves, 0);
+  reference_solve(engine, w.demands, endpoints, /*reroute_passes=*/2, loads,
+                  routes);
 }
 
 void expect_same_state(const RoutingSession& session, const LoadMap& loads,
@@ -74,7 +91,7 @@ void expect_same_state(const RoutingSession& session, const LoadMap& loads,
   }
 }
 
-TEST(RoutingSession, IncrementalSolveBitIdenticalToFromScratch) {
+TEST(RoutingSession, SolveBitIdenticalToCanonicalLoop) {
   for (const RoutingKind kind : {RoutingKind::kMinPath,
                                  RoutingKind::kSplitAll}) {
     const auto mesh = topo::make_mesh_for(16);
@@ -86,8 +103,8 @@ TEST(RoutingSession, IncrementalSolveBitIdenticalToFromScratch) {
     LoadMap loads(num_edges);
     session.solve(engine, w.endpoints, loads, /*speculative=*/false);
 
-    // A sequence of single-endpoint moves, each checked bitwise against a
-    // from-scratch solve of the same assignment.
+    // A sequence of single-endpoint moves, each checked bitwise against the
+    // canonical loop run on the same assignment.
     auto endpoints = w.endpoints;
     util::Prng prng(7);
     for (int step = 0; step < 12; ++step) {
@@ -108,10 +125,50 @@ TEST(RoutingSession, IncrementalSolveBitIdenticalToFromScratch) {
       expect_same_state(session, loads, expected_loads, expected_routes);
       if (::testing::Test::HasFatalFailure()) return;
     }
-    // One commodity moving at a time keeps the walk under the dirty
-    // fallback, so the incremental path was actually exercised.
-    EXPECT_GT(session.stats().incremental_solves, 0);
-    EXPECT_GT(session.stats().reused, 0);
+  }
+}
+
+TEST(RoutingSession, SameEndpointSolveRunsNoDijkstra) {
+  for (const RoutingKind kind : {RoutingKind::kMinPath,
+                                 RoutingKind::kSplitAll}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto mesh = topo::make_mesh_for(16);
+    RoutingEngine engine(*mesh, kind);
+    const auto w = make_workload(*mesh, 10);
+    RoutingSession session;
+    session.reset(w.demands, /*reroute_passes=*/2);
+    const int num_edges = mesh->switch_graph().num_edges();
+    LoadMap loads(num_edges);
+    session.solve(engine, w.endpoints, loads, /*speculative=*/false);
+    LoadMap expected(num_edges);
+    std::vector<RouteSet> expected_routes;
+    reference_solve(engine, w, w.endpoints, expected, expected_routes);
+
+    // Destructive: the stored loads and routes come back, and no commodity
+    // is routed.
+    const auto before = session.stats();
+    LoadMap returned(num_edges);
+    session.solve(engine, w.endpoints, returned, /*speculative=*/false);
+    EXPECT_EQ(session.stats().rerouted, before.rerouted);
+    EXPECT_EQ(session.stats().full_solves, before.full_solves);
+    EXPECT_EQ(session.stats().snapshot_solves, before.snapshot_solves + 1);
+    expect_same_state(session, returned, expected, expected_routes);
+
+    // Speculative: the same return under a frame, and popping that frame
+    // changes nothing.
+    session.solve(engine, w.endpoints, returned, /*speculative=*/true);
+    EXPECT_EQ(session.open_frames(), 1);
+    EXPECT_EQ(session.stats().rerouted, before.rerouted);
+    EXPECT_EQ(session.stats().snapshot_solves, before.snapshot_solves + 2);
+    expect_same_state(session, returned, expected, expected_routes);
+    session.pop();
+    EXPECT_EQ(session.open_frames(), 0);
+    EXPECT_TRUE(session.valid());
+    LoadMap after_pop(num_edges);
+    session.solve(engine, w.endpoints, after_pop, /*speculative=*/false);
+    EXPECT_EQ(session.stats().rerouted, before.rerouted);
+    EXPECT_EQ(session.stats().snapshot_solves, before.snapshot_solves + 3);
+    expect_same_state(session, after_pop, expected, expected_routes);
   }
 }
 
@@ -131,7 +188,7 @@ TEST(RoutingSession, SpeculativePopRestoresDisplacedStateVerbatim) {
   auto moved = w.endpoints;
   std::swap(moved[2].dst, moved[5].dst);
   {
-    // The speculative result itself must match a from-scratch solve.
+    // The speculative result itself must match the canonical loop.
     session.solve(engine, moved, loads, /*speculative=*/true);
     EXPECT_EQ(session.open_frames(), 1);
     LoadMap expected(num_edges);
@@ -141,9 +198,11 @@ TEST(RoutingSession, SpeculativePopRestoresDisplacedStateVerbatim) {
   }
   session.pop();
   EXPECT_EQ(session.open_frames(), 0);
-  // After the pop, replaying the base endpoints must reuse the restored
-  // trace and land bit-identically on the base state.
+  // After the pop, the base endpoints return the restored state without a
+  // single Dijkstra, bit-identically to the base.
+  const auto rerouted = session.stats().rerouted;
   session.solve(engine, w.endpoints, loads, /*speculative=*/false);
+  EXPECT_EQ(session.stats().rerouted, rerouted);
   expect_same_state(session, loads, base_loads, base_routes);
 }
 
@@ -172,7 +231,7 @@ TEST(RoutingSession, NestedFramesUnwindInOrder) {
   session.solve(engine, level2, loads, /*speculative=*/true);
   EXPECT_EQ(session.open_frames(), 2);
 
-  // Unwind to level 1: a replay of its endpoints (speculatively — the outer
+  // Unwind to level 1: a solve of its endpoints (speculatively — the outer
   // frame is still open) must land exactly on the level-1 state.
   session.pop();
   EXPECT_EQ(session.open_frames(), 1);
@@ -194,7 +253,7 @@ TEST(RoutingSession, NestedFramesUnwindInOrder) {
   expect_same_state(session, loads, expected, expected_routes);
 }
 
-TEST(RoutingSession, CommitKeepsSpeculatedTrace) {
+TEST(RoutingSession, CommitKeepsSpeculatedState) {
   const auto mesh = topo::make_mesh_for(16);
   RoutingEngine engine(*mesh, RoutingKind::kMinPath);
   const auto w = make_workload(*mesh, 10);
@@ -211,17 +270,17 @@ TEST(RoutingSession, CommitKeepsSpeculatedTrace) {
   session.solve(engine, moved, loads, /*speculative=*/true);
   session.commit();
   EXPECT_EQ(session.open_frames(), 0);
-  // The committed trace is now the base: replaying it must be pure reuse.
-  const auto reused_before = session.stats().reused;
+  // The committed state is now the base: solving it again is a return.
+  const auto snapshots = session.stats().snapshot_solves;
   session.solve(engine, moved, loads, /*speculative=*/false);
-  EXPECT_GT(session.stats().reused, reused_before);
+  EXPECT_EQ(session.stats().snapshot_solves, snapshots + 1);
   LoadMap expected(num_edges);
   std::vector<RouteSet> expected_routes;
   reference_solve(engine, w, moved, expected, expected_routes);
   expect_same_state(session, loads, expected, expected_routes);
 }
 
-TEST(RoutingSession, DirtyFallbackStillBitIdentical) {
+TEST(RoutingSession, MovedEndpointRunsTheWholeLoop) {
   const auto mesh = topo::make_mesh_for(16);
   RoutingEngine engine(*mesh, RoutingKind::kMinPath);
   const auto w = make_workload(*mesh, 8);
@@ -231,21 +290,16 @@ TEST(RoutingSession, DirtyFallbackStillBitIdentical) {
   LoadMap loads(num_edges);
   session.solve(engine, w.endpoints, loads, /*speculative=*/false);
 
-  // Move more than a quarter of the commodities: the session must abandon
-  // the replay (full_solves ticks) and still match from scratch.
+  // One moved commodity re-routes every commodity in every pass.
   auto moved = w.endpoints;
-  for (int k = 0; k < 4; ++k) {
-    moved[static_cast<std::size_t>(k)].dst =
-        (moved[static_cast<std::size_t>(k)].dst + 4) % mesh->num_slots();
-    if (moved[static_cast<std::size_t>(k)].dst ==
-        moved[static_cast<std::size_t>(k)].src) {
-      moved[static_cast<std::size_t>(k)].dst =
-          (moved[static_cast<std::size_t>(k)].dst + 1) % mesh->num_slots();
-    }
+  moved[3].dst = (moved[3].dst + 4) % mesh->num_slots();
+  if (moved[3].dst == moved[3].src) {
+    moved[3].dst = (moved[3].dst + 1) % mesh->num_slots();
   }
-  const auto full_before = session.stats().full_solves;
+  const auto before = session.stats();
   session.solve(engine, moved, loads, /*speculative=*/true);
-  EXPECT_EQ(session.stats().full_solves, full_before + 1);
+  EXPECT_EQ(session.stats().full_solves, before.full_solves + 1);
+  EXPECT_EQ(session.stats().rerouted, before.rerouted + 3 * 8);
   LoadMap expected(num_edges);
   std::vector<RouteSet> expected_routes;
   reference_solve(engine, w, moved, expected, expected_routes);
@@ -269,7 +323,7 @@ TEST(RoutingSession, ProtocolMisuseThrows) {
 
   session.solve(engine, w.endpoints, loads, /*speculative=*/false);
   session.solve(engine, w.endpoints, loads, /*speculative=*/true);
-  // A destructive solve under an open frame would corrupt the journal.
+  // A destructive solve under an open frame would orphan the frame.
   EXPECT_THROW(
       session.solve(engine, w.endpoints, loads, /*speculative=*/false),
       std::logic_error);
@@ -285,9 +339,9 @@ TEST(RoutingSession, SpeculationOnInvalidBasePopsToInvalid) {
   session.reset(w.demands, /*reroute_passes=*/1);
   LoadMap loads(mesh->switch_graph().num_edges());
   EXPECT_FALSE(session.valid());
-  // First solve is speculative (a txn opened before any base solve): there
-  // is no trace to restore, so the pop leaves the session invalid and the
-  // next solve simply re-routes from scratch.
+  // First solve is speculative (a txn opened before any base solve): the
+  // pop restores the invalid state, and the next solve routes from
+  // scratch.
   session.solve(engine, w.endpoints, loads, /*speculative=*/true);
   EXPECT_TRUE(session.valid());
   session.pop();
@@ -295,15 +349,60 @@ TEST(RoutingSession, SpeculationOnInvalidBasePopsToInvalid) {
   session.solve(engine, w.endpoints, loads, /*speculative=*/false);
   LoadMap expected(mesh->switch_graph().num_edges());
   std::vector<RouteSet> expected_routes;
-  {
-    RoutingSession fresh;
-    fresh.reset(w.demands, /*reroute_passes=*/1);
-    fresh.solve(engine, w.endpoints, expected, /*speculative=*/false);
-    for (int k = 0; k < fresh.num_commodities(); ++k) {
-      expected_routes.push_back(fresh.route(k));
-    }
-  }
+  reference_solve(engine, w.demands, w.endpoints, /*reroute_passes=*/1,
+                  expected, expected_routes);
   expect_same_state(session, loads, expected, expected_routes);
+}
+
+TEST(RoutingSession, ThrowingSolveLeavesNoHalfWrittenState) {
+  // On a 2x2 mesh an infinite first demand saturates its link; a second
+  // commodity with the same endpoints then has no admitted path, so its
+  // route throws after the first commodity's route was written.
+  const auto mesh = topo::make_mesh_for(4);
+  RoutingEngine engine(*mesh, RoutingKind::kMinPath);
+  const std::vector<double> demands = {
+      std::numeric_limits<double>::infinity(), 1.0};
+  const std::vector<CommodityEndpoints> base = {{0, 1}, {2, 3}};
+  const std::vector<CommodityEndpoints> doomed = {{2, 3}, {2, 3}};
+  const int num_edges = mesh->switch_graph().num_edges();
+  LoadMap expected(num_edges);
+  std::vector<RouteSet> expected_routes;
+  reference_solve(engine, demands, base, /*reroute_passes=*/0, expected,
+                  expected_routes);
+
+  {
+    SCOPED_TRACE("destructive");
+    RoutingSession session;
+    session.reset(demands, /*reroute_passes=*/0);
+    LoadMap loads(num_edges);
+    session.solve(engine, base, loads, /*speculative=*/false);
+    EXPECT_THROW(session.solve(engine, doomed, loads, /*speculative=*/false),
+                 std::logic_error);
+    EXPECT_FALSE(session.valid());
+    // The old endpoints re-route from scratch instead of returning a
+    // state whose first route belongs to the failed solve.
+    const auto rerouted = session.stats().rerouted;
+    session.solve(engine, base, loads, /*speculative=*/false);
+    EXPECT_EQ(session.stats().rerouted, rerouted + 2);
+    expect_same_state(session, loads, expected, expected_routes);
+  }
+  {
+    SCOPED_TRACE("speculative");
+    RoutingSession session;
+    session.reset(demands, /*reroute_passes=*/0);
+    LoadMap loads(num_edges);
+    session.solve(engine, base, loads, /*speculative=*/false);
+    EXPECT_THROW(session.solve(engine, doomed, loads, /*speculative=*/true),
+                 std::logic_error);
+    EXPECT_FALSE(session.valid());
+    EXPECT_EQ(session.open_frames(), 1);
+    session.pop();
+    EXPECT_TRUE(session.valid());
+    const auto rerouted = session.stats().rerouted;
+    session.solve(engine, base, loads, /*speculative=*/false);
+    EXPECT_EQ(session.stats().rerouted, rerouted);
+    expect_same_state(session, loads, expected, expected_routes);
+  }
 }
 
 }  // namespace
@@ -333,21 +432,16 @@ std::vector<int> inverse_of(const std::vector<int>& core_to_slot,
   return slot_to_core;
 }
 
-/// Randomized accept/reject walk over batched multi-swap transactions:
-/// every speculative evaluation is checked bitwise against a fully
-/// from-scratch reference context (incremental routing AND floorplanning
-/// off, fresh scratch per check) — including evaluations right after
-/// rollbacks, where a stale routing frame would show.
+/// Randomized accept/reject walk over single-swap transactions: every
+/// speculative evaluation is checked bitwise against Mapper::evaluate,
+/// which routes, floorplans and evaluates faults from scratch — including
+/// evaluations right after rollbacks, where a stale routing frame would
+/// show.
 void run_routing_txn_walk(const CoreGraph& app,
                           const topo::Topology& topology, MapperConfig config,
                           int steps, std::uint64_t seed) {
   Mapper mapper(config);
   const EvalContext ctx(app, topology, config, mapper.library());
-  auto reference_config = config;
-  reference_config.incremental_routing = false;
-  reference_config.incremental_floorplan = false;
-  const EvalContext reference(app, topology, reference_config,
-                              mapper.library());
 
   std::vector<int> mapping(static_cast<std::size_t>(app.num_cores()));
   for (int c = 0; c < app.num_cores(); ++c) {
@@ -360,23 +454,14 @@ void run_routing_txn_walk(const CoreGraph& app,
   util::Prng prng(seed);
   const int slots = topology.num_slots();
   for (int step = 0; step < steps; ++step) {
-    std::vector<SlotMove> moves;
-    const int batch = prng.chance(0.4) ? 2 : 1;
-    for (int m = 0; m < batch; ++m) {
-      const int a = prng.next_int(0, slots - 1);
-      int b = prng.next_int(0, slots - 2);
-      if (b >= a) ++b;
-      moves.emplace_back(a, b);
-    }
-    txn.begin_moves(moves);
+    const int a = prng.next_int(0, slots - 1);
+    int b = prng.next_int(0, slots - 2);
+    if (b >= a) ++b;
+    txn.begin_swap(a, b);
     const auto eval = txn.evaluate(/*materialize=*/false);
     {
-      EvalScratch fresh;
-      const auto expected =
-          reference.evaluate(mapping, fresh, /*materialize=*/false);
-      SCOPED_TRACE(topology.name() + " step " + std::to_string(step) +
-                   " batch " + std::to_string(batch));
-      expect_same_metrics(eval, expected);
+      SCOPED_TRACE(topology.name() + " step " + std::to_string(step));
+      expect_same_metrics(eval, mapper.evaluate(app, topology, mapping));
     }
     if (prng.chance(0.5)) {
       txn.commit();
@@ -384,11 +469,8 @@ void run_routing_txn_walk(const CoreGraph& app,
       txn.rollback();
       EXPECT_EQ(inverse, inverse_of(mapping, topology.num_slots()));
       const auto back = txn.evaluate(/*materialize=*/false);
-      EvalScratch fresh;
-      const auto expected =
-          reference.evaluate(mapping, fresh, /*materialize=*/false);
       SCOPED_TRACE(topology.name() + " rollback " + std::to_string(step));
-      expect_same_metrics(back, expected);
+      expect_same_metrics(back, mapper.evaluate(app, topology, mapping));
     }
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -423,17 +505,13 @@ TEST(RoutingTxnWalk, AllKindsOnButterfly) {
 
 TEST(RoutingTxnWalk, MaterializedRoutesMatchFromScratch) {
   // Materialized evaluations copy the session's route sets out; those must
-  // be the exact routes a from-scratch stack computes.
+  // be the exact routes Mapper::evaluate computes.
   const auto app = apps::vopd();
   const auto mesh = topo::make_mesh_for(16);
   MapperConfig config;
   config.routing = route::RoutingKind::kMinPath;
   Mapper mapper(config);
   const EvalContext ctx(app, *mesh, config, mapper.library());
-  auto reference_config = config;
-  reference_config.incremental_routing = false;
-  const EvalContext reference(app, *mesh, reference_config,
-                              mapper.library());
 
   std::vector<int> mapping(static_cast<std::size_t>(app.num_cores()));
   for (int c = 0; c < app.num_cores(); ++c) {
@@ -449,14 +527,13 @@ TEST(RoutingTxnWalk, MaterializedRoutesMatchFromScratch) {
     if (b >= a) ++b;
     txn.begin_swap(a, b);
     const auto eval = txn.evaluate(/*materialize=*/true);
-    EvalScratch fresh;
-    const auto expected =
-        reference.evaluate(mapping, fresh, /*materialize=*/true);
+    const auto expected = mapper.evaluate(app, *mesh, mapping);
     ASSERT_EQ(eval.routes.size(), expected.routes.size());
     for (std::size_t k = 0; k < eval.routes.size(); ++k) {
       EXPECT_TRUE(route::same_routes(eval.routes[k], expected.routes[k]))
           << "commodity " << k << " step " << step;
     }
+    EXPECT_EQ(eval.link_loads, expected.link_loads) << "step " << step;
     expect_same_metrics(eval, expected);
     if (prng.chance(0.5)) {
       txn.commit();
@@ -467,67 +544,48 @@ TEST(RoutingTxnWalk, MaterializedRoutesMatchFromScratch) {
   }
 }
 
-TEST(RoutingTxn, EmptyMoveBatchThrows) {
-  const auto app = apps::vopd();
-  const auto mesh = topo::make_mesh_for(app.num_cores());
-  Mapper mapper{MapperConfig{}};
-  const EvalContext ctx(app, *mesh, MapperConfig{}, mapper.library());
-  std::vector<int> mapping(static_cast<std::size_t>(app.num_cores()));
-  for (int c = 0; c < app.num_cores(); ++c) {
-    mapping[static_cast<std::size_t>(c)] = c;
-  }
-  auto inverse = inverse_of(mapping, mesh->num_slots());
-  EvalScratch scratch;
-  DeltaTxn txn(ctx, scratch, mapping, inverse);
-  EXPECT_THROW(txn.begin_moves({}), std::invalid_argument);
-  txn.begin_moves({{0, 1}, {1, 2}});
-  EXPECT_THROW(txn.begin_moves({{2, 3}}), std::logic_error);
-  txn.rollback();
-  EXPECT_EQ(inverse, inverse_of(mapping, mesh->num_slots()));
-}
-
-/// The full search stack must be bit-identical with incremental routing on
-/// and off — the session may only change how routes are computed, never
-/// what any search sees.
-void expect_search_identical(SearchKind kind, route::RoutingKind routing) {
+/// The full search stack on vopd's 16-slot mesh, pinned: the winner,
+/// its cost and the search's work counts, which the session may not move,
+/// and the winner's evaluation against Mapper::evaluate.
+void expect_search_result(SearchKind kind, route::RoutingKind routing,
+                          double cost, int evaluated, int pruned) {
   const auto app = apps::vopd();
   const auto mesh = topo::make_mesh_for(16);
   MapperConfig config;
   config.search = kind;
   config.routing = routing;
   config.annealing_iterations = 300;
-  const MappingResult incremental = Mapper(config).map(app, *mesh);
-  auto reference_config = config;
-  reference_config.incremental_routing = false;
-  const MappingResult reference = Mapper(reference_config).map(app, *mesh);
-  EXPECT_EQ(incremental.core_to_slot, reference.core_to_slot);
-  EXPECT_EQ(incremental.eval.cost, reference.eval.cost);
-  EXPECT_EQ(incremental.eval.max_link_load_mbps,
-            reference.eval.max_link_load_mbps);
-  EXPECT_EQ(incremental.eval.design_power_mw,
-            reference.eval.design_power_mw);
-  EXPECT_EQ(incremental.evaluated_mappings, reference.evaluated_mappings);
-  EXPECT_EQ(incremental.pruned_mappings, reference.pruned_mappings);
+  const Mapper mapper(config);
+  const MappingResult result = mapper.map(app, *mesh);
+  EXPECT_EQ(result.core_to_slot,
+            (std::vector<int>{7, 6, 10, 9, 13, 8, 4, 5, 0, 2, 1, 3}));
+  EXPECT_EQ(result.eval.cost, cost);
+  EXPECT_EQ(result.evaluated_mappings, evaluated);
+  EXPECT_EQ(result.pruned_mappings, pruned);
+  const auto expected = mapper.evaluate(app, *mesh, result.core_to_slot);
+  expect_same_metrics(result.eval, expected);
+  EXPECT_EQ(result.eval.link_loads, expected.link_loads);
 }
 
-TEST(TransactionalRoutingSearch, GreedyBitIdenticalUnderMinPath) {
-  expect_search_identical(SearchKind::kGreedySwaps,
-                          route::RoutingKind::kMinPath);
+TEST(TransactionalRoutingSearch, GreedyPinnedUnderMinPath) {
+  expect_search_result(SearchKind::kGreedySwaps, route::RoutingKind::kMinPath,
+                       2.09401955146636, 115, 114);
 }
 
-TEST(TransactionalRoutingSearch, AnnealingBitIdenticalUnderMinPath) {
-  expect_search_identical(SearchKind::kAnnealing,
-                          route::RoutingKind::kMinPath);
+TEST(TransactionalRoutingSearch, AnnealingPinnedUnderMinPath) {
+  expect_search_result(SearchKind::kAnnealing, route::RoutingKind::kMinPath,
+                       2.09401955146636, 281, 0);
 }
 
-TEST(TransactionalRoutingSearch, AnnealingBitIdenticalUnderSplitAll) {
-  expect_search_identical(SearchKind::kAnnealing,
-                          route::RoutingKind::kSplitAll);
+TEST(TransactionalRoutingSearch, AnnealingPinnedUnderSplitAll) {
+  expect_search_result(SearchKind::kAnnealing, route::RoutingKind::kSplitAll,
+                       2.3989361702127661, 285, 0);
 }
 
-TEST(TransactionalRoutingSearch, RestartAnnealingBitIdenticalUnderSplitAll) {
-  expect_search_identical(SearchKind::kRestartAnnealing,
-                          route::RoutingKind::kSplitAll);
+TEST(TransactionalRoutingSearch, RestartAnnealingPinnedUnderSplitAll) {
+  expect_search_result(SearchKind::kRestartAnnealing,
+                       route::RoutingKind::kSplitAll, 2.3989361702127661, 287,
+                       0);
 }
 
 }  // namespace

@@ -265,6 +265,25 @@ TEST(Sweep, MergedReportBitIdenticalAtEveryWorkerCount) {
   }
 }
 
+TEST(Sweep, RefusesWorkerCountsAboveTheBound) {
+  // A one-point grid: were the check missing, at most one worker forks.
+  const auto app = apps::vopd();
+  const auto library = topo::standard_library(app.num_cores());
+  select::ExplorationRequest request;
+  request.app = &app;
+  request.library = &library;
+  request.routings = {route::RoutingKind::kDimensionOrdered};
+  SweepOptions options;
+  options.num_workers = select::kMaxThreads + 1;
+  try {
+    (void)run_sweep(request, options);
+    ADD_FAILURE() << "num_workers " << options.num_workers << " was run";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("got 257"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Sweep, ProvenanceColumnsRecordShardAndWorker) {
   const auto app = apps::vopd();
   const auto library = topo::standard_library(app.num_cores());

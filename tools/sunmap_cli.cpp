@@ -140,10 +140,10 @@ void usage() {
   --json <path>       write the exploration report as JSON (sweep only)
 
 Distributed sweeps (with --sweep; see README "Distributed sweeps"):
-  --workers <n>       distribute the sweep across n worker processes, one
-                      objective run of the grid at a time; the merged
-                      report is bit-identical to the single-process
-                      explorer at any worker count
+  --workers <n>       distribute the sweep across n worker processes
+                      (1..256), one objective run of the grid at a time;
+                      the merged report is bit-identical to the
+                      single-process explorer at any worker count
   --checkpoint <path> append-only journal of completed points; a killed
                       sweep resumes from it with --resume
   --resume            fold the checkpoint's completed points in and only
@@ -504,6 +504,11 @@ int run(int argc, char** argv) {
       local.sweep = true;
     } else if (arg == "--workers") {
       local.workers = io::parse_int(arg, need_value(i));
+      if (local.workers < 1 || local.workers > select::kMaxThreads) {
+        throw std::invalid_argument(
+            "--workers must be in [1, " + std::to_string(select::kMaxThreads) +
+            "], got " + std::to_string(local.workers));
+      }
     } else if (arg == "--checkpoint") {
       local.checkpoint_path = need_value(i);
     } else if (arg == "--resume") {
