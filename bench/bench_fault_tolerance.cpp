@@ -8,16 +8,20 @@
 //  * fault_incremental_2x — with exhaustive N-1 link faults folded into the
 //    worst-case-degraded objective, the per-scenario re-evaluation that
 //    reads each degraded route from the path table built at bind time must
-//    be >= 2x faster than re-running the masked searches from scratch per
-//    evaluation, on an SA-shaped neighbor-swap walk over VOPD and MPEG-4.
-//    The gated ratio is net of the fault-free base evaluation (measured
-//    with an empty fault set and subtracted from both sides), because the
-//    base routing/power arithmetic is byte-for-byte shared and would only
-//    dilute the signal; the end-to-end walk speedup is recorded
-//    informationally. Both paths must return bit-identical evaluations —
-//    the table holds the routes the reference searches for and sums them
-//    in the reference's order, so any divergence is a bug and the binary
-//    exits nonzero.
+//    be >= 2x faster than Mapper::evaluate, the from-scratch oracle, which
+//    re-runs a masked search per (scenario, commodity), on an SA-shaped
+//    neighbor-swap walk over VOPD and MPEG-4. Each side's ratio term is
+//    net of its own fault-free walk (the same walk with an empty fault
+//    set: EvalContext::evaluate for the table, Mapper::evaluate for the
+//    oracle), so the base routing, floorplan and power work drops out; the
+//    end-to-end walk speedup is recorded informationally. The oracle also
+//    computes every scenario's link loads, which a metrics-only context
+//    evaluation skips, so the ratio credits the table with that work too.
+//    The table side's net time is only about a millisecond, so the ratio
+//    is noisy run to run; the 2x bar sits far below it. Both walks must
+//    return bit-identical costs — the table holds the routes the oracle
+//    searches for and sums them in its order, so any divergence is a bug
+//    and the binary exits nonzero.
 //
 // The fault-free search's cost and evaluated/pruned counts are invariants
 // too. A scenario-count scaling table (1..16 random scenarios) is also
@@ -107,13 +111,19 @@ struct WalkResult {
   std::vector<double> costs;
 };
 
-/// SA-shaped probe: a deterministic random walk of neighbor swaps evaluated
-/// through one EvalContext with materialize=false — the exact shape of the
-/// annealing inner loop, isolated from acceptance logic so the measurement
-/// is pure re-evaluation cost.
+/// Which evaluator a walk drives: one EvalContext (its degraded-path table)
+/// or Mapper::evaluate, the from-scratch oracle.
+enum class Evaluator { kContext, kOracle };
+
+/// SA-shaped probe: a deterministic random walk of neighbor swaps, each
+/// candidate evaluated through one EvalContext with materialize=false — the
+/// exact shape of the annealing inner loop, isolated from acceptance logic
+/// so the measurement is pure re-evaluation cost — or through
+/// Mapper::evaluate.
 WalkResult evaluation_walk(const mapping::CoreGraph& app,
                            const topo::Topology& topology,
-                           const mapping::MapperConfig& config, int iters) {
+                           const mapping::MapperConfig& config, int iters,
+                           Evaluator evaluator) {
   const mapping::Mapper mapper(config);
   const auto ctx = mapper.make_context(app, topology);
   mapping::EvalScratch scratch;
@@ -130,8 +140,10 @@ WalkResult evaluation_walk(const mapping::CoreGraph& app,
     const auto b = static_cast<std::size_t>(
         prng.next_below(static_cast<std::uint64_t>(app.num_cores())));
     std::swap(mapping[a], mapping[b]);
-    const auto eval = ctx.evaluate(mapping, scratch, /*materialize=*/false);
-    result.costs.push_back(eval.cost);
+    result.costs.push_back(
+        evaluator == Evaluator::kContext
+            ? ctx.evaluate(mapping, scratch, /*materialize=*/false).cost
+            : mapper.evaluate(app, topology, mapping).cost);
   }
   result.wall_ms = now_ms() - t0;
   return result;
@@ -143,22 +155,45 @@ WalkResult evaluation_walk(const mapping::CoreGraph& app,
 /// stable on loaded runners.
 WalkResult best_of_walks(const mapping::CoreGraph& app,
                          const topo::Topology& topology,
-                         const mapping::MapperConfig& config, int iters) {
-  WalkResult best = evaluation_walk(app, topology, config, iters);
+                         const mapping::MapperConfig& config, int iters,
+                         Evaluator evaluator) {
+  WalkResult best = evaluation_walk(app, topology, config, iters, evaluator);
   for (int rep = 1; rep < 3; ++rep) {
-    auto next = evaluation_walk(app, topology, config, iters);
+    auto next = evaluation_walk(app, topology, config, iters, evaluator);
     if (next.wall_ms < best.wall_ms) best.wall_ms = next.wall_ms;
   }
   return best;
 }
 
+/// A fault-free and a faulted walk through one evaluator.
+struct WalkPair {
+  double base_ms = 0.0;
+  WalkResult faulted;
+  [[nodiscard]] double net_ms() const {
+    return std::max(faulted.wall_ms - base_ms, 1e-6);
+  }
+};
+
+WalkPair walk_pair(const mapping::CoreGraph& app,
+                   const topo::Topology& topology,
+                   const mapping::MapperConfig& faulted, int iters,
+                   Evaluator evaluator) {
+  auto fault_free = faulted;
+  fault_free.faults = fault::FaultSet{};
+  WalkPair pair;
+  pair.base_ms =
+      best_of_walks(app, topology, fault_free, iters, evaluator).wall_ms;
+  pair.faulted = best_of_walks(app, topology, faulted, iters, evaluator);
+  return pair;
+}
+
 struct IncrementalRun {
   std::string name;
-  double base_ms = 0.0;         ///< Fault-free walk: shared arithmetic.
+  double base_ms = 0.0;         ///< Fault-free context walk.
   double incremental_ms = 0.0;
-  double reference_ms = 0.0;
+  double reference_ms = 0.0;    ///< Mapper::evaluate walk.
   double walk_speedup = 0.0;    ///< End-to-end, informational.
-  double fault_speedup = 0.0;   ///< Net of base_ms — the gated ratio.
+  double fault_speedup = 0.0;   ///< Net of fault-free walks: gated.
   bool bit_identical = false;
   std::size_t scenarios = 0;
 };
@@ -168,31 +203,24 @@ IncrementalRun run_incremental_probe(const std::string& name,
                                      int iters) {
   const auto mesh = topo::make_mesh_for(app.num_cores());
   auto config = bench::video_config();
-
-  // The fault-free walk isolates the arithmetic both fault paths share
-  // (base routing, area/power, bounds); subtracting it leaves the cost of
-  // the per-scenario degraded re-evaluation itself.
-  const auto base = best_of_walks(app, *mesh, config, iters);
-
   config.faults.spec.kind = fault::FaultSpec::Kind::kEveryLink;
   config.faults.aggregation = fault::Aggregation::kWorstCase;
-  config.incremental_fault_eval = true;
-  const auto incremental = best_of_walks(app, *mesh, config, iters);
-  config.incremental_fault_eval = false;
-  const auto reference = best_of_walks(app, *mesh, config, iters);
+  // Each side's fault-free walk isolates its base evaluation (routing,
+  // area/power, bounds); subtracting it leaves the cost of the
+  // per-scenario degraded re-evaluation itself.
+  const auto incremental =
+      walk_pair(app, *mesh, config, iters, Evaluator::kContext);
+  const auto reference =
+      walk_pair(app, *mesh, config, iters, Evaluator::kOracle);
 
   IncrementalRun run;
   run.name = name;
-  run.base_ms = base.wall_ms;
-  run.incremental_ms = incremental.wall_ms;
-  run.reference_ms = reference.wall_ms;
-  run.walk_speedup = reference.wall_ms / incremental.wall_ms;
-  const double net_incremental =
-      std::max(incremental.wall_ms - base.wall_ms, 1e-6);
-  const double net_reference =
-      std::max(reference.wall_ms - base.wall_ms, 1e-6);
-  run.fault_speedup = net_reference / net_incremental;
-  run.bit_identical = incremental.costs == reference.costs;
+  run.base_ms = incremental.base_ms;
+  run.incremental_ms = incremental.faulted.wall_ms;
+  run.reference_ms = reference.faulted.wall_ms;
+  run.walk_speedup = run.reference_ms / run.incremental_ms;
+  run.fault_speedup = reference.net_ms() / incremental.net_ms();
+  run.bit_identical = incremental.faulted.costs == reference.faulted.costs;
   run.scenarios = fault::physical_links(*mesh).size();
   return run;
 }
@@ -201,7 +229,8 @@ struct ScalingPoint {
   int scenarios = 0;
   double incremental_ms = 0.0;
   double reference_ms = 0.0;
-  double speedup = 0.0;
+  double speedup = 0.0;  ///< Net of each side's fault-free walk.
+  bool bit_identical = false;
 };
 
 ScalingPoint run_scaling_point(const mapping::CoreGraph& app, int scenarios,
@@ -213,13 +242,16 @@ ScalingPoint run_scaling_point(const mapping::CoreGraph& app, int scenarios,
   config.faults.spec.faults_per_scenario = 1;
   config.faults.spec.seed = 5;
 
+  const auto incremental =
+      walk_pair(app, *mesh, config, iters, Evaluator::kContext);
+  const auto reference =
+      walk_pair(app, *mesh, config, iters, Evaluator::kOracle);
   ScalingPoint point;
   point.scenarios = scenarios;
-  config.incremental_fault_eval = true;
-  point.incremental_ms = best_of_walks(app, *mesh, config, iters).wall_ms;
-  config.incremental_fault_eval = false;
-  point.reference_ms = best_of_walks(app, *mesh, config, iters).wall_ms;
-  point.speedup = point.reference_ms / point.incremental_ms;
+  point.incremental_ms = incremental.faulted.wall_ms;
+  point.reference_ms = reference.faulted.wall_ms;
+  point.speedup = reference.net_ms() / incremental.net_ms();
+  point.bit_identical = incremental.faulted.costs == reference.faulted.costs;
   return point;
 }
 
@@ -237,9 +269,9 @@ int main(int argc, char** argv) {
                                        kWalkIters));
 
   bench::print_heading(
-      "Incremental fault re-evaluation: prebuilt per-scenario BFS tables vs "
-      "from-scratch masked searches (N-1 link faults, worst-case objective, "
-      "SA-shaped walk)");
+      "Incremental fault re-evaluation: the degraded-path table vs "
+      "Mapper::evaluate's masked searches (N-1 link faults, worst-case "
+      "objective, SA-shaped walk; fault speedup net of fault-free walks)");
   util::Table table({"run", "scenarios", "base ms", "incremental ms",
                      "reference ms", "walk speedup", "fault speedup",
                      "bit-identical"});
@@ -268,10 +300,12 @@ int main(int argc, char** argv) {
     scaling.push_back(run_scaling_point(vopd, scenarios, 200));
   }
   bench::print_heading(
-      "Per-scenario-count scaling (VOPD, random single-link scenarios)");
+      "Per-scenario-count scaling (VOPD, random single-link scenarios; "
+      "speedup net of fault-free walks)");
   util::Table scale_table(
       {"scenarios", "incremental ms", "reference ms", "speedup"});
   for (const auto& point : scaling) {
+    all_identical = all_identical && point.bit_identical;
     scale_table.add_row({std::to_string(point.scenarios),
                          util::Table::num(point.incremental_ms, 1),
                          util::Table::num(point.reference_ms, 1),

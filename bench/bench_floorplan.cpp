@@ -7,11 +7,13 @@
 //
 // Plus the cross-PR floorplan perf probe: a randomized pairwise-swap
 // sequence driven once through stateless from-scratch Floorplanner::place
-// calls and once through an incremental fplan::FloorplanSession. The two
-// must agree bit-for-bit on every step (chip W/H, area, every block), and
-// the session must be at least 2x faster. An annealing-shaped probe then
-// drives speculative push/solve + commit|rollback through the session.
-// `--json` writes BENCH_floorplan.json (bench/probe.h) with three
+// calls and once through one fplan::FloorplanSession fed two-slot deltas.
+// The two must agree bit-for-bit on every step (chip W/H, area, every
+// block), and the session must be at least 2x faster. An annealing-shaped
+// probe then drives accept/reject candidates through the session the way
+// the evaluation context does: each candidate sends its diff against what
+// the session holds, so a rejected candidate is undone by the next one's
+// delta. `--json` writes BENCH_floorplan.json (bench/probe.h) with three
 // invariants — bit_identical, incremental_2x and annealing_incremental
 // (bit-identical, >= 2x rigid and >= 1.4x with sizing) — and the binary
 // exits nonzero when any of them fails.
@@ -248,11 +250,46 @@ LegRow run_swap_probe(const SwapWorkload& workload) {
   return row;
 }
 
-// ---- Annealing-shaped probe: speculative push/solve then commit|rollback
-// (the DeltaTxn protocol's floorplan leg) vs a from-scratch place per
-// candidate. This is the session traffic a simulated-annealing chain
-// generates — roughly half the candidates are rejected, so the session must
-// win on the rollback side too, not just on forward deltas.
+// ---- Annealing-shaped probe: accept/reject candidates through the session
+// vs a from-scratch place per candidate. This is the session traffic a
+// simulated-annealing chain generates — roughly half the candidates are
+// rejected, and the session keeps the rejected one until the next
+// candidate's delta moves it on, as EvalContext::floorplan_for_mapping
+// drives it.
+
+using Assignment = std::vector<std::optional<fplan::BlockShape>>;
+
+/// The session side of the probe. Each candidate goes in as the delta a
+/// floorplan-cache miss sends: every slot whose shape differs from what the
+/// session holds. The session holds the previous candidate, so only that
+/// candidate's swap and this one's can differ (at most 4 slots).
+struct SessionFeed {
+  SessionFeed(const fplan::Floorplanner::Options& options,
+                const topo::RelativePlacement& placement, const Inputs& base)
+      : session(options, placement, base.cores, base.switches),
+        held(base.cores) {
+    (void)session.solve();
+  }
+
+  const fplan::Floorplan& solve(const Assignment& candidate, int a, int b) {
+    updates.clear();
+    for (const int s : {last_a, last_b, a, b}) {
+      const auto slot = static_cast<std::size_t>(s);
+      if (held[slot] == candidate[slot]) continue;
+      updates.push_back({s, candidate[slot]});
+      held[slot] = candidate[slot];
+    }
+    last_a = a;
+    last_b = b;
+    session.update_shapes(updates);
+    return session.solve();
+  }
+
+  fplan::FloorplanSession session;
+  Assignment held;
+  std::vector<fplan::SlotShapeUpdate> updates;
+  int last_a = 0, last_b = 0;
+};
 
 LegRow run_txn_probe(const SwapWorkload& workload,
                      const fplan::Floorplanner::Options& options,
@@ -260,60 +297,42 @@ LegRow run_txn_probe(const SwapWorkload& workload,
   const auto placement = workload.topology->relative_placement();
   const fplan::Floorplanner planner(options);
   const int num_slots = workload.topology->num_slots();
+  const auto base = app_inputs(workload.app, *workload.topology);
 
   LegRow row;
   row.key = key;
 
-  // One candidate per step: speculate the swap with push_shapes, solve,
-  // then accept (commit_shapes, the swap stays) or reject (pop_shapes, the
-  // baseline returns) — decided by the same Prng stream in every pass.
+  // One candidate per step: the committed assignment with one pairwise
+  // swap applied in place, kept or swapped back (rejected) by the same Prng
+  // stream in every pass.
   const auto drive = [&](auto&& per_candidate) {
-    auto inputs = app_inputs(workload.app, *workload.topology);
+    auto assignment = base.cores;
     SwapSequence sequence(num_slots);
     util::Prng accept_prng(99);
     for (int step = 0; step < kSwapSteps; ++step) {
       const auto [a, b] = sequence.next();
-      auto speculative_a = inputs.cores[static_cast<std::size_t>(b)];
-      auto speculative_b = inputs.cores[static_cast<std::size_t>(a)];
-      const bool accept = accept_prng.chance(0.5);
-      per_candidate(inputs, a, b, speculative_a, speculative_b, accept);
-      if (accept) {
-        std::swap(inputs.cores[static_cast<std::size_t>(a)],
-                  inputs.cores[static_cast<std::size_t>(b)]);
+      std::swap(assignment[static_cast<std::size_t>(a)],
+                assignment[static_cast<std::size_t>(b)]);
+      per_candidate(assignment, a, b);
+      if (!accept_prng.chance(0.5)) {
+        std::swap(assignment[static_cast<std::size_t>(a)],
+                  assignment[static_cast<std::size_t>(b)]);
       }
     }
   };
 
-  // Correctness pass (untimed): every speculative solve must equal the
-  // from-scratch place of the speculative assignment, and every rollback
-  // must leave the next speculation bit-identical too.
+  // Correctness pass (untimed): every candidate's solve must equal the
+  // from-scratch place of the candidate, including the ones that follow a
+  // rejected candidate.
   {
-    auto inputs = app_inputs(workload.app, *workload.topology);
-    fplan::FloorplanSession session(options, placement, inputs.cores,
-                                    inputs.switches);
-    (void)session.solve();
+    SessionFeed feed(options, placement, base);
     row.bit_identical = true;
-    SwapSequence sequence(num_slots);
-    util::Prng accept_prng(99);
-    std::vector<fplan::SlotShapeUpdate> updates(2);
-    for (int step = 0; step < kSwapSteps && row.bit_identical; ++step) {
-      const auto [a, b] = sequence.next();
-      auto speculative = inputs.cores;
-      std::swap(speculative[static_cast<std::size_t>(a)],
-                speculative[static_cast<std::size_t>(b)]);
-      updates[0] = {a, speculative[static_cast<std::size_t>(a)]};
-      updates[1] = {b, speculative[static_cast<std::size_t>(b)]};
-      session.push_shapes(updates);
-      row.bit_identical = floorplans_equal(
-          session.solve(),
-          planner.place(placement, speculative, inputs.switches));
-      if (accept_prng.chance(0.5)) {
-        session.commit_shapes();
-        inputs.cores = std::move(speculative);
-      } else {
-        session.pop_shapes();
-      }
-    }
+    drive([&](const Assignment& candidate, int a, int b) {
+      row.bit_identical =
+          row.bit_identical &&
+          floorplans_equal(feed.solve(candidate, a, b),
+                           planner.place(placement, candidate, base.switches));
+    });
   }
 
   // Timing passes, best of kTimingRounds per side.
@@ -323,14 +342,9 @@ LegRow run_txn_probe(const SwapWorkload& workload,
     {
       double blackhole = 0.0;
       const auto t0 = std::chrono::steady_clock::now();
-      drive([&](Inputs& inputs, int a, int b,
-                const std::optional<fplan::BlockShape>& sa,
-                const std::optional<fplan::BlockShape>& sb, bool) {
-        auto speculative = inputs.cores;
-        speculative[static_cast<std::size_t>(a)] = sa;
-        speculative[static_cast<std::size_t>(b)] = sb;
+      drive([&](const Assignment& candidate, int, int) {
         blackhole +=
-            planner.place(placement, speculative, inputs.switches).area_mm2();
+            planner.place(placement, candidate, base.switches).area_mm2();
       });
       const auto t1 = std::chrono::steady_clock::now();
       benchmark::DoNotOptimize(blackhole);
@@ -339,25 +353,11 @@ LegRow run_txn_probe(const SwapWorkload& workload,
           std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
     {
-      auto base = app_inputs(workload.app, *workload.topology);
-      fplan::FloorplanSession session(options, placement, base.cores,
-                                      base.switches);
-      (void)session.solve();
-      std::vector<fplan::SlotShapeUpdate> updates(2);
+      SessionFeed feed(options, placement, base);
       double blackhole = 0.0;
       const auto t0 = std::chrono::steady_clock::now();
-      drive([&](Inputs&, int a, int b,
-                const std::optional<fplan::BlockShape>& sa,
-                const std::optional<fplan::BlockShape>& sb, bool accept) {
-        updates[0] = {a, sa};
-        updates[1] = {b, sb};
-        session.push_shapes(updates);
-        blackhole += session.solve().area_mm2();
-        if (accept) {
-          session.commit_shapes();
-        } else {
-          session.pop_shapes();
-        }
+      drive([&](const Assignment& candidate, int a, int b) {
+        blackhole += feed.solve(candidate, a, b).area_mm2();
       });
       const auto t1 = std::chrono::steady_clock::now();
       benchmark::DoNotOptimize(blackhole);
@@ -436,8 +436,8 @@ int main(int argc, char** argv) {
     workloads.push_back(std::move(vopd_bfly));
   }
   // The annealing-shaped probe adds a production-scale point: 48
-  // heterogeneous cores on an 8x8 mesh, where the from-scratch rebuild
-  // grows with the design while the delta patch stays O(dirty).
+  // heterogeneous cores on an 8x8 mesh, where the from-scratch structure
+  // build the session skips grows with the design.
   std::vector<SwapWorkload> txn_workloads;
   {
     SwapWorkload vopd_mesh{"vopd_mesh", apps::vopd(), nullptr};
@@ -483,8 +483,8 @@ int main(int argc, char** argv) {
               workloads.size());
 
   bench::print_heading(
-      "Annealing-shaped probe: speculative push/solve + commit|rollback vs "
-      "from-scratch place per candidate (default + rigid sizing)");
+      "Annealing-shaped probe: accept/reject candidates through the session "
+      "vs from-scratch place per candidate (default + rigid sizing)");
   std::vector<LegRow> txn_rows;
   util::Table txn_table({"workload", "from-scratch ms", "txn ms", "speedup",
                          "bit-identical"});
@@ -493,10 +493,10 @@ int main(int argc, char** argv) {
   double rigid_scratch_total = 0.0, rigid_incremental_total = 0.0;
   for (const auto& workload : txn_workloads) {
     // Default sizing first (the evaluation stack's configuration), then the
-    // rigid engine (sizing_passes = 0), which isolates the incremental
-    // constraint-graph machinery from the sizing descent — the descent runs
+    // rigid engine (sizing_passes = 0), which isolates the session's kept
+    // constraint-graph structure from the sizing descent — the descent runs
     // identically on both sides of the comparison, so the rigid rows are
-    // where the delta-vs-rebuild win itself is visible.
+    // where the structure-reuse win itself is visible.
     fplan::Floorplanner::Options rigid;
     rigid.sizing_passes = 0;
     for (const auto& [options, key] :
@@ -531,11 +531,11 @@ int main(int argc, char** argv) {
               txn_table.to_string().c_str(), txn_speedup_rigid,
               txn_speedup_sized, kSwapSteps, txn_workloads.size());
 
-  // The tentpole's CI invariant: annealing accept/reject traffic through
-  // the transactional session must stay bit-identical AND keep its
-  // wall-clock win over from-scratch floorplanning — >= 2x where the
-  // rebuild-vs-delta machinery is isolated (rigid), >= 1.4x with the
-  // (side-independent) sizing descent folded in — or the build fails.
+  // The CI invariant: annealing accept/reject traffic through the session
+  // must stay bit-identical AND keep its wall-clock win over from-scratch
+  // floorplanning — >= 2x where the structure reuse is isolated (rigid),
+  // >= 1.4x with the (side-independent) sizing descent folded in — or the
+  // build fails.
   const bool annealing_incremental = txn_identical &&
                                      txn_speedup_rigid >= 2.0 &&
                                      txn_speedup_sized >= 1.4;

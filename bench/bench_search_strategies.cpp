@@ -1,6 +1,6 @@
 // Experiment SEARCH — the cross-PR perf probe for the pluggable mapping
-// search subsystem. Two sections, over VOPD / MPEG4 / netproc16 on their
-// meshes:
+// search subsystem. Three sections, the first two over VOPD / MPEG4 /
+// netproc16 on their meshes:
 //
 //  * strategies — greedy swaps vs single-seed simulated annealing vs the
 //    multi-restart annealer at the SAME total iteration budget. The restart
@@ -12,12 +12,17 @@
 //    must return the bit-identical mapping and cost (the bounds are
 //    admissible) while pruning the majority of candidates.
 //
+//  * annealing — single-seed SA on dimension-ordered routing over VOPD,
+//    MPEG4 and a 48-core synthetic graph on an 8x8 mesh, with default and
+//    rigid floorplan sizing, timed per leg; each winner must equal
+//    Mapper::evaluate of its mapping. (bench_floorplan's
+//    annealing_incremental invariant gates the session's speedup.)
+//
 // `--json` writes BENCH_search_strategies.json (bench/probe.h). Its
-// invariants: restart_never_worse, bit_identical (pruned search equals the
-// prune-disabled reference) and annealing_incremental (transactional SA
-// bit-identical to the from-scratch floorplan reference, >= 2x rigid and
-// >= 1.25x with sizing). The binary exits nonzero when any of them fails or
-// when aggregate bound pruning drops to 50% or below.
+// invariants: restart_never_worse and bit_identical (pruned search equals
+// the prune-disabled reference). The binary exits nonzero when either
+// fails, when an SA winner differs from Mapper::evaluate, or when
+// aggregate bound pruning drops to 50% or below.
 
 #include "apps/apps.h"
 #include "bench/bench_util.h"
@@ -27,6 +32,7 @@
 
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -197,38 +203,26 @@ int main(int argc, char** argv) {
   }
   std::printf("%s", pruning.to_string().c_str());
 
-  // ---- Transactional incremental floorplanning across SA accept/reject. --
+  // ---- Simulated annealing on the transactional evaluation path. ----
   //
-  // Simulated annealing is the pathological client of incremental
-  // floorplanning: roughly half its candidates are rejected, so before the
-  // DeltaTxn protocol every rejected swap left the scratch session dirty.
-  // This section runs the SA workloads with the transactional incremental
-  // path (the default) against the from-scratch reference
-  // (MapperConfig::incremental_floorplan = false) and enforces both
-  // bit-identity and the wall-clock win.
+  // Roughly half an SA chain's candidates are rejected, so these legs time
+  // the DeltaTxn accept/reject traffic through the scratch's floorplan
+  // session, and check each winner against the from-scratch oracle.
   //
   // Setup notes: netproc16 is excluded — its cores share one shape class on
   // a fully occupied mesh, so every mapping has the same floorplan key and
   // the floorplan path is never exercised. Routing is dimension-ordered
   // (static route tables): under the load-adaptive functions the per-eval
-  // Dijkstras dominate wall time equally on both sides and would only
-  // drown the floorplan signal being gated. Each workload runs with the
-  // default sizing descent (reported, gated >= 1.25x in aggregate — the
-  // descent itself runs identically on both sides) and with the rigid
-  // engine (sizing_passes = 0, gated >= 2x in aggregate, where the
-  // delta-vs-rebuild win is isolated).
+  // Dijkstras dominate wall time and would drown the floorplan signal.
+  // Each workload runs with the default sizing descent and with the rigid
+  // engine (sizing_passes = 0).
   bench::print_heading(
-      "Transactional SA: incremental floorplan deltas across accept/reject "
-      "vs from-scratch reference (bit-identical by contract)");
+      "Simulated annealing: floorplan-session deltas across accept/reject "
+      "(winners checked against Mapper::evaluate)");
   struct SaRow {
     std::string key;
-    double incremental_ms = 0.0;
-    double reference_ms = 0.0;
-    bool bit_identical = false;
-
-    [[nodiscard]] double speedup() const {
-      return incremental_ms > 0.0 ? reference_ms / incremental_ms : 0.0;
-    }
+    double wall_ms = 0.0;
+    bool matches_oracle = false;
   };
   apps::SyntheticSpec synth_spec;
   synth_spec.num_cores = 48;
@@ -253,11 +247,8 @@ int main(int argc, char** argv) {
       {"synth48", &synth_app, synth_mesh.get(), 4000.0, 1000});
 
   std::vector<SaRow> sa_rows;
-  util::Table sa_table({"workload", "sizing", "incremental ms",
-                        "from-scratch ms", "speedup", "bit-identical"});
-  bool sa_identical = true;
-  double sized_inc_total = 0.0, sized_ref_total = 0.0;
-  double rigid_inc_total = 0.0, rigid_ref_total = 0.0;
+  util::Table sa_table({"workload", "sizing", "wall ms", "matches oracle"});
+  bool sa_match = true;
   for (const auto& w : sa_workloads) {
     for (const bool rigid : {false, true}) {
       mapping::MapperConfig config;
@@ -267,50 +258,36 @@ int main(int argc, char** argv) {
       config.annealing_iterations = w.iterations;
       if (rigid) config.floorplan.sizing_passes = 0;
 
-      mapping::MappingResult incremental_result, reference_result;
-      double incremental_ms = std::numeric_limits<double>::infinity();
-      double reference_ms = std::numeric_limits<double>::infinity();
-      for (int round = 0; round < 3; ++round) {
-        const mapping::Mapper mapper(config);
-        incremental_ms = std::min(incremental_ms, timed_ms([&] {
-          incremental_result = mapper.map(*w.app, *w.mesh);
-        }));
-        auto reference_config = config;
-        reference_config.incremental_floorplan = false;
-        const mapping::Mapper reference(reference_config);
-        reference_ms = std::min(reference_ms, timed_ms([&] {
-          reference_result = reference.map(*w.app, *w.mesh);
-        }));
-      }
+      const mapping::Mapper mapper(config);
+      mapping::MappingResult result;
       SaRow row;
       row.key = w.name + (rigid ? "_sa_rigid" : "_sa");
-      row.incremental_ms = incremental_ms;
-      row.reference_ms = reference_ms;
-      row.bit_identical =
-          incremental_result.core_to_slot == reference_result.core_to_slot &&
-          incremental_result.eval.cost == reference_result.eval.cost &&
-          incremental_result.evaluated_mappings ==
-              reference_result.evaluated_mappings;
-      sa_identical = sa_identical && row.bit_identical;
-      (rigid ? rigid_inc_total : sized_inc_total) += incremental_ms;
-      (rigid ? rigid_ref_total : sized_ref_total) += reference_ms;
+      row.wall_ms = std::numeric_limits<double>::infinity();
+      for (int round = 0; round < 3; ++round) {
+        row.wall_ms = std::min(row.wall_ms, timed_ms([&] {
+          result = mapper.map(*w.app, *w.mesh);
+        }));
+      }
+      const auto oracle = mapper.evaluate(*w.app, *w.mesh, result.core_to_slot);
+      row.matches_oracle = result.eval.cost == oracle.cost &&
+                           result.eval.design_area_mm2 ==
+                               oracle.design_area_mm2 &&
+                           result.eval.design_power_mw ==
+                               oracle.design_power_mw;
+      if (!row.matches_oracle) {
+        sa_match = false;
+        std::fprintf(stderr,
+                     "FAIL: %s winner differs from Mapper::evaluate "
+                     "(cost %.17g vs %.17g)\n",
+                     row.key.c_str(), result.eval.cost, oracle.cost);
+      }
       sa_table.add_row({w.name, rigid ? "rigid" : "default",
-                        util::Table::num(incremental_ms, 1),
-                        util::Table::num(reference_ms, 1),
-                        util::Table::num(row.speedup(), 2) + "x",
-                        row.bit_identical ? "yes" : "NO"});
+                        util::Table::num(row.wall_ms, 1),
+                        row.matches_oracle ? "yes" : "NO"});
       sa_rows.push_back(std::move(row));
     }
   }
-  const double sa_speedup_rigid =
-      rigid_inc_total > 0.0 ? rigid_ref_total / rigid_inc_total : 0.0;
-  const double sa_speedup_sized =
-      sized_inc_total > 0.0 ? sized_ref_total / sized_inc_total : 0.0;
-  std::printf("%saggregate SA speedup: %.2fx rigid, %.2fx with sizing\n",
-              sa_table.to_string().c_str(), sa_speedup_rigid,
-              sa_speedup_sized);
-  const bool annealing_incremental =
-      sa_identical && sa_speedup_rigid >= 2.0 && sa_speedup_sized >= 1.25;
+  std::printf("%s", sa_table.to_string().c_str());
 
   // Per-objective aggregate pruning rates over the three workloads — the
   // acceptance bar: min-area and min-power searches must each bound-prune
@@ -335,7 +312,7 @@ int main(int argc, char** argv) {
                 area_fraction, power_fraction);
   }
 
-  int status = 0;
+  int status = sa_match ? 0 : 1;
   if (area_fraction <= 0.5 || power_fraction <= 0.5) {
     std::fprintf(stderr,
                  "FAIL: aggregate bound pruning below the 50%% bar "
@@ -346,20 +323,15 @@ int main(int argc, char** argv) {
 
   probe.invariant("restart_never_worse", restart_never_worse);
   probe.invariant("bit_identical", all_identical);
-  probe.invariant("annealing_incremental", annealing_incremental);
   probe.metric("anneal_iterations", kAnnealIterations);
   probe.metric("restarts", kRestarts);
-  probe.metric("annealing_speedup_rigid", sa_speedup_rigid);
-  probe.metric("annealing_speedup_sized", sa_speedup_sized);
   probe.metric("min_prune_fraction", min_fraction);
   probe.metric("min_area_prune_fraction", area_fraction);
   probe.metric("min_power_prune_fraction", power_fraction);
   for (const auto& row : sa_rows) {
     probe.row("annealing", {{"run", row.key},
-                            {"wall_ms", row.incremental_ms},
-                            {"from_scratch_ms", row.reference_ms},
-                            {"speedup", row.speedup()},
-                            {"bit_identical", row.bit_identical}});
+                            {"wall_ms", row.wall_ms},
+                            {"matches_oracle", row.matches_oracle}});
   }
   for (const auto& row : strategy_rows) {
     probe.row("strategies", {{"run", row.key},
@@ -370,7 +342,7 @@ int main(int argc, char** argv) {
     probe.sub_benchmark(row.key, row.wall_ms);
   }
   for (const auto& row : sa_rows) {
-    probe.sub_benchmark(row.key, row.incremental_ms);
+    probe.sub_benchmark(row.key, row.wall_ms);
   }
   for (const auto& row : prune_rows) {
     probe.row("pruning", {{"run", row.key},

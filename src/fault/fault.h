@@ -140,9 +140,8 @@ struct MaskedBfs {
 /// alive. Neighbours expand in out_edges insertion order, so the parent
 /// choice — and therefore every extracted path — is deterministic and
 /// identical wherever the same (graph, mask, src) is searched. This is what
-/// gives the incremental fault path (EvalContext's path table, built from
-/// these searches at bind) and the reference (BFS re-run per evaluation)
-/// the same routes.
+/// gives EvalContext's path table (built from these searches at bind) and
+/// Mapper::evaluate (a search per scenario and commodity) the same routes.
 void masked_bfs(const graph::DirectedGraph& g, graph::NodeId src,
                 const ScenarioMask& mask, MaskedBfs& out);
 

@@ -15,8 +15,8 @@ Floorplan Floorplanner::place(
     const std::vector<std::optional<BlockShape>>& core_shapes,
     const std::vector<BlockShape>& switch_shapes) const {
   // A one-shot place is a session solved once with its construction-time
-  // shapes: the same staged code path the incremental callers drive, which
-  // is what makes incremental results bit-identical to from-scratch ones.
+  // shapes: the same code every session solve runs, which is what makes
+  // session results bit-identical to from-scratch ones.
   FloorplanSession session(options_, placement, core_shapes, switch_shapes);
   return session.solve();
 }

@@ -22,8 +22,8 @@ constexpr std::array<double, 7> kAspectCandidates = {
 /// The literal LP engine over already-sized items (the paper's formulation
 /// [21]): minimise W + H subject to the relative-position ordering and
 /// boundary constraints. Shared by every session regardless of how the item
-/// dimensions were derived, so the simplex engine benefits from the
-/// incremental sizing stages unchanged.
+/// dimensions were derived, so the simplex engine reuses the session's
+/// sizing stages unchanged.
 Floorplan solve_simplex_lp(const topo::RelativePlacement& placement,
                            const std::vector<Floorplanner::Item>& items,
                            double spacing) {
@@ -296,134 +296,27 @@ void FloorplanSession::build_structure(
   }
 
   col_present_.assign(static_cast<std::size_t>(ncols_), 0);
+  col_width_.assign(static_cast<std::size_t>(ncols_), 0.0);
   if (grid_) {
     row_present_.assign(static_cast<std::size_t>(nrows_), 0);
     cell_present_.assign(cell_stack_.size(), 0);
-  }
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!nodes_[i].present) continue;
-    ++col_present_[static_cast<std::size_t>(nodes_[i].col)];
-    if (grid_) {
-      ++row_present_[static_cast<std::size_t>(nodes_[i].row)];
-      ++cell_present_[static_cast<std::size_t>(node_cell_[i])];
-    }
-  }
-
-  init_col_width_.assign(static_cast<std::size_t>(ncols_), 0.0);
-  col_width_.assign(static_cast<std::size_t>(ncols_), 0.0);
-  if (grid_) {
-    init_cell_height_.assign(cell_stack_.size(), 0.0);
     cell_height_.assign(cell_stack_.size(), 0.0);
-    init_row_height_.assign(static_cast<std::size_t>(nrows_), 0.0);
     row_height_.assign(static_cast<std::size_t>(nrows_), 0.0);
   } else {
-    init_col_height_.assign(static_cast<std::size_t>(ncols_), 0.0);
     col_height_.assign(static_cast<std::size_t>(ncols_), 0.0);
+  }
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    if (nodes_[i].present) count_presence(static_cast<int>(i), 1);
   }
 
   col_x_scratch_.assign(static_cast<std::size_t>(ncols_), 0.0);
   row_y_scratch_.assign(static_cast<std::size_t>(nrows_), 0.0);
   pos_scratch_.assign(nodes_.size(), {0.0, 0.0});
-
-  all_dirty_ = true;
-  dirty_nodes_.clear();
-  journal_depth_ = 0;
-  for (auto& frame : journal_) frame.reset();
   solved_ = false;
 }
 
 void FloorplanSession::update_shapes(const SlotShapeUpdate* updates,
                                      std::size_t count) {
-  if (journal_depth_ > 0) {
-    throw std::logic_error(
-        "FloorplanSession::update_shapes: speculative frames are open; use "
-        "push_shapes or settle them with pop_shapes/commit_shapes first");
-  }
-  apply_updates(updates, count, /*frame=*/nullptr);
-}
-
-void FloorplanSession::push_shapes(const SlotShapeUpdate* updates,
-                                   std::size_t count) {
-  if (journal_.size() <= journal_depth_) journal_.emplace_back();
-  JournalFrame& frame = journal_[journal_depth_];
-  frame.reset();
-  frame.base_all_dirty = all_dirty_;
-  frame.base_solved = solved_;
-  frame.base_dirty_nodes = dirty_nodes_;
-  ++journal_depth_;
-  apply_updates(updates, count, &frame);
-}
-
-void FloorplanSession::pop_shapes() {
-  if (journal_depth_ == 0) {
-    throw std::logic_error("FloorplanSession::pop_shapes: no frame is open");
-  }
-  JournalFrame& frame = journal_[--journal_depth_];
-
-  // Restore the displaced node states in reverse push order, so a slot the
-  // frame touched twice lands back on its original occupancy and shape.
-  // The journaled resolution (interned-shape index + init dims) is written
-  // back verbatim — the interned entry it points at never moves — so the
-  // restored node is bit-identical to its pre-push self without touching
-  // the resolver.
-  for (auto it = frame.nodes.rbegin(); it != frame.nodes.rend(); ++it) {
-    Node& node = nodes_[static_cast<std::size_t>(it->id)];
-    if (node.present != it->present) {
-      const int delta = it->present ? 1 : -1;
-      col_present_[static_cast<std::size_t>(node.col)] += delta;
-      if (grid_) {
-        row_present_[static_cast<std::size_t>(node.row)] += delta;
-        cell_present_[static_cast<std::size_t>(
-            node_cell_[static_cast<std::size_t>(it->id)])] += delta;
-      }
-    }
-    node.present = it->present;
-    node.shape = it->shape;
-    node.resolved = it->resolved;
-    node.init_w = it->init_w;
-    node.init_h = it->init_h;
-  }
-
-  if (frame.base_all_dirty || frame.solved_full) {
-    // The frame's base already needed (or a solve under the frame performed)
-    // a full re-derivation: surgical aggregate restoration has nothing valid
-    // to write back, so the next solve re-derives everything from the
-    // restored node states — exact, just not O(dirty).
-    all_dirty_ = true;
-    dirty_nodes_.clear();
-  } else {
-    // Write the displaced longest-path aggregates back verbatim (reverse
-    // record order, so overlapping records end on the oldest value) and
-    // restore the pre-push pending-delta set; aggregates a solve patched
-    // for those pending nodes are re-patched at the next solve.
-    for (auto it = frame.col_w.rbegin(); it != frame.col_w.rend(); ++it) {
-      init_col_width_[static_cast<std::size_t>(it->first)] = it->second;
-    }
-    for (auto it = frame.cell_h.rbegin(); it != frame.cell_h.rend(); ++it) {
-      init_cell_height_[static_cast<std::size_t>(it->first)] = it->second;
-    }
-    for (auto it = frame.row_h.rbegin(); it != frame.row_h.rend(); ++it) {
-      init_row_height_[static_cast<std::size_t>(it->first)] = it->second;
-    }
-    for (auto it = frame.col_h.rbegin(); it != frame.col_h.rend(); ++it) {
-      init_col_height_[static_cast<std::size_t>(it->first)] = it->second;
-    }
-    all_dirty_ = false;
-    dirty_nodes_ = frame.base_dirty_nodes;
-  }
-  // A solve while the frame was open left last_ holding the speculative
-  // floorplan; without one, the pre-push cached solve (if any) is still
-  // exactly the restored state's solution.
-  solved_ = frame.solved_through ? false : frame.base_solved;
-  frame.reset();
-}
-
-void FloorplanSession::commit_shapes() {
-  while (journal_depth_ > 0) journal_[--journal_depth_].reset();
-}
-
-void FloorplanSession::apply_updates(const SlotShapeUpdate* updates,
-                                     std::size_t count, JournalFrame* frame) {
   for (std::size_t i = 0; i < count; ++i) {
     const auto& update = updates[i];
     if (update.slot < 0 ||
@@ -438,129 +331,85 @@ void FloorplanSession::apply_updates(const SlotShapeUpdate* updates,
         (!want_present || *update.shape == node.shape)) {
       continue;  // no-op: same occupancy, same shape
     }
-    if (frame != nullptr) {
-      frame->nodes.push_back(JournalFrame::NodeUndo{
-          id, node.present, node.shape, node.resolved, node.init_w,
-          node.init_h});
-      frame->col_w.emplace_back(
-          node.col, init_col_width_[static_cast<std::size_t>(node.col)]);
-      if (grid_) {
-        const int cell = node_cell_[static_cast<std::size_t>(id)];
-        frame->cell_h.emplace_back(
-            cell, init_cell_height_[static_cast<std::size_t>(cell)]);
-        frame->row_h.emplace_back(
-            node.row, init_row_height_[static_cast<std::size_t>(node.row)]);
-      } else {
-        frame->col_h.emplace_back(
-            node.col, init_col_height_[static_cast<std::size_t>(node.col)]);
-      }
-    }
     if (want_present != node.present) {
-      const int delta = want_present ? 1 : -1;
-      col_present_[static_cast<std::size_t>(node.col)] += delta;
-      if (grid_) {
-        row_present_[static_cast<std::size_t>(node.row)] += delta;
-        cell_present_[static_cast<std::size_t>(
-            node_cell_[static_cast<std::size_t>(id)])] += delta;
-      }
+      count_presence(id, want_present ? 1 : -1);
     }
     node.present = want_present;
     if (want_present) {
       node.shape = *update.shape;
       resolve_node(node);
     }
-    if (!all_dirty_) dirty_nodes_.push_back(id);
     solved_ = false;
-  }
-  // Large dirty sets lose the point of patching (each dirty node re-derives
-  // its whole column/cell/row): fall back to re-deriving every aggregate at
-  // the next solve once a quarter of the design is dirty.
-  if (!all_dirty_ && 4 * dirty_nodes_.size() >= nodes_.size()) {
-    all_dirty_ = true;
-    dirty_nodes_.clear();
   }
 }
 
-void FloorplanSession::rederive_col(int col) {
+double FloorplanSession::column_width(int col) const {
   double width = 0.0;
   for (int id : col_members_[static_cast<std::size_t>(col)]) {
     const auto& node = nodes_[static_cast<std::size_t>(id)];
-    if (node.present) width = std::max(width, node.init_w);
+    if (node.present) width = std::max(width, node.w);
   }
-  init_col_width_[static_cast<std::size_t>(col)] = width;
-  if (!grid_) {
-    double height = 0.0;
-    bool first = true;
-    for (int id : col_stack_[static_cast<std::size_t>(col)]) {
-      const auto& node = nodes_[static_cast<std::size_t>(id)];
-      if (!node.present) continue;
-      if (!first) height += spacing_;
-      height += node.init_h;
-      first = false;
-    }
-    init_col_height_[static_cast<std::size_t>(col)] = height;
-  }
+  return width;
 }
 
-void FloorplanSession::rederive_cell(int cell) {
+double FloorplanSession::stack_height(const std::vector<int>& stack) const {
   double height = 0.0;
   bool first = true;
-  for (int id : cell_stack_[static_cast<std::size_t>(cell)]) {
+  for (int id : stack) {
     const auto& node = nodes_[static_cast<std::size_t>(id)];
     if (!node.present) continue;
     if (!first) height += spacing_;
-    height += node.init_h;
+    height += node.h;
     first = false;
   }
-  init_cell_height_[static_cast<std::size_t>(cell)] = height;
+  return height;
 }
 
-void FloorplanSession::rederive_row(int row) {
+double FloorplanSession::row_band_height(int row) const {
   double height = 0.0;
   for (int cell : row_cells_[static_cast<std::size_t>(row)]) {
     if (cell_present_[static_cast<std::size_t>(cell)] > 0) {
-      height =
-          std::max(height, init_cell_height_[static_cast<std::size_t>(cell)]);
+      height = std::max(height, cell_height_[static_cast<std::size_t>(cell)]);
     }
   }
-  init_row_height_[static_cast<std::size_t>(row)] = height;
+  return height;
 }
 
-void FloorplanSession::rederive_all_init_aggregates() {
-  for (int c = 0; c < ncols_; ++c) rederive_col(c);
+void FloorplanSession::count_presence(int node_id, int delta) {
+  const Node& node = nodes_[static_cast<std::size_t>(node_id)];
+  col_present_[static_cast<std::size_t>(node.col)] += delta;
   if (grid_) {
-    for (int cell = 0; cell < static_cast<int>(cell_stack_.size()); ++cell) {
-      rederive_cell(cell);
-    }
-    for (int r = 0; r < nrows_; ++r) rederive_row(r);
+    row_present_[static_cast<std::size_t>(node.row)] += delta;
+    cell_present_[static_cast<std::size_t>(
+        node_cell_[static_cast<std::size_t>(node_id)])] += delta;
   }
 }
 
-void FloorplanSession::patch_init_aggregates() {
-  // Re-derive only the columns / cells / rows a dirty node sits in; cells
-  // feed rows, so the grid's row pass runs after every dirty cell. The
-  // dirty set is tiny (a pairwise swap touches two slots), so linear dedup
-  // over reusable member buffers suffices — no allocation per solve.
-  const auto insert_unique = [](std::vector<int>& list, int value) {
-    for (int v : list) {
-      if (v == value) return false;
-    }
-    list.push_back(value);
-    return true;
-  };
-  dirty_cols_scratch_.clear();
-  dirty_cells_scratch_.clear();
-  dirty_rows_scratch_.clear();
-  for (int id : dirty_nodes_) {
-    const auto& node = nodes_[static_cast<std::size_t>(id)];
-    if (insert_unique(dirty_cols_scratch_, node.col)) rederive_col(node.col);
-    if (grid_) {
-      const int cell = node_cell_[static_cast<std::size_t>(id)];
-      if (insert_unique(dirty_cells_scratch_, cell)) rederive_cell(cell);
-      insert_unique(dirty_rows_scratch_, node.row);
+void FloorplanSession::reset_to_stage1() {
+  // col_members_ lists each column's nodes in node order, so folding the
+  // column maxima in one pass over the nodes is column_width()'s fold.
+  std::fill(col_width_.begin(), col_width_.end(), 0.0);
+  for (auto& node : nodes_) {
+    node.w = node.init_w;
+    node.h = node.init_h;
+    if (node.present) {
+      auto& width = col_width_[static_cast<std::size_t>(node.col)];
+      width = std::max(width, node.w);
     }
   }
-  for (int row : dirty_rows_scratch_) rederive_row(row);
+  if (grid_) {
+    for (std::size_t cell = 0; cell < cell_stack_.size(); ++cell) {
+      cell_height_[cell] = stack_height(cell_stack_[cell]);
+    }
+    for (int r = 0; r < nrows_; ++r) {
+      row_height_[static_cast<std::size_t>(r)] = row_band_height(r);
+    }
+  } else {
+    for (int c = 0; c < ncols_; ++c) {
+      col_height_[static_cast<std::size_t>(c)] =
+          stack_height(col_stack_[static_cast<std::size_t>(c)]);
+    }
+  }
 }
 
 void FloorplanSession::set_dims(int node_id, double w, double h) {
@@ -580,58 +429,30 @@ void FloorplanSession::set_dims(int node_id, double w, double h) {
     if (w >= width) {
       width = w;
     } else if (old_w >= width) {
-      double rescan = 0.0;
-      for (int id : col_members_[static_cast<std::size_t>(node.col)]) {
-        const auto& member = nodes_[static_cast<std::size_t>(id)];
-        if (member.present) rescan = std::max(rescan, member.w);
-      }
-      width = rescan;
+      width = column_width(node.col);
     }
     // else: another member still holds the max — nothing moved.
   }
+  if (h == old_h) return;
 
   if (grid_) {
     const int cell = node_cell_[static_cast<std::size_t>(node_id)];
-    if (h != old_h) {
-      double stack = 0.0;
-      bool first = true;
-      for (int id : cell_stack_[static_cast<std::size_t>(cell)]) {
-        const auto& member = nodes_[static_cast<std::size_t>(id)];
-        if (!member.present) continue;
-        if (!first) stack += spacing_;
-        stack += member.h;
-        first = false;
-      }
-      auto& cell_h = cell_height_[static_cast<std::size_t>(cell)];
-      if (stack != cell_h) {
-        const double old_stack = cell_h;
-        cell_h = stack;
-        auto& row = row_height_[static_cast<std::size_t>(node.row)];
-        if (stack >= row) {
-          row = stack;
-        } else if (old_stack >= row) {
-          double rescan = 0.0;
-          for (int other : row_cells_[static_cast<std::size_t>(node.row)]) {
-            if (cell_present_[static_cast<std::size_t>(other)] > 0) {
-              rescan = std::max(
-                  rescan, cell_height_[static_cast<std::size_t>(other)]);
-            }
-          }
-          row = rescan;
-        }
+    const double stack =
+        stack_height(cell_stack_[static_cast<std::size_t>(cell)]);
+    auto& cell_h = cell_height_[static_cast<std::size_t>(cell)];
+    if (stack != cell_h) {
+      const double old_stack = cell_h;
+      cell_h = stack;
+      auto& row = row_height_[static_cast<std::size_t>(node.row)];
+      if (stack >= row) {
+        row = stack;
+      } else if (old_stack >= row) {
+        row = row_band_height(node.row);
       }
     }
-  } else if (h != old_h) {
-    double stack = 0.0;
-    bool first = true;
-    for (int id : col_stack_[static_cast<std::size_t>(node.col)]) {
-      const auto& member = nodes_[static_cast<std::size_t>(id)];
-      if (!member.present) continue;
-      if (!first) stack += spacing_;
-      stack += member.h;
-      first = false;
-    }
-    col_height_[static_cast<std::size_t>(node.col)] = stack;
+  } else {
+    col_height_[static_cast<std::size_t>(node.col)] =
+        stack_height(col_stack_[static_cast<std::size_t>(node.col)]);
   }
 }
 
@@ -877,36 +698,10 @@ const Floorplan& FloorplanSession::solve() {
     return last_;
   }
   ++stats_.solves;
-  // A solve under open speculative frames patches (or fully re-derives) the
-  // aggregates those frames journaled; mark them so pop_shapes() knows the
-  // cached solve is stale and whether surgical restoration is still valid.
-  for (std::size_t i = 0; i < journal_depth_; ++i) {
-    journal_[i].solved_through = true;
-    if (all_dirty_) journal_[i].solved_full = true;
-  }
-  if (all_dirty_) {
-    rederive_all_init_aggregates();
-    ++stats_.full_solves;
-  } else {
-    patch_init_aggregates();
-    ++stats_.incremental_solves;
-  }
-  all_dirty_ = false;
-  dirty_nodes_.clear();
-
-  // Working state for this assignment: sizing starts every present block
-  // from its stage-1 dimensions, exactly like a one-shot solve.
-  for (auto& node : nodes_) {
-    node.w = node.init_w;
-    node.h = node.init_h;
-  }
-  col_width_ = init_col_width_;
-  if (grid_) {
-    cell_height_ = init_cell_height_;
-    row_height_ = init_row_height_;
-  } else {
-    col_height_ = init_col_height_;
-  }
+  ++stats_.full_solves;
+  // Sizing starts every present block from its stage-1 dimensions, exactly
+  // like a one-shot solve.
+  reset_to_stage1();
   if (options_.sizing_passes > 0) run_sizing_descent();
 
   last_ = options_.engine == Floorplanner::Engine::kSimplexLp

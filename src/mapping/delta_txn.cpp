@@ -33,7 +33,7 @@ DeltaTxn::DeltaTxn(const EvalContext& ctx, EvalScratch& scratch,
 DeltaTxn::~DeltaTxn() {
   // Exception safety: a speculation abandoned mid-flight (an evaluate()
   // throwing, a search unwound early) must not leak swapped mappings or
-  // journaled session frames into the committed state.
+  // speculative routing frames into the committed state.
   if (open_) rollback();
 }
 
@@ -47,8 +47,6 @@ void DeltaTxn::begin_swap(int slot_a, int slot_b) {
   slot_b_ = slot_b;
   open_ = true;
   scratch_.txn_depth = 1;
-  scratch_.txn_session_pushes = 0;
-  scratch_.txn_key_undo.clear();
 }
 
 Evaluation DeltaTxn::evaluate(bool materialize) const {
@@ -61,13 +59,8 @@ bool DeltaTxn::prunable(const Evaluation& incumbent) const {
 
 void DeltaTxn::commit() {
   if (!open_) throw std::logic_error("DeltaTxn::commit: no open speculation");
-  if (scratch_.txn_session_pushes > 0) {
-    scratch_.fplan_session->commit_shapes();
-  }
   if (scratch_.routing_session) scratch_.routing_session->commit();
   scratch_.txn_depth = 0;
-  scratch_.txn_session_pushes = 0;
-  scratch_.txn_key_undo.clear();
   open_ = false;
 }
 
@@ -76,27 +69,15 @@ void DeltaTxn::rollback() {
     throw std::logic_error("DeltaTxn::rollback: no open speculation");
   }
   // The exchange is self-inverse, so applying it again restores the
-  // mapping; the session key entries are restored in reverse journal order
-  // (a slot touched by several speculative floorplan misses lands back on
-  // its pre-speculation class); both sessions' frames pop newest-first by
-  // construction. Every open routing frame is this speculation's, including
-  // one a throwing solve left open.
+  // mapping. Every open routing frame is this speculation's, including one
+  // a throwing solve left open. The floorplan session and its key stay on
+  // the speculation: the next miss diffs against them.
   apply_slot_swap(slot_a_, slot_b_, core_to_slot_, slot_to_core_);
-  for (auto it = scratch_.txn_key_undo.rbegin();
-       it != scratch_.txn_key_undo.rend(); ++it) {
-    scratch_.fplan_session_key[static_cast<std::size_t>(it->first)] =
-        it->second;
-  }
-  for (int i = 0; i < scratch_.txn_session_pushes; ++i) {
-    scratch_.fplan_session->pop_shapes();
-  }
   while (scratch_.routing_session &&
          scratch_.routing_session->open_frames() > 0) {
     scratch_.routing_session->pop();
   }
   scratch_.txn_depth = 0;
-  scratch_.txn_session_pushes = 0;
-  scratch_.txn_key_undo.clear();
   open_ = false;
 }
 

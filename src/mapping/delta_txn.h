@@ -11,29 +11,26 @@ struct EvalScratch;
 
 /// The transactional delta-evaluation protocol of the mapping search: one
 /// begin -> speculative evaluate -> commit | rollback cycle that atomically
-/// spans every piece of state a candidate swap touches —
+/// spans the state a candidate swap must undo —
 ///
-///  * the mapping arrays (core_to_slot and its slot_to_core inverse),
-///  * the scratch's incremental fplan::FloorplanSession (cache misses under
-///    an open speculation solve through push_shapes, journaling what they
-///    displace) together with the scratch's session shape key,
+///  * the mapping arrays (core_to_slot and its slot_to_core inverse), and
 ///  * the scratch's route::RoutingSession (adaptive-routing evaluations
 ///    under an open speculation solve speculatively, moving the displaced
-///    routes and loads into session frames that rollback pops), and
-///  * the EvalContext memo caches, which being pure memoisation need no
-///    undo: a speculative result cached during a rolled-back transaction is
-///    still the exact value any later evaluation of that mapping computes.
+///    routes and loads into session frames that rollback pops).
+///
+/// Two pieces of state need no undo. The EvalContext memo caches are pure
+/// memoisation: a speculative result cached during a rolled-back
+/// transaction is still the exact value any later evaluation of that
+/// mapping computes. The scratch's fplan::FloorplanSession keeps whatever
+/// a speculation solved, with EvalScratch::fplan_session_key naming it, so
+/// the next floorplan miss sends the rejected candidate's slots back along
+/// with its own delta.
 ///
 /// begin_swap() applies one pairwise slot exchange. evaluate()/prunable()
 /// then see the speculative mapping through the normal EvalContext entry
-/// points; commit() keeps it (dropping the journals), rollback() restores
-/// the mapping (the exchange is self-inverse), the floorplan-session state
-/// (in O(dirty), via the session's undo journal — no re-derivation), the
-/// session key, and the routing session's routes and loads, bit-identically
-/// to the state before begin_swap(). This is what lets annealing chains
-/// reject a candidate without leaving either session dirty: the next
-/// candidate's delta is measured against the incumbent, not against the
-/// rejected speculation.
+/// points; commit() keeps it, rollback() restores the mapping (the exchange
+/// is self-inverse) and the routing session's routes and loads,
+/// bit-identically to the state before begin_swap().
 ///
 /// The transaction borrows everything it coordinates; the context, scratch,
 /// and both mapping vectors must outlive it. One scratch carries at most
@@ -65,13 +62,13 @@ class DeltaTxn {
   /// (EvalContext::prunable through this transaction's scratch).
   [[nodiscard]] bool prunable(const Evaluation& incumbent) const;
 
-  /// Keeps the speculative swap: the mapping stays, the session journals
-  /// are committed, and the transaction is ready for the next begin_swap().
+  /// Keeps the speculative swap: the mapping stays, the routing session's
+  /// frames are committed, and the transaction is ready for the next
+  /// begin_swap().
   void commit();
 
-  /// Undoes the speculative swap: mapping arrays, floorplan-session state,
-  /// session key, and routing-session state all return to their
-  /// pre-begin_swap() values.
+  /// Undoes the speculative swap: the mapping arrays and the routing
+  /// session's state return to their pre-begin_swap() values.
   void rollback();
 
   [[nodiscard]] bool open() const { return open_; }

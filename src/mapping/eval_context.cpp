@@ -36,8 +36,6 @@ bool same_evaluation_class(const MapperConfig& a, const MapperConfig& b) {
   // The raw per-scenario degraded metrics cached alongside the fault-free
   // ones depend on which scenarios exist (aggregation mode and penalty do
   // not — they only enter the re-derived cost — but the spec does).
-  // incremental_fault_eval is deliberately absent: like
-  // incremental_floorplan, both settings produce bit-identical metrics.
   if (!(a.faults.spec == b.faults.spec)) return false;
   return true;
 }
@@ -217,15 +215,10 @@ void EvalContext::build_static_routes(
 
 void EvalContext::build_fault_tables() {
   fault_scenarios_ = fault::materialize(config_.faults.spec, topology_);
-  fault_masks_.clear();
   fault_paths_ = DegradedPaths{};
   if (fault_scenarios_.empty()) return;
 
   const auto& g = topology_.switch_graph();
-  fault_masks_.resize(fault_scenarios_.size());
-  for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-    fault::make_mask(g, fault_scenarios_[s], fault_masks_[s]);
-  }
 
   auto& paths = fault_paths_;
   const auto num_switches = static_cast<std::size_t>(g.num_nodes());
@@ -276,14 +269,16 @@ void EvalContext::build_fault_tables() {
   // One BFS per (scenario, ingress switch). Its visiting order reaches a
   // switch's parent first, so the switch's path — the parent's path plus
   // the parent edge — costs one child lookup, and the same route found
-  // under another scenario maps to the same id. The BFS is the one the
-  // reference path runs, so both read the same routes.
+  // under another scenario maps to the same id. The BFS is the one
+  // Mapper::evaluate runs per commodity, so both read the same routes.
+  fault::ScenarioMask mask;
   fault::MaskedBfs bfs;
   std::vector<std::int32_t> path_of(num_switches, -1);
   for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
+    fault::make_mask(g, fault_scenarios_[s], mask);
     for (std::int32_t row = 0; row < paths.rows; ++row) {
       fault::masked_bfs(g, ingress_switches[static_cast<std::size_t>(row)],
-                        fault_masks_[s], bfs);
+                        mask, bfs);
       std::int32_t* ids =
           &paths.id[(s * static_cast<std::size_t>(paths.rows) +
                      static_cast<std::size_t>(row)) *
@@ -572,66 +567,8 @@ void EvalContext::evaluate_fault_scenarios(
   eval.fault_outcomes.assign(fault_scenarios_.size(),
                              Evaluation::FaultScenarioOutcome{});
 
-  if (!config_.incremental_fault_eval) {
-    // Reference: a fresh masked BFS per (scenario, commodity), walked into a
-    // path whose nodes and edges are summed one by one.
-    for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-      auto& outcome = eval.fault_outcomes[s];
-      double fault_hops = 0.0;
-      double fault_power_mw = 0.0;
-      for (std::size_t k = 0; k < num_commodities; ++k) {
-        const auto& commodity = commodities_[k];
-        const int src_slot =
-            core_to_slot[static_cast<std::size_t>(commodity.src_core)];
-        const int dst_slot =
-            core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
-        const graph::NodeId ingress = topology_.ingress_switch(src_slot);
-        const graph::NodeId egress = topology_.egress_switch(dst_slot);
-        fault::masked_bfs(g, ingress, fault_masks_[s], scratch.fault_bfs);
-        if (!fault::extract_path(g, scratch.fault_bfs, ingress, egress,
-                                 scratch.fault_path)) {
-          outcome.connected = false;
-          continue;
-        }
-        const graph::Path& fpath = scratch.fault_path;
-        fault_hops += commodity.value_mbps *
-                      static_cast<double>(fpath.nodes.size());
-        double path_pj = 0.0;
-        double wire_mm = 0.0;
-        for (const graph::NodeId sw : fpath.nodes) {
-          path_pj += switch_table_.energy_pj_per_bit(sw);
-        }
-        for (const graph::EdgeId e : fpath.edges) {
-          const auto& edge = g.edge(e);
-          wire_mm += manhattan(
-              scratch.switch_cx[static_cast<std::size_t>(edge.src)],
-              scratch.switch_cy[static_cast<std::size_t>(edge.src)],
-              scratch.switch_cx[static_cast<std::size_t>(edge.dst)],
-              scratch.switch_cy[static_cast<std::size_t>(edge.dst)]);
-        }
-        wire_mm += manhattan(
-            scratch.core_cx[static_cast<std::size_t>(src_slot)],
-            scratch.core_cy[static_cast<std::size_t>(src_slot)],
-            scratch.switch_cx[static_cast<std::size_t>(ingress)],
-            scratch.switch_cy[static_cast<std::size_t>(ingress)]);
-        wire_mm += manhattan(
-            scratch.core_cx[static_cast<std::size_t>(dst_slot)],
-            scratch.core_cy[static_cast<std::size_t>(dst_slot)],
-            scratch.switch_cx[static_cast<std::size_t>(egress)],
-            scratch.switch_cy[static_cast<std::size_t>(egress)]);
-        path_pj += link_e * wire_mm;
-        fault_power_mw += commodity.value_mbps * 8e-3 * path_pj;
-      }
-      outcome.avg_switch_hops =
-          total_value_ > 0.0 ? fault_hops / total_value_ : 0.0;
-      outcome.dynamic_power_mw = fault_power_mw;
-    }
-    return;
-  }
-
-  // Table path. What does not depend on the scenario is computed once:
-  // every edge's wire, and each commodity's path-table cell and attach
-  // wires.
+  // What does not depend on the scenario is computed once: every edge's
+  // wire, and each commodity's path-table cell and attach wires.
   const auto& paths = fault_paths_;
   scratch.fault_edge_wire.resize(static_cast<std::size_t>(g.num_edges()));
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -661,8 +598,8 @@ void EvalContext::evaluate_fault_scenarios(
                               scratch.switch_cx[out], scratch.switch_cy[out]);
   }
 
-  // A path's sums extend its parent's by one switch and one edge, in the
-  // reference walk's order, so they are bit-identical to it. A path's first
+  // A path's sums extend its parent's by one switch and one edge, in
+  // Mapper::evaluate's walk order, so they are bit-identical to it. A path's first
   // use in this evaluation fills it and its unstamped ancestors.
   auto& sums = scratch.fault_path_sums;
   if (sums.size() < paths.parent.size()) sums.resize(paths.parent.size());
@@ -733,27 +670,11 @@ void EvalContext::add_fault_link_loads(const std::vector<int>& core_to_slot,
           core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
       // A route is a simple path, so each of its edges gets the commodity's
       // value once whichever end the walk starts from.
-      if (config_.incremental_fault_eval) {
-        std::int32_t id =
-            paths.scenario_ids(s)[paths.cell(src_slot, dst_slot)];
-        for (; id >= 0 && paths.parent[static_cast<std::size_t>(id)] >= 0;
-             id = paths.parent[static_cast<std::size_t>(id)]) {
-          scratch.fault_loads[static_cast<std::size_t>(
-              paths.edge[static_cast<std::size_t>(id)])] +=
-              commodity.value_mbps;
-        }
-        continue;
-      }
-      const graph::NodeId ingress = topology_.ingress_switch(src_slot);
-      fault::masked_bfs(g, ingress, fault_masks_[s], scratch.fault_bfs);
-      if (!fault::extract_path(g, scratch.fault_bfs, ingress,
-                               topology_.egress_switch(dst_slot),
-                               scratch.fault_path)) {
-        continue;
-      }
-      for (const graph::EdgeId e : scratch.fault_path.edges) {
-        scratch.fault_loads[static_cast<std::size_t>(e)] +=
-            commodity.value_mbps;
+      std::int32_t id = paths.scenario_ids(s)[paths.cell(src_slot, dst_slot)];
+      for (; id >= 0 && paths.parent[static_cast<std::size_t>(id)] >= 0;
+           id = paths.parent[static_cast<std::size_t>(id)]) {
+        scratch.fault_loads[static_cast<std::size_t>(
+            paths.edge[static_cast<std::size_t>(id)])] += commodity.value_mbps;
       }
     }
     eval.fault_outcomes[s].max_link_load_mbps =
@@ -786,42 +707,14 @@ const fplan::Floorplan& EvalContext::floorplan_for_mapping(
     }
     g_floorplan_misses.fetch_add(1, std::memory_order_relaxed);
   }
-  // Cache miss. The reference (non-incremental) path pays a from-scratch
-  // Floorplanner::place — it exists so the annealing_incremental bench
-  // invariant and the transactional-equivalence tests can measure the
-  // incremental engine against the exact arithmetic it must reproduce.
-  if (!config_.incremental_floorplan) {
-    scratch.core_shapes.assign(static_cast<std::size_t>(num_slots),
-                               std::nullopt);
-    for (int slot = 0; slot < num_slots; ++slot) {
-      const std::uint16_t cls =
-          scratch.floor_key[static_cast<std::size_t>(slot)];
-      if (cls > 0) {
-        scratch.core_shapes[static_cast<std::size_t>(slot)] =
-            class_shapes_[static_cast<std::size_t>(cls - 1)];
-      }
-    }
-    scratch.fplan_result = fplan::Floorplanner(config_.floorplan)
-                               .place(placement_, scratch.core_shapes,
-                                      switch_shapes_);
-    std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-    if (floorplan_cache_.size() < kFloorplanCacheCap) {
-      floorplan_cache_.emplace(scratch.floor_key, scratch.fplan_result);
-    }
-    return scratch.fplan_result;
-  }
-  // Incremental path: solve through this thread's session, sending only the
-  // slots whose shape class moved since the session's last solve — a
-  // pairwise swap perturbs at most two. Shape classes map to bit-identical
-  // shapes, so updating by class representative equals updating by the
-  // cores' own shapes, and the session's incremental solve is bit-identical
-  // to the from-scratch Floorplanner::place the cache used to call. Under an
-  // open DeltaTxn speculation the delta is journaled instead of applied
-  // destructively: the session takes it as a push_shapes frame and the
-  // displaced key entries are logged, so a rollback restores the session to
-  // the incumbent mapping without re-deriving anything.
+  // Cache miss: solve through this thread's session, sending every slot
+  // whose shape class differs from what the session holds — the previous
+  // miss's mapping, accepted or rejected. In the swap loops that is a
+  // candidate's two slots, plus two more after a rejected candidate. Shape
+  // classes map to bit-identical shapes, so updating by class
+  // representative equals updating by the cores' own shapes, and the solve
+  // is bit-identical to a from-scratch Floorplanner::place.
   fplan::FloorplanSession& session = session_for(scratch);
-  const bool speculative = scratch.txn_depth > 0;
   scratch.fplan_updates.clear();
   for (int slot = 0; slot < num_slots; ++slot) {
     const std::uint16_t want = scratch.floor_key[static_cast<std::size_t>(slot)];
@@ -831,15 +724,9 @@ const fplan::Floorplan& EvalContext::floorplan_for_mapping(
     update.slot = slot;
     if (want > 0) update.shape = class_shapes_[static_cast<std::size_t>(want - 1)];
     scratch.fplan_updates.push_back(std::move(update));
-    if (speculative) scratch.txn_key_undo.emplace_back(slot, have);
     have = want;
   }
-  if (speculative) {
-    session.push_shapes(scratch.fplan_updates);
-    ++scratch.txn_session_pushes;
-  } else {
-    session.update_shapes(scratch.fplan_updates);
-  }
+  session.update_shapes(scratch.fplan_updates);
   const fplan::Floorplan& floorplan = session.solve();
   {
     std::unique_lock<std::shared_mutex> lock(cache_mutex_);
@@ -864,16 +751,13 @@ fplan::FloorplanSession& EvalContext::session_for(EvalScratch& scratch) const {
       scratch.fplan_session_epoch != session_epoch_ ||
       scratch.fplan_session_key.size() != num_slots) {
     // Seed with every slot empty (shape class 0); the first solve's delta
-    // then carries the whole mapping, which the session treats as a full
-    // solve anyway.
-    scratch.core_shapes.assign(num_slots, std::nullopt);
+    // then carries the whole mapping.
+    const std::vector<std::optional<fplan::BlockShape>> empty(num_slots);
     scratch.fplan_session = std::make_unique<fplan::FloorplanSession>(
-        config_.floorplan, placement_, scratch.core_shapes, switch_shapes_);
+        config_.floorplan, placement_, empty, switch_shapes_);
     scratch.fplan_session_context = context_id_;
     scratch.fplan_session_epoch = session_epoch_;
     scratch.fplan_session_key.assign(num_slots, 0);
-    scratch.txn_session_pushes = 0;
-    scratch.txn_key_undo.clear();
   }
   return *scratch.fplan_session;
 }

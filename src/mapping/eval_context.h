@@ -29,25 +29,20 @@ struct EvalScratch {
   /// into the context's static route table (DO / SM) or the routing
   /// session's routes (MP / split-all).
   std::vector<const route::RouteSet*> route_refs;
-  std::vector<std::optional<fplan::BlockShape>> core_shapes;
   /// Block centres extracted from the candidate floorplan, indexed by SlotId
   /// (cores) and switch NodeId, so the power loop's wire lengths are O(1)
   /// lookups instead of linear scans over the placed blocks.
   std::vector<double> core_cx, core_cy, switch_cx, switch_cy;
   /// Per-slot shape-class ids (0 = empty slot) — the floorplan cache key.
   std::vector<std::uint16_t> floor_key;
-  /// Degraded-mode buffers. The reference fault path re-runs its masked BFS
-  /// into fault_bfs per (scenario, commodity) and extracts the route into
-  /// fault_path. The table path computes each edge's wire once per
-  /// evaluation (fault_edge_wire), and per commodity its path-table cell,
-  /// its two attach wires and the hop and power terms of the path it took
-  /// under the previous scenario (fault_commodities). Each degraded path it
-  /// uses gets its switch-energy and edge-wire sums on first use, stamped
-  /// with that evaluation's fault_stamp, so an entry from an earlier
-  /// evaluation — of any context — is never read. fault_loads accumulates
-  /// per-scenario link loads on materialized evaluations.
-  fault::MaskedBfs fault_bfs;
-  graph::Path fault_path;
+  /// Degraded-mode buffers. The fault evaluation computes each edge's wire
+  /// once per evaluation (fault_edge_wire), and per commodity its
+  /// path-table cell, its two attach wires and the hop and power terms of
+  /// the path it took under the previous scenario (fault_commodities). Each
+  /// degraded path it uses gets its switch-energy and edge-wire sums on
+  /// first use, stamped with that evaluation's fault_stamp, so an entry from
+  /// an earlier evaluation — of any context — is never read. fault_loads
+  /// accumulates per-scenario link loads on materialized evaluations.
   std::vector<double> fault_loads;
   std::vector<double> fault_edge_wire;
   struct FaultCommodity {
@@ -76,10 +71,11 @@ struct EvalScratch {
   std::vector<double> bound_col_px, bound_row_px;
   std::vector<int> bound_col_pn, bound_row_pn;
 
-  /// This thread's incremental floorplan session: floorplan-cache misses
-  /// solve through it, sending only the slots whose shape class changed
-  /// since the previous miss (a pairwise swap sends <= 2). Owned by the
-  /// scratch so two threads never share solver state; the context
+  /// This thread's floorplan session: floorplan-cache misses solve through
+  /// it, sending only the slots whose shape class differs from
+  /// fplan_session_key, the previous miss's mapping (accepted or rejected:
+  /// the session keeps a rejected candidate until the next miss). Owned by
+  /// the scratch so two threads never share solver state; the context
   /// lazily (re)builds it when the scratch meets a different context or the
   /// context's floorplan options / technology epoch moved. The session
   /// survives rebind()s that keep the floorplan configuration, which is how
@@ -88,13 +84,10 @@ struct EvalScratch {
   std::unique_ptr<fplan::FloorplanSession> fplan_session;
   std::uint64_t fplan_session_context = 0;  ///< EvalContext id it belongs to.
   std::uint64_t fplan_session_epoch = 0;    ///< Floorplan epoch it was built at.
-  /// Per-slot shape classes the session currently holds (the delta base).
+  /// Per-slot shape classes the session currently holds (the delta base);
+  /// always equal to the session's assignment.
   std::vector<std::uint16_t> fplan_session_key;
   std::vector<fplan::SlotShapeUpdate> fplan_updates;  ///< Reusable delta buffer.
-  /// Home of the latest floorplan computed outside the session and the
-  /// cache (the non-incremental reference path, or a miss past the cache
-  /// cap) — floorplan_for_mapping returns references, never copies.
-  fplan::Floorplan fplan_result;
 
   /// This thread's routing session (MP / split-all only; the static kinds
   /// keep reading the context's route tables): it runs the canonical
@@ -112,18 +105,10 @@ struct EvalScratch {
 
   // ---- Transactional state (owned by mapping::DeltaTxn). ----
   /// Non-zero while a DeltaTxn speculation is open on this scratch. While
-  /// open, floorplan-cache misses journal their session delta (the session
-  /// solves through push_shapes instead of update_shapes) and log the
-  /// displaced fplan_session_key entries below, so DeltaTxn::rollback() can
-  /// restore both without re-deriving anything.
+  /// open, adaptive-routing evaluations solve the routing session
+  /// speculatively, so DeltaTxn::rollback() can pop the displaced routes
+  /// and loads back.
   int txn_depth = 0;
-  /// Speculative floorplan-session frames opened since begin_swap()
-  /// (rollback pops exactly this many). The routing session's frames need
-  /// no count: only a speculation opens them, so rollback pops every open
-  /// one.
-  int txn_session_pushes = 0;
-  /// (slot, displaced shape class) journal of fplan_session_key changes.
-  std::vector<std::pair<int, std::uint16_t>> txn_key_undo;
 
   /// Always empty: no search starts threads of its own, so no scratch
   /// lends per-worker scratches. Kept only because
@@ -170,10 +155,9 @@ struct EvalScratch {
 ///    and it also merges candidate mappings that permute identically-shaped
 ///    cores. Floorplanning dominates evaluation cost, which makes this the
 ///    main source of the explorer's cross-configuration speedup. Cache
-///    *misses* solve through the scratch's incremental FloorplanSession
-///    (fplan/session.h): only the slots whose shape class moved since the
-///    session's previous solve are re-solved, which is a two-slot delta in
-///    the pairwise-swap loops.
+///    *misses* solve through the scratch's FloorplanSession
+///    (fplan/session.h), which keeps the placement structure and sends only
+///    the slots whose shape class moved since the session's previous solve.
 ///  * an evaluation-metrics cache keyed by the mapping, valid for one
 ///    "evaluation class" (routing function plus the config fields that
 ///    influence routes). Objective, area cap, and bandwidth threshold only
@@ -337,15 +321,16 @@ class EvalContext {
   /// The mapping's floorplan, via the shape-class cache (computed and
   /// inserted on a miss). Exactly what evaluate() uses; also the min-area
   /// bound's exact phase. Fills scratch.floor_key as a side effect. Misses
-  /// solve through the scratch's incremental FloorplanSession, so the cost
-  /// of a miss is a delta re-solve, not a from-scratch floorplan.
+  /// update the scratch's FloorplanSession by the slots whose shape class
+  /// differs from scratch.fplan_session_key and solve it, so a miss skips
+  /// the placement-structure build of a from-scratch floorplan.
   ///
   /// Returns a reference instead of a copy — the search loops only read
   /// scalars and block centres from it. The reference points at a cache
   /// entry (stable: entries are never evicted, only cleared by rebind(),
-  /// which must not run concurrently with evaluations), at the scratch's
-  /// session solution, or at scratch.fplan_result; it stays valid until
-  /// this scratch's next evaluation or floorplan query.
+  /// which must not run concurrently with evaluations) or at the scratch's
+  /// session solution; it stays valid until this scratch's next evaluation
+  /// or floorplan query.
   [[nodiscard]] const fplan::Floorplan& floorplan_for_mapping(
       const std::vector<int>& core_to_slot, EvalScratch& scratch) const;
 
@@ -366,16 +351,14 @@ class EvalContext {
   /// whose visiting order grows a prefix trie (a switch's path is its BFS
   /// parent's path plus the parent edge, one child lookup each), so each
   /// distinct path is stored once and every (scenario, ingress, egress)
-  /// gets a path id. The incremental fault path reads routes by id instead
-  /// of searching or walking BFS parents. Rebuilt only when the bound
-  /// FaultSet changes.
+  /// gets a path id. Evaluations read routes by id instead of searching or
+  /// walking BFS parents. Rebuilt only when the bound FaultSet changes.
   void build_fault_tables();
   /// Each scenario's degraded metrics (connected, avg_switch_hops,
-  /// dynamic_power_mw) into eval.fault_outcomes: from the path table, or
-  /// with incremental_fault_eval off by the reference route, a masked BFS
-  /// per (scenario, commodity) and a walk over each extracted path. Reads
-  /// the scratch's block centres, so it runs after evaluate() indexed the
-  /// floorplan.
+  /// dynamic_power_mw) into eval.fault_outcomes, from the path table;
+  /// bit-identical to Mapper::evaluate's masked BFS per (scenario,
+  /// commodity). Reads the scratch's block centres, so it runs after
+  /// evaluate() indexed the floorplan.
   void evaluate_fault_scenarios(const std::vector<int>& core_to_slot,
                                 EvalScratch& scratch, Evaluation& eval) const;
   /// Each scenario's max degraded link load, over the same routes
@@ -435,12 +418,10 @@ class EvalContext {
   bool static_routing_ = false;
 
   /// Fault state, rebuilt by bind() when the configuration's FaultSet moved:
-  /// the scenarios materialized against this topology, their aliveness
-  /// masks (the reference path searches under them), and the degraded-path
-  /// table. All immutable between binds, so concurrent evaluations read
+  /// the scenarios materialized against this topology and the degraded-path
+  /// table. Both immutable between binds, so concurrent evaluations read
   /// them lock-free.
   std::vector<fault::FaultScenario> fault_scenarios_;
-  std::vector<fault::ScenarioMask> fault_masks_;
   /// Every distinct degraded route once, as a node of a prefix trie rooted
   /// at its ingress switch: path p is path parent[p] extended by edge[p]
   /// to switch node[p] (a root has parent -1, no edge, and its ingress as

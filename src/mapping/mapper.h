@@ -119,31 +119,12 @@ struct MapperConfig {
   /// bit-identical.
   bool bound_pruning = true;
 
-  /// Master switch for incremental floorplanning: with it on (the default),
-  /// floorplan-cache misses solve through the scratch's persistent
-  /// fplan::FloorplanSession — delta updates, and push/pop speculation
-  /// frames under the search's DeltaTxn protocol — while off makes every
-  /// miss pay a from-scratch Floorplanner::place. Results are bit-identical
-  /// either way (the session contract); the off position is the reference
-  /// the annealing_incremental bench invariant and the transactional
-  /// equivalence tests measure against.
-  bool incremental_floorplan = true;
-
   /// Fault scenarios to evaluate every candidate mapping under, plus how
   /// their degraded costs aggregate into the search objective (fault/fault.h).
   /// The default (empty) keeps evaluation bit-identical to a fault-unaware
   /// run. The spec is topology-independent; each EvalContext materializes it
   /// against its own topology, so one configuration sweeps a whole library.
   fault::FaultSet faults;
-
-  /// Master switch for incremental per-scenario fault re-evaluation: with it
-  /// on (the default), each evaluation reads every degraded route by id
-  /// from the path table the context built at bind, while off re-runs the
-  /// BFS per commodity and walks the extracted path — the from-scratch
-  /// reference the fault_incremental_2x bench invariant measures against.
-  /// The table holds the routes the same BFS finds and sums them in the
-  /// walk's order, so results are bit-identical.
-  bool incremental_fault_eval = true;
 
   /// Sub-flows for split-across-all-paths routing.
   static constexpr int split_chunks = 16;
@@ -268,7 +249,7 @@ bool better_than(const Evaluation& a, const Evaluation& b);
 /// evaluation's raw fault outcomes, overwriting eval.cost (which must hold
 /// the fault-free objective value on entry). No-op without outcomes. Shared
 /// by Mapper::evaluate and EvalContext so the degraded-cost arithmetic is
-/// literally the same code on the reference and incremental paths.
+/// literally the same code on the reference and cached paths.
 void apply_fault_objective(Evaluation& eval, const MapperConfig& config);
 
 /// Result of mapping one application onto one topology.
@@ -325,10 +306,12 @@ class Mapper {
 
   /// Evaluates a fixed mapping (Fig 5 steps 2-8 only), from scratch with no
   /// caching. Exposed for tests, Pareto sweeps, and user-supplied
-  /// placements; also the reference implementation the cached
+  /// placements; also the one reference implementation the cached
   /// EvalContext::evaluate() path is regression-tested against, and the
-  /// independent oracle of its routing session: it runs the adaptive
-  /// routing loop inline, on fresh routes and loads.
+  /// independent oracle of each of its layers: it runs the adaptive
+  /// routing loop inline on fresh routes and loads, floorplans with a
+  /// one-shot Floorplanner::place, and re-runs a masked BFS per (fault
+  /// scenario, commodity) where the context reads its degraded-path table.
   [[nodiscard]] Evaluation evaluate(const CoreGraph& app,
                                     const topo::Topology& topology,
                                     const std::vector<int>& core_to_slot) const;

@@ -24,10 +24,9 @@ struct EvalScratch;
 ///
 /// Candidate speculation goes through the shared transactional protocol
 /// (mapping::DeltaTxn, delta_txn.h): begin_swap -> prunable/evaluate ->
-/// commit | rollback. The transaction keeps the mapping arrays, the
-/// scratch's floorplan and routing sessions, and the memo caches in lock
-/// step, so a strategy that opts in gets incremental floorplan re-solves on
-/// both accepted and rejected candidates for free — see the DeltaTxn docs
+/// commit | rollback. The transaction keeps the mapping arrays and the
+/// scratch's routing session in lock step, so a strategy that opts in
+/// leaves no rejected candidate behind in either — see the DeltaTxn docs
 /// for how a new strategy adopts it.
 class SearchStrategy {
  public:
@@ -40,8 +39,8 @@ class SearchStrategy {
   /// holds the initial mapping and its (materialized) evaluation; on exit it
   /// holds the best mapping found, whose evaluation may be lightweight
   /// (Mapper::map() re-materializes the winner). `scratch` is the caller's
-  /// per-thread evaluation scratch — it carries the incremental floorplan
-  /// and routing sessions, so every candidate must evaluate through it.
+  /// per-thread evaluation scratch — it carries the floorplan and routing
+  /// sessions, so every candidate must evaluate through it.
   virtual void improve(const EvalContext& ctx, MappingResult& result,
                        EvalScratch& scratch) const = 0;
 };

@@ -2,7 +2,7 @@
 // materialization, masked routing on the surviving subgraph (randomized,
 // cross-checked against an independent reachability search), the penalty
 // semantics of disconnected scenarios, and bit-identity between the
-// incremental EvalContext fault path and the from-scratch Mapper reference.
+// EvalContext's degraded-path table and the from-scratch Mapper reference.
 
 #include <gtest/gtest.h>
 
@@ -371,37 +371,6 @@ TEST(FaultEval, ContextMatchesFromScratchReferenceUnderFaults) {
   }
 }
 
-TEST(FaultEval, IncrementalAndReferenceFaultPathsAreBitIdentical) {
-  // incremental_fault_eval only changes where the BFS parent tables come
-  // from (prebuilt at bind vs re-run per evaluation); the deterministic
-  // BFS makes the two evaluations equal bit for bit.
-  const auto app = apps::mwd();
-  const auto mesh = topo::make_mesh_for(app.num_cores());
-  std::vector<int> mapping;
-  for (int core = 0; core < app.num_cores(); ++core) mapping.push_back(core);
-
-  mapping::MapperConfig incremental;
-  incremental.faults.spec.kind = FaultSpec::Kind::kEveryLink;
-  mapping::MapperConfig reference = incremental;
-  reference.incremental_fault_eval = false;
-
-  const mapping::Mapper inc_mapper(incremental);
-  const mapping::Mapper ref_mapper(reference);
-  mapping::EvalScratch inc_scratch;
-  mapping::EvalScratch ref_scratch;
-  const auto inc_ctx = inc_mapper.make_context(app, *mesh);
-  const auto ref_ctx = ref_mapper.make_context(app, *mesh);
-  const auto inc = inc_ctx.evaluate(mapping, inc_scratch);
-  const auto ref = ref_ctx.evaluate(mapping, ref_scratch);
-  expect_fault_identical(inc, ref);
-
-  // And the full search lands on the same mapping either way.
-  const auto inc_result = inc_mapper.map(app, *mesh);
-  const auto ref_result = ref_mapper.map(app, *mesh);
-  EXPECT_EQ(inc_result.core_to_slot, ref_result.core_to_slot);
-  EXPECT_EQ(inc_result.eval.cost, ref_result.eval.cost);
-}
-
 /// The first `count` slots of a seeded shuffle of the topology's slots.
 std::vector<int> shuffled_mapping(const topo::Topology& topology, int count,
                                   util::Prng& prng) {
@@ -416,10 +385,9 @@ std::vector<int> shuffled_mapping(const topo::Topology& topology, int count,
   return slots;
 }
 
-TEST(FaultEval, PathTableMatchesBothReferencesOnEveryTopologyAndSpec) {
-  // The degraded-path table against the per-commodity BFS
-  // (incremental_fault_eval off) and against Mapper::evaluate, on every
-  // 16-core library topology plus barbell6. The butterfly injects and
+TEST(FaultEval, PathTableMatchesMapperEvaluateOnEveryTopologyAndSpec) {
+  // The degraded-path table against Mapper::evaluate's per-commodity BFS,
+  // on every 16-core library topology plus barbell6. The butterfly injects and
   // ejects at different switches; barbell6's N-1 set cuts its articulation
   // link. Each spec family runs metrics-only and materialized.
   const auto netproc = apps::netproc16();
@@ -463,33 +431,23 @@ TEST(FaultEval, PathTableMatchesBothReferencesOnEveryTopologyAndSpec) {
                      " / " + describe(FaultSet{spec}));
         mapping::MapperConfig table_config;
         table_config.faults.spec = spec;
-        mapping::MapperConfig search_config = table_config;
-        search_config.incremental_fault_eval = false;
         const mapping::Mapper mapper(table_config);
         const auto reference = mapper.evaluate(app, *topology, mapping);
         const auto table_ctx = mapper.make_context(app, *topology);
-        const auto search_ctx =
-            mapping::Mapper(search_config).make_context(app, *topology);
         mapping::EvalScratch table_scratch;
-        mapping::EvalScratch search_scratch;
         // Metrics-only first: a materialized evaluation fills the metrics
         // cache, which would answer the metrics-only one.
         const auto table_lean = table_ctx.evaluate(mapping, table_scratch,
                                                    /*materialize=*/false);
-        const auto search_lean = search_ctx.evaluate(mapping, search_scratch,
-                                                     /*materialize=*/false);
         const auto table_full = table_ctx.evaluate(mapping, table_scratch);
-        const auto search_full = search_ctx.evaluate(mapping, search_scratch);
 
         expect_fault_identical(table_full, reference);
-        expect_fault_identical(search_full, reference);
         // Metrics-only outcomes carry no link loads.
         auto lean_reference = reference;
         for (auto& outcome : lean_reference.fault_outcomes) {
           outcome.max_link_load_mbps = 0.0;
         }
         expect_fault_identical(table_lean, lean_reference);
-        expect_fault_identical(search_lean, lean_reference);
 
         if (spec.kind == FaultSpec::Kind::kExplicit) {
           ASSERT_EQ(table_full.fault_outcomes.size(), 2u);

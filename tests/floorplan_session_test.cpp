@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "fplan/session.h"
@@ -112,9 +111,6 @@ void run_swap_sequence(Workload w, Floorplanner::Options options, int steps,
                              std::to_string(step));
     if (::testing::Test::HasFatalFailure()) return;
   }
-  // The probe must have exercised the delta path, not fallen back to full
-  // re-derivations throughout.
-  EXPECT_GT(session.stats().incremental_solves, 0u);
 }
 
 TEST(FloorplanSession, LongSwapSequenceMatchesFromScratchOnMesh) {
@@ -150,17 +146,15 @@ TEST(FloorplanSession, NoSizingPassesMatchesFromScratch) {
                     Floorplanner::Options{options}, 120, 25);
 }
 
-TEST(FloorplanSession, LargeDeltaFallsBackToFullSolve) {
+TEST(FloorplanSession, WholeAssignmentDeltaMatchesFromScratch) {
   auto w = make_workload(topo::make_mesh_for(16), 12, 16);
   const auto placement = w.topology->relative_placement();
   const Floorplanner reference;
   FloorplanSession session({}, placement, w.cores, w.switches);
   (void)session.solve();
-  const auto full_before = session.stats().full_solves;
 
-  // Replace the entire assignment with fresh shapes: every slot changes,
-  // so patching two aggregates at a time would be pointless — the session
-  // must re-derive.
+  // Replace the entire assignment with fresh shapes, filling the empty
+  // slots too: one delta that touches every slot.
   std::vector<SlotShapeUpdate> updates;
   for (int s = 0; s < w.topology->num_slots(); ++s) {
     w.cores[static_cast<std::size_t>(s)] =
@@ -171,7 +165,6 @@ TEST(FloorplanSession, LargeDeltaFallsBackToFullSolve) {
   expect_bit_identical(session.solve(),
                        reference.place(placement, w.cores, w.switches),
                        "shuffled");
-  EXPECT_GT(session.stats().full_solves, full_before);
 }
 
 TEST(FloorplanSession, NoOpUpdatesAreCached) {
@@ -192,14 +185,30 @@ TEST(FloorplanSession, NoOpUpdatesAreCached) {
   EXPECT_GT(session.stats().cached_solves, 0u);
 }
 
-// ---- Speculative frames (push_shapes / pop_shapes / commit_shapes). ----
+// ---- Accept/reject traffic, as the mapping search's DeltaTxn drives it. ----
 
-/// Drives a randomized accept/reject (commit/rollback) sequence through one
-/// session: each step speculates a pairwise swap with push_shapes, solves
-/// (sometimes), then either commits it into the baseline or pops it back.
-/// After every solve the result must equal the from-scratch place of
-/// whatever assignment is current, and after every pop the session must be
-/// bit-identically back on the committed baseline.
+/// The delta EvalContext::floorplan_for_mapping sends on a cache miss:
+/// every slot whose shape differs between what the session holds and
+/// `want`. `held` becomes `want`.
+void diff_updates(std::vector<std::optional<BlockShape>>& held,
+                  const std::vector<std::optional<BlockShape>>& want,
+                  std::vector<SlotShapeUpdate>& updates) {
+  updates.clear();
+  for (std::size_t s = 0; s < want.size(); ++s) {
+    if (held[s] == want[s]) continue;
+    updates.push_back({static_cast<int>(s), want[s]});
+    held[s] = want[s];
+  }
+}
+
+/// Drives a randomized accept/reject sequence through one session the way
+/// the evaluation context does: each candidate is the committed baseline
+/// with one pairwise swap; a candidate that reaches the floorplan sends the
+/// diff against whatever the session holds (<= 4 slots: the swap plus a
+/// rejected predecessor's two) and solves; the search then accepts it into
+/// the baseline or rejects it, leaving the session on the candidate. After
+/// every solve the result must equal the from-scratch place of the
+/// assignment solved, including re-solves of the baseline after a reject.
 void run_accept_reject_sequence(Workload w, Floorplanner::Options options,
                                 int steps, std::uint64_t seed) {
   const auto placement = w.topology->relative_placement();
@@ -210,53 +219,40 @@ void run_accept_reject_sequence(Workload w, Floorplanner::Options options,
   util::Prng prng(seed);
   const int num_slots = w.topology->num_slots();
   std::vector<SlotShapeUpdate> updates;
-  auto speculative = w.cores;  // the assignment under open frames
+  auto held = w.cores;  // the assignment the session holds
   for (int step = 0; step < steps; ++step) {
     const int a = prng.next_int(0, num_slots - 1);
     int b = prng.next_int(0, num_slots - 2);
     if (b >= a) ++b;
-    speculative = w.cores;
-    std::swap(speculative[static_cast<std::size_t>(a)],
-              speculative[static_cast<std::size_t>(b)]);
-    updates.clear();
-    updates.push_back({a, speculative[static_cast<std::size_t>(a)]});
-    updates.push_back({b, speculative[static_cast<std::size_t>(b)]});
-    session.push_shapes(updates);
+    auto candidate = w.cores;
+    std::swap(candidate[static_cast<std::size_t>(a)],
+              candidate[static_cast<std::size_t>(b)]);
 
-    // Usually evaluate the speculation; sometimes abandon it unsolved (the
-    // pruned-candidate path), which must leave the pre-push cached solve
-    // valid after the pop.
-    const bool solve_speculation = prng.chance(0.8);
-    if (solve_speculation) {
+    // Usually the candidate reaches the floorplan; sometimes a bound
+    // prunes it first, the session never sees it, and it is rejected.
+    const bool reaches_floorplan = prng.chance(0.8);
+    if (reaches_floorplan) {
+      diff_updates(held, candidate, updates);
+      EXPECT_LE(updates.size(), 4u);
+      session.update_shapes(updates);
       expect_bit_identical(
-          session.solve(),
-          reference.place(placement, speculative, w.switches),
-          w.topology->name() + " speculation " + std::to_string(step));
+          session.solve(), reference.place(placement, candidate, w.switches),
+          w.topology->name() + " candidate " + std::to_string(step));
     }
 
-    // Occasionally nest a second frame on top (a second no-op or real
-    // delta) before settling, like a prune-then-evaluate pair does.
-    const bool nested = prng.chance(0.25);
-    if (nested) {
-      session.push_shapes(updates);  // no-op relative to the open frame
-      if (prng.chance(0.5)) (void)session.solve();
-      session.pop_shapes();
-    }
-
-    if (prng.chance(0.5)) {
-      session.commit_shapes();
-      w.cores = speculative;
-    } else {
-      session.pop_shapes();
-      // The rolled-back session must solve to the committed baseline.
+    if (prng.chance(0.5) && reaches_floorplan) {
+      w.cores = candidate;
+    } else if (prng.chance(0.5)) {
+      // Re-solving the baseline after a reject undoes the candidate.
+      diff_updates(held, w.cores, updates);
+      session.update_shapes(updates);
       expect_bit_identical(session.solve(),
                            reference.place(placement, w.cores, w.switches),
-                           w.topology->name() + " rollback " +
+                           w.topology->name() + " rejected " +
                                std::to_string(step));
     }
     if (::testing::Test::HasFatalFailure()) return;
   }
-  EXPECT_GT(session.stats().incremental_solves, 0u);
 }
 
 TEST(FloorplanSessionTxn, AcceptRejectSequenceMatchesFromScratchOnMesh) {
@@ -284,92 +280,41 @@ TEST(FloorplanSessionTxn, AcceptRejectSequenceMatchesUnderSimplexEngine) {
                              options, 20, 44);
 }
 
-TEST(FloorplanSessionTxn, RollbackAfterFallbackRestoresExactState) {
+TEST(FloorplanSessionTxn, WholeAssignmentForwardAndBackMatchFromScratch) {
   auto w = make_workload(topo::make_mesh_for(16), 12, 35);
   const auto placement = w.topology->relative_placement();
   const Floorplanner reference;
   FloorplanSession session({}, placement, w.cores, w.switches);
   (void)session.solve();
 
-  // Push a frame large enough to trip the quarter-dirty full-solve
-  // fallback, solve through it, then roll back: the surgical aggregate
-  // restoration is off the table, so the pop must schedule a full
-  // re-derivation and still land bit-identically on the baseline.
-  auto speculative = w.cores;
-  std::vector<SlotShapeUpdate> updates;
+  // A delta that replaces every slot's shape, then the delta that puts the
+  // original assignment back: both solves must match from scratch.
+  auto other = w.cores;
+  std::vector<SlotShapeUpdate> forward;
+  std::vector<SlotShapeUpdate> back;
   for (int s = 0; s < w.topology->num_slots(); ++s) {
-    speculative[static_cast<std::size_t>(s)] =
-        BlockShape::soft_block(2.0 + 0.5 * s);
-    updates.push_back({s, speculative[static_cast<std::size_t>(s)]});
+    other[static_cast<std::size_t>(s)] = BlockShape::soft_block(2.0 + 0.5 * s);
+    forward.push_back({s, other[static_cast<std::size_t>(s)]});
+    back.push_back({s, w.cores[static_cast<std::size_t>(s)]});
   }
-  session.push_shapes(updates);
+  session.update_shapes(forward);
   expect_bit_identical(session.solve(),
-                       reference.place(placement, speculative, w.switches),
-                       "fallback speculation");
-  session.pop_shapes();
+                       reference.place(placement, other, w.switches),
+                       "whole-assignment forward");
+  session.update_shapes(back);
   expect_bit_identical(session.solve(),
                        reference.place(placement, w.cores, w.switches),
-                       "rollback after fallback");
+                       "whole-assignment back");
 
-  // And the session keeps working incrementally afterwards.
+  // And two-slot deltas keep matching afterwards.
   std::swap(w.cores[0], w.cores[5]);
-  updates.clear();
-  updates.push_back({0, w.cores[0]});
-  updates.push_back({5, w.cores[5]});
-  session.update_shapes(updates);
+  forward.clear();
+  forward.push_back({0, w.cores[0]});
+  forward.push_back({5, w.cores[5]});
+  session.update_shapes(forward);
   expect_bit_identical(session.solve(),
                        reference.place(placement, w.cores, w.switches),
-                       "post-fallback delta");
-}
-
-TEST(FloorplanSessionTxn, NestedNoOpFramesPreserveCachedSolve) {
-  auto w = make_workload(topo::make_mesh_for(16), 12, 36);
-  FloorplanSession session({}, w.topology->relative_placement(), w.cores,
-                           w.switches);
-  (void)session.solve();
-  const auto solves = session.stats().solves;
-
-  // Frames whose deltas are no-ops (same shapes) must neither dirty the
-  // session nor invalidate the cached solution — popping them lands back
-  // on a still-cached solve.
-  std::vector<SlotShapeUpdate> updates;
-  for (int s = 0; s < 4; ++s) {
-    updates.push_back({s, w.cores[static_cast<std::size_t>(s)]});
-  }
-  session.push_shapes(updates);
-  session.push_shapes(updates);
-  EXPECT_EQ(session.journal_depth(), 2);
-  (void)session.solve();
-  session.pop_shapes();
-  session.pop_shapes();
-  (void)session.solve();
-  EXPECT_EQ(session.stats().solves, solves);
-  EXPECT_GT(session.stats().cached_solves, 0u);
-}
-
-TEST(FloorplanSessionTxn, UpdateShapesUnderOpenFrameThrows) {
-  auto w = make_workload(topo::make_mesh_for(16), 12, 37);
-  FloorplanSession session({}, w.topology->relative_placement(), w.cores,
-                           w.switches);
-  std::vector<SlotShapeUpdate> updates;
-  updates.push_back({0, BlockShape::soft_block(5.0)});
-  session.push_shapes(updates);
-  EXPECT_THROW(session.update_shapes(updates), std::logic_error);
-  session.pop_shapes();
-  session.update_shapes(updates);  // settled again: legal
-}
-
-TEST(FloorplanSessionTxn, PopWithoutFrameThrows) {
-  auto w = make_workload(topo::make_mesh_for(16), 12, 38);
-  FloorplanSession session({}, w.topology->relative_placement(), w.cores,
-                           w.switches);
-  EXPECT_THROW(session.pop_shapes(), std::logic_error);
-  std::vector<SlotShapeUpdate> updates;
-  updates.push_back({0, BlockShape::soft_block(5.0)});
-  session.push_shapes(updates);
-  session.commit_shapes();
-  EXPECT_EQ(session.journal_depth(), 0);
-  EXPECT_THROW(session.pop_shapes(), std::logic_error);
+                       "post-round-trip delta");
 }
 
 TEST(FloorplanSession, UpdatesForUnplacedSlotsAreIgnored) {

@@ -19,6 +19,7 @@
 #include "sweep/checkpoint.h"
 #include "sweep/coordinator.h"
 #include "sweep/wire.h"
+#include "tests/temp_path.h"
 #include "topo/library.h"
 
 namespace sunmap::sweep {
@@ -53,7 +54,7 @@ PointRecord sample_record(std::uint64_t index) {
 }
 
 std::string temp_journal(const char* name) {
-  const std::string path = testing::TempDir() + name;
+  const std::string path = testing_util::temp_path(name);
   std::remove(path.c_str());
   return path;
 }

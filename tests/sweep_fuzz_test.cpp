@@ -22,6 +22,7 @@
 #include "sweep/checkpoint.h"
 #include "sweep/wire.h"
 #include "tests/fuzz_mutator.h"
+#include "tests/temp_path.h"
 
 namespace sunmap::sweep {
 namespace {
@@ -217,7 +218,7 @@ TEST(SweepFuzz, JournalFilesThroughReadJournal) {
     }
     corpus.push_back(std::move(journal));
   }
-  const std::string path = testing::TempDir() + "sweep_fuzz.journal";
+  const std::string path = testing_util::temp_path("sweep_fuzz.journal");
   Mutator mutator(0x5EED0003);
   int decoded = 0;
   for (int m = 0; m < kMutations; ++m) {

@@ -25,6 +25,7 @@
 #include "sweep/coordinator.h"
 #include "sweep/daemon.h"
 #include "sweep/wire.h"
+#include "tests/temp_path.h"
 #include "topo/library.h"
 
 namespace sunmap::sweep {
@@ -218,7 +219,7 @@ TEST(Wire, ReadersHoldOnlyTheBytesThatArrive) {
   put_u32(header, kClaim);
   header.insert(header.end(), 10, 'd');
   ASSERT_EQ(header.size(), 34u);
-  const std::string path = testing::TempDir() + "claim.journal";
+  const std::string path = testing_util::temp_path("claim.journal");
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(header.data()),
@@ -361,7 +362,7 @@ TEST(Sweep, RequestStopInterruptsAndCheckpointResumes) {
   const std::size_t total = reference.results.size();
 
   const std::string path =
-      testing::TempDir() + "sweep_stop_resume.journal";
+      testing_util::temp_path("sweep_stop_resume.journal");
   std::remove(path.c_str());
 
   // Interrupt once the journal holds 3 points, through the same stop flag
@@ -424,7 +425,8 @@ TEST(Sweep, ExplorerContextPoolSkipsRebuilds) {
 }
 
 TEST(Sweep, DaemonServesRepeatRequestsWithLiveContexts) {
-  const std::string socket_path = testing::TempDir() + "sweep_daemon.sock";
+  const std::string socket_path =
+      testing_util::temp_path("sweep_daemon.sock");
   DaemonOptions options;
   options.socket_path = socket_path;
   options.max_requests = 3;
@@ -459,7 +461,8 @@ TEST(Sweep, DaemonServesRepeatRequestsWithLiveContexts) {
 }
 
 TEST(Sweep, ThreadedDaemonServesConcurrentClients) {
-  const std::string socket_path = testing::TempDir() + "sweep_daemon_mt.sock";
+  const std::string socket_path =
+      testing_util::temp_path("sweep_daemon_mt.sock");
   DaemonOptions options;
   options.socket_path = socket_path;
   options.max_requests = 4;
@@ -522,7 +525,7 @@ int connect_when_up(const std::string& socket_path) {
 
 TEST(Sweep, SilentClientHoldsTheDaemonForAtMostTheDeadline) {
   const std::string socket_path =
-      testing::TempDir() + "sweep_daemon_idle.sock";
+      testing_util::temp_path("sweep_daemon_idle.sock");
   DaemonOptions options;  // One accept thread.
   options.socket_path = socket_path;
   options.max_requests = 2;
@@ -562,7 +565,8 @@ TEST(Sweep, SilentClientHoldsTheDaemonForAtMostTheDeadline) {
 }
 
 TEST(Sweep, DaemonRejectsOversizedRequestNamingTheCap) {
-  const std::string socket_path = testing::TempDir() + "sweep_daemon_cap.sock";
+  const std::string socket_path =
+      testing_util::temp_path("sweep_daemon_cap.sock");
   DaemonOptions options;
   options.socket_path = socket_path;
   options.max_requests = 1;
@@ -597,7 +601,7 @@ TEST(Sweep, DaemonRefusesAcceptThreadsOutsideTheBound) {
   // Refused before the socket opens, so no thread starts and no socket
   // file is left behind.
   const std::string socket_path =
-      testing::TempDir() + "sweep_daemon_bound.sock";
+      testing_util::temp_path("sweep_daemon_bound.sock");
   for (const int threads : {0, select::kMaxThreads + 1}) {
     DaemonOptions options;
     options.socket_path = socket_path;
