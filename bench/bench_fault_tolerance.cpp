@@ -14,11 +14,9 @@
 //    net of its own fault-free walk (the same walk with an empty fault
 //    set: EvalContext::evaluate for the table, Mapper::evaluate for the
 //    oracle), so the base routing, floorplan and power work drops out; the
-//    end-to-end walk speedup is recorded informationally. The oracle also
-//    computes every scenario's link loads, which a metrics-only context
-//    evaluation skips, so the ratio credits the table with that work too.
-//    The table side's net time is only about a millisecond, so the ratio
-//    is noisy run to run; the 2x bar sits far below it. Both walks must
+//    end-to-end walk speedup is recorded informationally. The table
+//    side's net time is only about a millisecond, so the ratio is noisy
+//    run to run; the 2x bar sits far below it. Both walks must
 //    return bit-identical costs — the table holds the routes the oracle
 //    searches for and sums them in its order, so any divergence is a bug
 //    and the binary exits nonzero.

@@ -393,7 +393,7 @@ ProbeRow run_eval_probe(const Leg& leg) {
     for (int step = 0; step < leg.steps; ++step) {
       const auto [a, b] = sequence.next();
       txn.begin_swap(a, b);
-      const auto eval = txn.evaluate(/*materialize=*/false);
+      const auto eval = txn.evaluate();
       cost_sum += eval.cost;
       if (bit_identical != nullptr && *bit_identical) {
         const auto expected = mapper.evaluate(*leg.app, topology, mapping);

@@ -49,8 +49,8 @@ void DeltaTxn::begin_swap(int slot_a, int slot_b) {
   scratch_.txn_depth = 1;
 }
 
-Evaluation DeltaTxn::evaluate(bool materialize) const {
-  return ctx_.evaluate(core_to_slot_, scratch_, materialize);
+Evaluation DeltaTxn::evaluate() const {
+  return ctx_.evaluate(core_to_slot_, scratch_, /*materialize=*/false);
 }
 
 bool DeltaTxn::prunable(const Evaluation& incumbent) const {

@@ -53,10 +53,10 @@ class DeltaTxn {
   /// Throws under an already-open speculation.
   void begin_swap(int slot_a, int slot_b);
 
-  /// Evaluates the current (speculative or committed) mapping through the
-  /// context. Works outside a speculation too — e.g. for the initial
-  /// mapping — where it behaves exactly like ctx.evaluate().
-  [[nodiscard]] Evaluation evaluate(bool materialize = false) const;
+  /// Light evaluation (no routes or floorplan) of the current (speculative
+  /// or committed) mapping through the context. Works outside a
+  /// speculation too, where it behaves exactly like a light ctx.evaluate().
+  [[nodiscard]] Evaluation evaluate() const;
 
   /// Phase-1 bound check of the current mapping against `incumbent`
   /// (EvalContext::prunable through this transaction's scratch).

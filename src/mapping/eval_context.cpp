@@ -540,19 +540,12 @@ Evaluation EvalContext::evaluate(const std::vector<int>& core_to_slot,
   // compare candidates by scalars, so copying the floorplan geometry into
   // every rejected candidate would be pure waste. Materialized evaluations
   // — the winners and every caller-facing result — get the full floorplan
-  // and routes, exactly as before.
+  // and routes.
   if (materialize) {
     eval.floorplan = floorplan;
-    eval.link_loads = scratch.loads.values();
     eval.routes.reserve(num_commodities);
     for (std::size_t k = 0; k < num_commodities; ++k) {
       eval.routes.push_back(*scratch.route_refs[k]);
-    }
-    // Per-scenario degraded link loads are a materialized-only extra (like
-    // link_loads), computed after the cache insert above so cached metrics
-    // stay identical between the hit and miss paths.
-    if (!fault_scenarios_.empty()) {
-      add_fault_link_loads(core_to_slot, scratch, eval);
     }
   }
   return eval;
@@ -653,35 +646,6 @@ void EvalContext::evaluate_fault_scenarios(
     outcome.avg_switch_hops =
         total_value_ > 0.0 ? fault_hops / total_value_ : 0.0;
     outcome.dynamic_power_mw = fault_power_mw;
-  }
-}
-
-void EvalContext::add_fault_link_loads(const std::vector<int>& core_to_slot,
-                                       EvalScratch& scratch,
-                                       Evaluation& eval) const {
-  const auto& g = topology_.switch_graph();
-  const auto& paths = fault_paths_;
-  for (std::size_t s = 0; s < fault_scenarios_.size(); ++s) {
-    scratch.fault_loads.assign(static_cast<std::size_t>(g.num_edges()), 0.0);
-    for (const auto& commodity : commodities_) {
-      const int src_slot =
-          core_to_slot[static_cast<std::size_t>(commodity.src_core)];
-      const int dst_slot =
-          core_to_slot[static_cast<std::size_t>(commodity.dst_core)];
-      // A route is a simple path, so each of its edges gets the commodity's
-      // value once whichever end the walk starts from.
-      std::int32_t id = paths.scenario_ids(s)[paths.cell(src_slot, dst_slot)];
-      for (; id >= 0 && paths.parent[static_cast<std::size_t>(id)] >= 0;
-           id = paths.parent[static_cast<std::size_t>(id)]) {
-        scratch.fault_loads[static_cast<std::size_t>(
-            paths.edge[static_cast<std::size_t>(id)])] += commodity.value_mbps;
-      }
-    }
-    eval.fault_outcomes[s].max_link_load_mbps =
-        scratch.fault_loads.empty()
-            ? 0.0
-            : *std::max_element(scratch.fault_loads.begin(),
-                                scratch.fault_loads.end());
   }
 }
 

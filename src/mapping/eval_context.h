@@ -25,7 +25,7 @@ namespace sunmap::mapping {
 struct EvalScratch {
   std::vector<int> slot_to_core;
   route::LoadMap loads{0};
-  /// Per-commodity route reference, aligned with EvalContext::commodities():
+  /// Per-commodity route reference, aligned with commodities_by_value(app):
   /// into the context's static route table (DO / SM) or the routing
   /// session's routes (MP / split-all).
   std::vector<const route::RouteSet*> route_refs;
@@ -41,9 +41,7 @@ struct EvalScratch {
   /// the path it took under the previous scenario (fault_commodities). Each
   /// degraded path it uses gets its switch-energy and edge-wire sums on
   /// first use, stamped with that evaluation's fault_stamp, so an entry from
-  /// an earlier evaluation — of any context — is never read. fault_loads
-  /// accumulates per-scenario link loads on materialized evaluations.
-  std::vector<double> fault_loads;
+  /// an earlier evaluation — of any context — is never read.
   std::vector<double> fault_edge_wire;
   struct FaultCommodity {
     std::size_t cell = 0;
@@ -195,16 +193,15 @@ class EvalContext {
   [[nodiscard]] const CoreGraph& app() const { return app_; }
   [[nodiscard]] const topo::Topology& topology() const { return topology_; }
   [[nodiscard]] const MapperConfig& config() const { return config_; }
-  [[nodiscard]] const std::vector<Commodity>& commodities() const {
-    return commodities_;
-  }
 
   /// Evaluates one mapping (Fig 5 steps 2-8) using the cached data. With
-  /// `materialize` false the returned Evaluation carries metrics ONLY:
-  /// `routes`, `link_loads`, and `floorplan` all stay empty — the search
-  /// loops compare candidates by scalars, and skipping the route and
-  /// geometry copies keeps rejected candidates cheap. Materialized
-  /// evaluations always carry the full floorplan and routes.
+  /// `materialize` false the returned Evaluation is light: `routes` and
+  /// `floorplan` stay empty, and the metrics cache may answer it — the
+  /// search loops compare candidates by scalars, and skipping the route and
+  /// geometry copies keeps rejected candidates cheap. A materialized
+  /// evaluation always computes its routes and floorplan (it bypasses the
+  /// metrics cache) and differs from the light one in those two fields
+  /// only.
   ///
   /// Throws std::invalid_argument on a malformed mapping, mirroring
   /// Mapper::evaluate().
@@ -361,10 +358,6 @@ class EvalContext {
   /// evaluate() indexed the floorplan.
   void evaluate_fault_scenarios(const std::vector<int>& core_to_slot,
                                 EvalScratch& scratch, Evaluation& eval) const;
-  /// Each scenario's max degraded link load, over the same routes
-  /// (materialized evaluations only).
-  void add_fault_link_loads(const std::vector<int>& core_to_slot,
-                            EvalScratch& scratch, Evaluation& eval) const;
   void build_bound_envelope();
   void build_power_bound_table();
   /// Fills scratch.bound_col_w / bound_row_h (+ used flags) with the
@@ -532,7 +525,7 @@ class EvalContext {
   mutable std::map<std::vector<std::uint16_t>, fplan::Floorplan>
       floorplan_cache_;
   /// Mapping -> config-independent evaluation metrics. The stored
-  /// Evaluation carries no routes, loads, or floorplan (the aspect ratio —
+  /// Evaluation carries no routes or floorplan (the aspect ratio —
   /// all the flag re-derivation needs — is kept as a scalar, so entries
   /// stay a few hundred bytes and the locked copy on a hit is cheap).
   /// Valid for one evaluation class; cleared by rebind() when the new

@@ -147,6 +147,13 @@ void MapperConfig::validate() const {
     fail("annealing_reheats must be >= 0, got " +
          std::to_string(annealing_reheats));
   }
+  // Reheats past the budget only collapse onto points already taken, and
+  // the chain computes every one before its first iteration.
+  if (annealing_reheats > annealing_iterations) {
+    fail("annealing_reheats must be <= annealing_iterations = " +
+         std::to_string(annealing_iterations) + ", got " +
+         std::to_string(annealing_reheats));
+  }
   if (sim_seed == 0) {
     fail("sim_seed must be >= 1 (0 is reserved as \"not a seed\"), got 0");
   }
@@ -255,7 +262,6 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
   }
   eval.avg_switch_hops = total_value > 0.0 ? weighted_hops / total_value : 0.0;
   eval.max_link_load_mbps = loads.max_load();
-  eval.link_loads = loads.values();
   eval.bandwidth_feasible =
       eval.max_link_load_mbps <= config_.link_bandwidth_mbps + 1e-9;
 
@@ -355,13 +361,11 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
     fault::ScenarioMask mask;
     fault::MaskedBfs bfs;
     graph::Path fpath;
-    std::vector<double> fault_loads;
     eval.fault_outcomes.resize(fault_scenarios.size());
     for (std::size_t s = 0; s < fault_scenarios.size(); ++s) {
       fault::make_mask(g, fault_scenarios[s], mask);
       auto& outcome = eval.fault_outcomes[s];
       outcome = Evaluation::FaultScenarioOutcome{};
-      fault_loads.assign(static_cast<std::size_t>(g.num_edges()), 0.0);
       double fault_hops = 0.0;
       double fault_power_mw = 0.0;
       for (const auto& commodity : commodities) {
@@ -391,7 +395,6 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
         for (const graph::EdgeId e : fpath.edges) {
           wire_mm += eval.floorplan.center_distance_mm(
               Kind::kSwitch, g.edge(e).src, Kind::kSwitch, g.edge(e).dst);
-          fault_loads[static_cast<std::size_t>(e)] += commodity.value_mbps;
         }
         wire_mm += eval.floorplan.center_distance_mm(Kind::kCore, src_slot,
                                                      Kind::kSwitch, ingress);
@@ -403,10 +406,6 @@ Evaluation Mapper::evaluate(const CoreGraph& app,
       outcome.avg_switch_hops =
           total_value > 0.0 ? fault_hops / total_value : 0.0;
       outcome.dynamic_power_mw = fault_power_mw;
-      outcome.max_link_load_mbps =
-          fault_loads.empty()
-              ? 0.0
-              : *std::max_element(fault_loads.begin(), fault_loads.end());
     }
   }
 
@@ -542,7 +541,8 @@ MappingResult Mapper::map(const EvalContext& ctx, EvalScratch& scratch) const {
 
   MappingResult result;
   result.core_to_slot = greedy_initial_mapping(app, topology);
-  result.eval = ctx.evaluate(result.core_to_slot, scratch);
+  result.eval = ctx.evaluate(result.core_to_slot, scratch,
+                             /*materialize=*/false);
   result.evaluated_mappings = 1;
   if (cfg.collect_explored) {
     result.explored_area_power.emplace_back(result.eval.design_area_mm2,
@@ -551,18 +551,10 @@ MappingResult Mapper::map(const EvalContext& ctx, EvalScratch& scratch) const {
 
   make_search_strategy(cfg.search)->improve(ctx, result, scratch);
 
-  // The search loops keep incumbent evaluations light (no per-commodity
-  // routes, link loads, or floorplan geometry); materialize the winning
-  // mapping's full Evaluation once at the end. All three emptiness checks
-  // matter: an application with no flows still gets its per-edge
-  // (all-zero) link loads, and a flowless app on an edgeless topology is
-  // only caught by its missing floorplan blocks.
-  if (result.eval.routes.size() != ctx.commodities().size() ||
-      result.eval.link_loads.size() !=
-          static_cast<std::size_t>(topology.switch_graph().num_edges()) ||
-      result.eval.floorplan.blocks().empty()) {
-    result.eval = ctx.evaluate(result.core_to_slot, scratch);
-  }
+  // The search ranks light evaluations by their scalars; only the winner
+  // needs its floorplan and routes.
+  result.eval = ctx.evaluate(result.core_to_slot, scratch,
+                             /*materialize=*/true);
 
   result.slot_to_core.assign(static_cast<std::size_t>(topology.num_slots()),
                              -1);

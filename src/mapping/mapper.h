@@ -110,7 +110,9 @@ struct MapperConfig {
   /// (annealing_reheats + 1) equal segments and the temperature is reset to
   /// the initial relative temperature x the current energy at each segment
   /// start, letting a cold chain escape the local minimum it converged
-  /// into. 0 (the default) reproduces the plain geometric schedule.
+  /// into. 0 (the default) reproduces the plain geometric schedule. At most
+  /// annealing_iterations: a chain cannot reheat more often than it
+  /// iterates.
   int annealing_reheats = 0;
 
   /// Master switch for bound-based candidate pruning (the two-phase swap
@@ -223,8 +225,6 @@ struct Evaluation {
     double avg_switch_hops = 0.0;  ///< Over the commodities still routable.
     double dynamic_power_mw = 0.0;
     double cost = 0.0;  ///< Per-scenario objective value (config-derived).
-    /// Max degraded link load; filled on materialized evaluations only.
-    double max_link_load_mbps = 0.0;
   };
   /// One entry per fault scenario; empty when the config carries no faults.
   std::vector<FaultScenarioOutcome> fault_outcomes;
@@ -234,11 +234,11 @@ struct Evaluation {
   /// Scenarios that disconnected at least one commodity.
   int infeasible_fault_scenarios = 0;
 
+  /// The two materialized fields (EvalContext::evaluate leaves both empty
+  /// on a light evaluation): the placement, and the routes per commodity,
+  /// aligned with commodities_by_value(app).
   fplan::Floorplan floorplan;
-  /// Routes per commodity, aligned with commodities_by_value(app).
   std::vector<route::RouteSet> routes;
-  /// Final link loads, indexed by switch-graph EdgeId.
-  std::vector<double> link_loads;
 };
 
 /// Ranks two evaluations under the mapper's search: feasible before

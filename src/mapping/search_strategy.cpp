@@ -1,6 +1,7 @@
 #include "mapping/search_strategy.h"
 
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <utility>
 #include <vector>
@@ -44,13 +45,11 @@ struct ChainOutcome {
 /// Metropolis acceptance over random moves with geometric cooling. The
 /// chain itself cannot be bound-pruned (even a worse candidate may be
 /// accepted, and its exact cost feeds the Metropolis criterion), so the
-/// speedup comes from the cached evaluation path and the transactional
-/// floorplan deltas. Every candidate runs as one DeltaTxn speculation:
-/// commit keeps the move, rollback restores the mapping AND both sessions
-/// to the incumbent (the floorplan session in O(dirty)) — so both accepted
-/// and rejected iterations re-solve from a few-slot delta, never from the
-/// wreckage of a rejected candidate. The best *feasible-ranked*
-/// mapping seen (under better_than) is what the chain returns.
+/// speedup comes from the cached evaluation path. Every candidate runs as
+/// one DeltaTxn speculation: commit keeps the move, rollback restores the
+/// mapping and the routing session to the incumbent. The best
+/// *feasible-ranked* mapping seen (under better_than) is what the chain
+/// returns.
 ///
 /// With config.annealing_reheats > 0 the chain is split into equal segments
 /// and the temperature is reset to kAnnealingT0 x the current energy at each
@@ -82,11 +81,13 @@ ChainOutcome run_annealing_chain(const EvalContext& ctx,
 
   // Exactly annealing_reheats resets, at the k/(reheats+1) fractions of the
   // budget (duplicates from tiny budgets collapse; a reset can never land
-  // on iteration 0 or past the end).
+  // on iteration 0 or past the end). 64-bit, so neither k nor reheats + 1
+  // overflows at INT_MAX.
   std::vector<int> reheat_points;
-  for (int k = 1; k <= cfg.annealing_reheats; ++k) {
-    const int point = static_cast<int>(
-        static_cast<long long>(iterations) * k / (cfg.annealing_reheats + 1));
+  const std::int64_t reheats = cfg.annealing_reheats;
+  for (std::int64_t k = 1; k <= reheats; ++k) {
+    const int point =
+        static_cast<int>(std::int64_t{iterations} * k / (reheats + 1));
     if (point > 0 && (reheat_points.empty() || reheat_points.back() != point)) {
       reheat_points.push_back(point);
     }
@@ -108,7 +109,7 @@ ChainOutcome run_annealing_chain(const EvalContext& ctx,
     }
 
     txn.begin_swap(a, b);
-    auto eval = txn.evaluate(/*materialize=*/false);
+    auto eval = txn.evaluate();
     ++out.evaluated;
     if (cfg.collect_explored) {
       out.explored.emplace_back(eval.design_area_mm2, eval.design_power_mw);
@@ -187,7 +188,7 @@ void GreedySwapSearch::improve(const EvalContext& ctx, MappingResult& result,
           txn.rollback();
           continue;
         }
-        auto eval = txn.evaluate(/*materialize=*/false);
+        auto eval = txn.evaluate();
         if (cfg.collect_explored) {
           result.explored_area_power.emplace_back(eval.design_area_mm2,
                                                   eval.design_power_mw);

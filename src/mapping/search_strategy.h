@@ -36,11 +36,11 @@ class SearchStrategy {
   [[nodiscard]] virtual const char* name() const = 0;
 
   /// Improves result.core_to_slot / result.eval in place. On entry `result`
-  /// holds the initial mapping and its (materialized) evaluation; on exit it
-  /// holds the best mapping found, whose evaluation may be lightweight
-  /// (Mapper::map() re-materializes the winner). `scratch` is the caller's
-  /// per-thread evaluation scratch — it carries the floorplan and routing
-  /// sessions, so every candidate must evaluate through it.
+  /// holds the initial mapping and its light evaluation (no routes or
+  /// floorplan); on exit it holds the best mapping found, also light
+  /// (Mapper::map() materializes the winner once). `scratch` is the
+  /// caller's per-thread evaluation scratch — it carries the floorplan and
+  /// routing sessions, so every candidate must evaluate through it.
   virtual void improve(const EvalContext& ctx, MappingResult& result,
                        EvalScratch& scratch) const = 0;
 };

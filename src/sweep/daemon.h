@@ -35,7 +35,8 @@ inline constexpr std::size_t kMaxRequestBytes = 64 * 1024;
 /// sim_validate=1 scores every feasible cell; sim_rank=1 with no finalist
 /// count re-ranks the top 3 of each objective group. fault_samples and
 /// fault_seed need a rand fault set to shape. threads is in
-/// [1, select::kMaxThreads].
+/// [1, select::kMaxThreads]. restarts and reheat are each at most the
+/// annealing budget (MapperConfig::annealing_iterations, 2000).
 /// An unknown or repeated key, or a bad value, is answered with an error
 /// naming it. A client must send its whole request within
 /// kRequestDeadlineMs of being accepted, and at most kMaxRequestBytes.

@@ -75,7 +75,7 @@ void run_txn_walk(const CoreGraph& app, const topo::Topology& topology,
       continue;
     }
     txn.begin_swap(a, b);
-    const auto eval = txn.evaluate(/*materialize=*/false);
+    const auto eval = txn.evaluate();
     {
       SCOPED_TRACE(topology.name() + " step " + std::to_string(step));
       expect_same_metrics(eval, mapper.evaluate(app, topology, mapping));
@@ -91,7 +91,7 @@ void run_txn_walk(const CoreGraph& app, const topo::Topology& topology,
       // metrics cache usually answers for the incumbent; the next step's
       // candidate is what reads the floorplan session the reject left on
       // the rejected swap.
-      const auto back = txn.evaluate(/*materialize=*/false);
+      const auto back = txn.evaluate();
       SCOPED_TRACE(topology.name() + " rollback " + std::to_string(step));
       expect_same_metrics(back, mapper.evaluate(app, topology, mapping));
     }

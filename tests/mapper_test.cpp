@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <set>
 
 #include "apps/apps.h"
+#include "mapping/eval_context.h"
 #include "mapping/mapper.h"
+#include "topo/custom.h"
 #include "topo/library.h"
 
 namespace sunmap::mapping {
@@ -80,6 +83,18 @@ TEST(MapperConfig, ValidateRejectsEachBadField) {
       },
       "= 1, got 2");
   rejects([](MapperConfig& c) { c.annealing_reheats = -4; }, "got -4");
+  // A chain cannot reheat more often than it iterates; at INT_MAX the
+  // reheat schedule's loop would never end.
+  rejects([](MapperConfig& c) { c.annealing_reheats = 2147483647; },
+          "annealing_reheats must be <= annealing_iterations = 2000, got "
+          "2147483647");
+  rejects(
+      [](MapperConfig& c) {
+        c.annealing_iterations = 0;
+        c.annealing_restarts = 1;
+        c.annealing_reheats = 1;
+      },
+      "annealing_reheats must be <= annealing_iterations = 0, got 1");
   rejects([](MapperConfig& c) { c.floorplan.sizing_passes = -5; }, "got -5");
   rejects([](MapperConfig& c) { c.floorplan.spacing_mm = -0.25; },
           std::to_string(-0.25));
@@ -303,14 +318,107 @@ TEST(Mapper, CollectExploredGathersParetoRawPoints) {
   }
 }
 
-TEST(Mapper, LinkLoadsRespectCapacityWhenFeasible) {
+TEST(Mapper, RouteLoadsReproduceMaxLinkLoad) {
+  // Each edge's load, recomputed from the winner's routes (commodity value
+  // x path fraction), peaks at the reported max link load, which a
+  // feasible winner keeps within the link bandwidth.
   const auto app = apps::vopd();
   const auto mesh = topo::make_mesh_for(app.num_cores());
-  const auto result = Mapper().map(app, *mesh);
-  ASSERT_TRUE(result.eval.feasible());
-  for (double load : result.eval.link_loads) {
-    EXPECT_LE(load, 500.0 + 1e-6);
+  const auto commodities = commodities_by_value(app);
+  for (route::RoutingKind kind : route::kAllRoutingKinds) {
+    SCOPED_TRACE(route::to_string(kind));
+    MapperConfig config;
+    config.routing = kind;
+    const auto result = Mapper(config).map(app, *mesh);
+    ASSERT_EQ(result.eval.routes.size(), commodities.size());
+    std::vector<double> loads(
+        static_cast<std::size_t>(mesh->switch_graph().num_edges()), 0.0);
+    for (std::size_t k = 0; k < commodities.size(); ++k) {
+      for (const auto& wp : result.eval.routes[k].paths) {
+        for (graph::EdgeId e : wp.path.edges) {
+          loads[static_cast<std::size_t>(e)] +=
+              commodities[k].value_mbps * wp.fraction;
+        }
+      }
+    }
+    const double max_load = *std::max_element(loads.begin(), loads.end());
+    EXPECT_NEAR(max_load, result.eval.max_link_load_mbps,
+                1e-9 * result.eval.max_link_load_mbps);
+    if (result.eval.feasible()) {
+      EXPECT_LE(max_load, config.link_bandwidth_mbps + 1e-6);
+    }
+    if (kind == route::RoutingKind::kMinPath) {
+      EXPECT_TRUE(result.eval.feasible());  // the default routing
+    }
   }
+}
+
+/// Maps twice through one context and scratch. The second search visits
+/// exactly the mappings the first one did, so each of its light
+/// evaluations (the greedy start and every unpruned candidate) hits the
+/// metrics cache, and the winner's one materialization does not look it
+/// up.
+void expect_warm_map_only_hits(SearchKind search) {
+  const auto app = apps::vopd();
+  const auto mesh = topo::make_mesh_for(app.num_cores());
+  MapperConfig config;
+  config.objective = Objective::kMinPower;  // the greedy search moves
+  config.search = search;
+  config.annealing_iterations = 300;
+  const Mapper mapper(config);
+  const auto ctx = mapper.make_context(app, *mesh);
+  EvalScratch scratch;
+  const auto cold = mapper.map(ctx, scratch);
+  const auto before = EvalContext::cache_stats();
+  const auto warm = mapper.map(ctx, scratch);
+  const auto after = EvalContext::cache_stats();
+  EXPECT_EQ(warm.core_to_slot, cold.core_to_slot);
+  EXPECT_EQ(warm.eval.cost, cold.eval.cost);
+  EXPECT_EQ(after.metrics_hits - before.metrics_hits,
+            static_cast<std::uint64_t>(warm.evaluated_mappings -
+                                       warm.pruned_mappings));
+  EXPECT_EQ(after.metrics_misses, before.metrics_misses);
+}
+
+TEST(Mapper, WarmGreedyMapEvaluatesThroughTheMetricsCache) {
+  expect_warm_map_only_hits(SearchKind::kGreedySwaps);
+}
+
+TEST(Mapper, WarmAnnealingMapEvaluatesThroughTheMetricsCache) {
+  expect_warm_map_only_hits(SearchKind::kAnnealing);
+}
+
+void expect_materialized(const MappingResult& result, const CoreGraph& app) {
+  EXPECT_EQ(result.eval.routes.size(), commodities_by_value(app).size());
+  EXPECT_FALSE(result.eval.floorplan.blocks().empty());
+}
+
+TEST(Mapper, MaterializesTheWinnerWhetherOrNotTheSearchMoved) {
+  const auto app = apps::vopd();
+  const auto mesh = topo::make_mesh_for(app.num_cores());
+  MapperConfig config;
+  config.objective = Objective::kMinPower;
+  MapperConfig no_swaps = config;
+  no_swaps.swap_passes = 0;
+  const auto start = Mapper(no_swaps).map(app, *mesh);
+  const auto searched = Mapper(config).map(app, *mesh);
+  ASSERT_NE(searched.core_to_slot, start.core_to_slot);  // the search moved
+  expect_materialized(start, app);
+  expect_materialized(searched, app);
+
+  // No flows: no routes to materialize, but still a floorplan, on a mesh
+  // and on one switch with no links at all.
+  CoreGraph idle("idle2");
+  idle.add_core("a", 2.0);
+  idle.add_core("b", 2.0);
+  topo::CustomTopology::Builder builder("one_switch");
+  const graph::NodeId sw = builder.add_switch();
+  builder.attach_core(sw);
+  builder.attach_core(sw);
+  const auto one_switch = builder.build();
+  ASSERT_EQ(one_switch->switch_graph().num_edges(), 0);
+  expect_materialized(Mapper().map(idle, *topo::make_mesh_for(2)), idle);
+  expect_materialized(Mapper().map(idle, *one_switch), idle);
 }
 
 TEST(BetterThan, OrdersByFeasibilityThenCost) {

@@ -164,6 +164,17 @@ class RequestPathsTest(unittest.TestCase):
                 for name in named:
                     self.assertIn(name, reply)
 
+    def test_reheats_past_the_annealing_budget_are_refused(self):
+        # At INT_MAX the reheat schedule's loop never ended.
+        result = self.cli("--app", "vopd", "--search", "sa",
+                          "--reheat", "2147483647")
+        self.assertEqual(result.returncode, 2, result.stdout)
+        self.assertIn("annealing_reheats", result.stderr)
+        reply = self.raw_request(
+            "app=vopd\nsearches=sa\nreheat=2147483647\n\n")
+        self.assertTrue(reply.startswith("ERR "), reply)
+        self.assertIn("annealing_reheats", reply)
+
     def test_sampler_keys_need_a_rand_fault_set(self):
         # Without a rand set the sampler values would be ignored and the
         # request would run fault-free.

@@ -61,7 +61,8 @@ void usage() {
   --restarts <n>      independent annealing chains of --search rsa; the
                       total annealing budget is split across them and the
                       best-of-restarts mapping kept (default 4)
-  --reheat <n>        temperature re-heats per annealing chain (default 0)
+  --reheat <n>        temperature re-heats per annealing chain, at most
+                      the annealing budget of 2000 iterations (default 0)
   --swap-passes <n>   hill-climbing passes of the greedy swap search
                       (default 2; 1 reproduces the paper)
   --fplan-engine <e>  floorplan position engine: lp (constraint-graph
